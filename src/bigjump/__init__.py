@@ -70,13 +70,11 @@ from bigjump.asymptotics import (
 )
 from bigjump.stats import (
     AttributionSummary,
-    RatioDiagnostic,
     TailCurve,
     attribution_summary,
     clopper_pearson,
     empirical_survival,
     ks_two_sample,
-    ratio_diagnostic,
 )
 
 __version__ = "0.1.0"
@@ -136,12 +134,10 @@ __all__ = [
     "two_scale_total",
     # stats
     "AttributionSummary",
-    "RatioDiagnostic",
     "TailCurve",
     "attribution_summary",
     "clopper_pearson",
     "empirical_survival",
     "ks_two_sample",
-    "ratio_diagnostic",
     "__version__",
 ]

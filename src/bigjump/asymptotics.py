@@ -32,7 +32,6 @@ __all__ = [
     "leading_tail",
     "series_identities",
     "second_scale",
-    "second_scale_series",
     "two_scale_total",
     "generation_tail_pred",
     "per_generation_pred",
@@ -123,25 +122,6 @@ def second_scale(params: ModelParams, x):
     coeff = np.log(x_arr) * s1 - math.log(1.0 / b) * s2
     out = coeff * slowly_varying_part(params, x_arr) / (1.0 + x_arr)
     return float(out) if out.ndim == 0 else out
-
-
-def second_scale_series(params: ModelParams, x) -> float:
-    """Direct series evaluation of the two-scale coefficient.
-
-    Sums ``n * b^(n-1) * (log x - n*log(1/b))`` until terms fall below
-    1e-16, then multiplies by ``L(x)/(1+x)``; agrees with the closed-form
-    :func:`second_scale` to 1e-10.
-    """
-    x = float(x)
-    if x <= 1.0:
-        raise ValueError("x must be > 1")
-    b = params.b
-    n_terms = 400
-    while n_terms**2 * b ** (n_terms - 1) > 1e-16 and n_terms < (1 << 24):
-        n_terms *= 2
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    coeff = float(np.sum(n * b ** (n - 1.0) * (math.log(x) - n * math.log(1.0 / b))))
-    return coeff * slowly_varying_part(params, x) / (1.0 + x)
 
 
 def two_scale_total(params: ModelParams, x):

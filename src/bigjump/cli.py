@@ -37,7 +37,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -236,20 +236,34 @@ _SECTION_TYPES = {
 }
 
 
+def _typed(where: str, value, hint):
+    """Check one config value against its field's type.
+
+    ``bool`` is not accepted as ``int``, and ``int`` is accepted as
+    ``float``; ``Optional`` fields also take ``null`` and the ``tuple``
+    field is a list of numbers.
+    """
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        (hint,) = (h for h in get_args(hint) if h is not type(None))
+    if hint is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list of numbers")
+        return tuple(float(_typed(f"{where} entry", x, float)) for x in value)
+    kinds = (int, float) if hint is float else (hint,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = "a number" if hint is float else f"of type {hint.__name__}"
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return value
+
+
 def _build_section(name: str, cls, data: dict):
-    allowed = set(cls.__dataclass_fields__)
+    hints = get_type_hints(cls)
     for key in data:
-        if key not in allowed:
+        if key not in hints:
             raise ConfigError(f"unknown config key '{key}' in section '{name}'")
-    coerced = dict(data)
-    if name == "predict" and "x_grid" in coerced:
-        if not isinstance(coerced["x_grid"], (list, tuple)):
-            raise ConfigError("predict.x_grid must be a list of numbers")
-        coerced["x_grid"] = tuple(float(x) for x in coerced["x_grid"])
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in section '{name}': {exc}") from exc
+    return cls(**{k: _typed(f"{name}.{k}", v, hints[k]) for k, v in data.items()})
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -277,52 +291,21 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Fold command-line flags into the config (flags win)."""
+    """Fold command-line flags into the config (flags win).
 
-    def over(section, **kv):
-        supplied = {k: v for k, v in kv.items() if v is not None}
-        return replace(section, **supplied) if supplied else section
-
-    model = over(
-        config.model,
-        b=getattr(args, "b", None),
-        epsilon=getattr(args, "epsilon", None),
-        tolerance=getattr(args, "tolerance", None),
-    )
-    simulate = over(
-        config.simulate,
-        method=getattr(args, "method", None),
-        samples=getattr(args, "samples", None),
-        burn_in=getattr(args, "burnin", None),
-        depth=getattr(args, "depth", None),
-        seed=getattr(args, "seed", None),
-        streams=getattr(args, "streams", None),
-        max_population=getattr(args, "max_population", None),
-    )
-    oracle_cfg = over(
-        config.oracle,
-        cutoff=getattr(args, "cutoff", None),
-        tol=getattr(args, "tol", None),
-        max_iter=getattr(args, "max_iter", None),
-    )
-    x_grid = getattr(args, "x_grid", None)
-    predict = over(
-        config.predict,
-        x_grid=tuple(x_grid) if x_grid is not None else None,
-        n_max=getattr(args, "n_max", None),
-    )
-    verify = over(
-        config.verify,
-        suite=getattr(args, "suite", None),
-        confidence=getattr(args, "confidence", None),
-    )
-    return RunConfig(
-        model=model,
-        simulate=simulate,
-        oracle=oracle_cfg,
-        predict=predict,
-        verify=verify,
-    )
+    Every config field name is unique across sections and is the ``dest``
+    of its flag, so each non-None ``args.<field>`` replaces that field.
+    """
+    sections = {}
+    for name in _SECTION_TYPES:
+        section = getattr(config, name)
+        supplied = {
+            key: getattr(args, key)
+            for key in section.__dataclass_fields__
+            if getattr(args, key, None) is not None
+        }
+        sections[name] = replace(section, **supplied)
+    return RunConfig(**sections)
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +425,28 @@ def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
-    params = config.params()
-    pi = oracle.stationary_pmf(
+def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
+    """The oracle's stationary law under the configured truncation.
+
+    The thinned immigrant count of generation 1 has thinning probability
+    ``theta = P(B >= 1)``, and its recurrence is stable only below 1/2, so
+    larger ``theta`` is refused as a config error rather than a traceback.
+    """
+    if params.theta >= 0.5:
+        raise ConfigError(
+            f"the oracle needs theta = P(B >= 1) < 0.5, got theta = "
+            f"{params.theta:.6g} at b = {params.b}, epsilon = {params.epsilon}"
+        )
+    return oracle.stationary_pmf(
         params,
         config.oracle.cutoff,
         tol=config.oracle.tol,
         max_iter=config.oracle.max_iter,
     )
+
+
+def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
+    pi = _stationary_pmf(config.params(), config)
     hi_curve = np.minimum(pi.survival_curve(), 1.0)
     lo_curve = np.maximum(pi.survival_curve() - pi.overflow, 0.0)
     rows = (
@@ -624,7 +621,8 @@ def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
 #
 # One check per acceptance criterion; each returns a plain dict (the report
 # row).  Shared expensive inputs (the stationary oracle law, the long chain
-# run) are computed once per VerifyContext.
+# run) are computed once per VerifyContext.  `CHECKS` is the only definition
+# of these criteria: tests/test_acceptance.py runs the same entries.
 
 
 class VerifyContext:
@@ -639,12 +637,7 @@ class VerifyContext:
     @property
     def stationary(self) -> oracle.Pmf:
         if self._stationary is None:
-            self._stationary = oracle.stationary_pmf(
-                self.params,
-                self.config.oracle.cutoff,
-                tol=self.config.oracle.tol,
-                max_iter=self.config.oracle.max_iter,
-            )
+            self._stationary = _stationary_pmf(self.params, self.config)
         return self._stationary
 
     @property
@@ -981,9 +974,9 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_x_grid(text: str) -> list:
+def _parse_x_grid(text: str) -> tuple:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad x grid '{text}': {exc}") from exc
 
@@ -1046,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--method", choices=["chain", "cluster"])
     p_sim.add_argument("--samples", type=int)
-    p_sim.add_argument("--burnin", type=int)
+    p_sim.add_argument("--burnin", dest="burn_in", type=int)
     p_sim.add_argument("--depth", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--streams", type=int)

@@ -47,7 +47,6 @@ __all__ = [
     "phi",
     "phi_deriv",
     "phi_tail_bounds",
-    "phi_tail",
     "slowly_varying_part",
     "offspring_mean_bracket",
     "depth_remainder_bound",
@@ -130,12 +129,6 @@ def phi_tail_bounds(cutoff: float, epsilon: float) -> tuple[float, float]:
     if not lo <= hi:
         raise RuntimeError("inverted tail bracket: quadrature failure")
     return lo, hi
-
-
-def phi_tail(cutoff: float, epsilon: float) -> float:
-    """Point estimate (bracket midpoint) of the tail sum beyond ``cutoff``."""
-    lo, hi = phi_tail_bounds(cutoff, epsilon)
-    return 0.5 * (lo + hi)
 
 
 def _phi_partial_sum(cutoff: int, epsilon: float) -> float:
@@ -312,6 +305,9 @@ class LawB:
         ks = np.arange(params.tail_table_cutoff + 1, dtype=np.float64)
         self.survival_table = params.theta * phi(ks, params.epsilon)
         self.survival_table.setflags(write=False)
+        # Ascending keys for the samplers' `np.searchsorted`, negated once.
+        self.search_key = -self.survival_table
+        self.search_key.setflags(write=False)
 
     def survival(self, k):
         """``P(B > k) = theta * phi(floor(k))``; table lookup where possible."""

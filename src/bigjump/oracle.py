@@ -10,8 +10,8 @@ which makes the survival bracket
 
 sound by construction.  On top of that arithmetic the module builds the
 generation-aggregate laws, the stationary law of the branching fixed point,
-and direct numerical checks of the convolution-tail, random-sum, and
-tail-additivity relations that drive the asymptotics.
+and direct numerical checks of the convolution-tail and random-sum relations
+that drive the asymptotics.
 
 Design notes
 ------------
@@ -20,7 +20,8 @@ Design notes
   negative FFT residue (below 1e-12) clipped.
 * ``compound`` evaluates sum_k count[k] * summand^{*k} with a
   baby-step/giant-step polynomial scheme: ~2*sqrt(K) convolutions plus one
-  matrix product instead of K convolutions.
+  matrix product instead of K convolutions, each FFT product reusing the
+  fixed operand's spectrum (two transforms per product, not three).
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term compounds the *conditional* nonzero
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy import fft as sp_fft
+from scipy.signal import lfilter
 
 from .model import (
     LawA,
@@ -52,10 +53,8 @@ from .model import (
 __all__ = [
     "Pmf",
     "GeometricLaw",
-    "DiracLaw",
     "TailRatioBracket",
     "RandomSumCheck",
-    "TailAdditivityCheck",
     "pmf_of",
     "convolve",
     "compound",
@@ -66,7 +65,6 @@ __all__ = [
     "stationary_pmf",
     "conv_tail_ratio",
     "random_sum_check",
-    "tail_additivity_check",
 ]
 
 # Masses are probabilities; anything this far below zero is a real bug, not
@@ -163,25 +161,6 @@ class GeometricLaw:
         return float(out) if out.ndim == 0 else out
 
 
-class DiracLaw:
-    """Unit mass at a fixed nonnegative integer."""
-
-    def __init__(self, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"value must be >= 0: {value}")
-        self.value = int(value)
-
-    def survival(self, k):
-        k_arr = np.floor(np.asarray(k, dtype=np.float64))
-        out = np.where(k_arr < self.value, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def pmf(self, k):
-        k_arr = np.asarray(k, dtype=np.float64)
-        out = np.where(k_arr == self.value, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-
 def pmf_of(law, cutoff: int, meta: str = "") -> Pmf:
     """Truncate a law with exact ``pmf``/``survival`` methods onto {0..cutoff}.
 
@@ -197,19 +176,44 @@ def pmf_of(law, cutoff: int, meta: str = "") -> Pmf:
     return Pmf(mass=mass, overflow=overflow, meta=name)
 
 
-def _conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact full linear convolution; FFT with zero padding for long inputs."""
-    if min(a.size, b.size) <= 64 or max(a.size, b.size) <= _DIRECT_CONV_LIMIT:
+def _fft_length(a_size: int, b_size: int) -> int:
+    """Transform length `_conv_full` uses; 0 where it convolves directly."""
+    if min(a_size, b_size) <= 64 or max(a_size, b_size) <= _DIRECT_CONV_LIMIT:
+        return 0
+    return sp_fft.next_fast_len(a_size + b_size - 1, True)
+
+
+def _spectrum(b: np.ndarray, a_size: int) -> np.ndarray | None:
+    """Real FFT of ``b`` for `_conv_full` against a length-``a_size``
+    operand; None where `_conv_full` convolves directly."""
+    fshape = _fft_length(a_size, b.size)
+    return sp_fft.rfft(b, fshape) if fshape else None
+
+
+def _conv_full(
+    a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact full linear convolution; FFT with zero padding for long inputs.
+
+    The FFT path computes what ``scipy.signal.fftconvolve(a, b)`` computes
+    (same transform length, transforms and product order), bit for bit.
+    Passing ``b_spectrum = _spectrum(b, a.size)`` skips ``b``'s transform,
+    one of the three, when ``b`` is convolved many times.
+    """
+    fshape = _fft_length(a.size, b.size)
+    if not fshape:
         return np.convolve(a, b)
-    out = fftconvolve(a, b)
-    return np.maximum(out, 0.0)
+    if b_spectrum is None:
+        b_spectrum = sp_fft.rfft(b, fshape)
+    out = sp_fft.irfft(sp_fft.rfft(a, fshape) * b_spectrum, fshape)
+    return np.maximum(out[: a.size + b.size - 1], 0.0)
 
 
 def _conv_truncate(
-    a: np.ndarray, b: np.ndarray, n: int
+    a: np.ndarray, b: np.ndarray, n: int, b_spectrum: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Convolve and split at the grid edge: (known part on {0..n}, spill)."""
-    full = _conv_full(a, b)
+    full = _conv_full(a, b, b_spectrum)
     known = full[: n + 1]
     spill = float(np.sum(full[n + 1 :]))
     return known, spill
@@ -281,8 +285,11 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     pow_total = np.zeros(rows)
     pow_total[0] = 1.0
     s_total = summand.known_total
+    s_spectrum = _spectrum(summand.mass, n + 1)
     for j in range(1, rows):
-        known, spill = _conv_truncate(powers[j - 1], summand.mass, n)
+        known, spill = _conv_truncate(
+            powers[j - 1], summand.mass, n, s_spectrum
+        )
         powers[j] = known
         pow_overflow[j] = (
             spill
@@ -303,7 +310,9 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
         acc, acc_over = block_mass[0], float(block_overflow[0])
     else:
         # Giant step: summand^{*width}, then Horner from the top block down.
-        giant, g_spill = _conv_truncate(powers[rows - 1], summand.mass, n)
+        giant, g_spill = _conv_truncate(
+            powers[rows - 1], summand.mass, n, s_spectrum
+        )
         g_over = (
             g_spill
             + pow_overflow[rows - 1] * (s_total + summand.overflow)
@@ -313,8 +322,9 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
         acc = block_mass[n_blocks - 1]
         acc_over = float(block_overflow[n_blocks - 1])
         acc_total = float(block_total[n_blocks - 1])
+        g_spectrum = _spectrum(giant, n + 1)
         for g in range(n_blocks - 2, -1, -1):
-            known, spill = _conv_truncate(acc, giant, n)
+            known, spill = _conv_truncate(acc, giant, n, g_spectrum)
             acc_over = spill + acc_over * (g_total + g_over) + g_over * acc_total
             acc = known + block_mass[g]
             acc_over += float(block_overflow[g])
@@ -613,46 +623,4 @@ def random_sum_check(count_law, summand: Pmf, x: float) -> RandomSumCheck:
         exact_hi=exact_hi,
         prediction=prediction,
         ratio=exact_hi / prediction,
-    )
-
-
-@dataclass(frozen=True)
-class TailAdditivityCheck:
-    """Tail of an independent sum versus the sum of individual tails."""
-
-    sum_lo: float
-    sum_hi: float
-    additive_lo: float
-    additive_hi: float
-    ratio: float
-
-
-def tail_additivity_check(
-    terms: Sequence[Pmf], x: float
-) -> TailAdditivityCheck:
-    """Compare P(T_0 + ... + T_k > x) against sum_i P(T_i > x).
-
-    One-big-jump behaviour makes the ratio approach 1 from above for heavy
-    tails; the ratio reported is upper-endpoint over upper-endpoint.
-    """
-    if len(terms) == 0:
-        raise ValueError("need at least one term")
-    total = terms[0]
-    for term in terms[1:]:
-        total = convolve(total, term)
-    sum_lo, sum_hi = total.survival_bracket(x)
-    brackets = [term.survival_bracket(x) for term in terms]
-    additive_lo = sum(b[0] for b in brackets)
-    additive_hi = sum(b[1] for b in brackets)
-    if additive_lo <= 0.0:
-        raise ValueError(
-            f"tail below truncation resolution at x={x}: "
-            "no placed mass above the threshold in any term"
-        )
-    return TailAdditivityCheck(
-        sum_lo=sum_lo,
-        sum_hi=sum_hi,
-        additive_lo=additive_lo,
-        additive_hi=additive_hi,
-        ratio=sum_hi / additive_hi,
     )

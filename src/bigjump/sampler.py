@@ -52,7 +52,6 @@ __all__ = [
     "RngStream",
     "attribute",
     "chain_step",
-    "chain_step_naive",
     "run_chain",
     "sample_A",
     "sample_B",
@@ -127,17 +126,15 @@ class ChainConfig:
     """Run parameters for the Markov-chain sampler.
 
     Attributes:
-        n_samples: number of emitted samples (post burn-in, post thinning).
+        n_samples: number of emitted samples (post burn-in).
         burn_in: steps discarded before emitting; the chain starts at zero
             and is stochastically increasing toward the stationary law, so
             residual burn-in bias is one-sided (tails are underestimated).
-        thinning_lag: emit every ``thinning_lag``-th step.
         max_population: saturation cap for the population per step.
     """
 
     n_samples: int
     burn_in: int = 1000
-    thinning_lag: int = 1
     max_population: int = DEFAULT_MAX_POPULATION
 
     def __post_init__(self) -> None:
@@ -145,8 +142,6 @@ class ChainConfig:
             raise ValueError("n_samples must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.thinning_lag < 1:
-            raise ValueError("thinning_lag must be >= 1")
         if self.max_population < 1 << 20:
             raise ValueError("max_population must be >= 2**20")
 
@@ -258,9 +253,9 @@ def _invert_b_uniforms(params: ModelParams, u: np.ndarray) -> np.ndarray:
     one vectorized binary search; deeper uniforms fall through to analytic
     bisection element by element.
     """
-    table = law_B(params).survival_table
-    values = np.searchsorted(-table, -u, side="right")
-    deep = np.flatnonzero(values == table.size)
+    key = law_B(params).search_key
+    values = np.searchsorted(key, -u, side="right")
+    deep = np.flatnonzero(values == key.size)
     for i in deep:
         values[i] = _invert_b_tail(params, float(u[i]))
     return values
@@ -304,9 +299,9 @@ def chain_step(
 
     The number of nonzero children is ``Binomial(x, P(B > 0))``; each is then
     drawn from ``(B | B >= 1)``.  This is identical in law to summing ``x``
-    independent offspring draws (see `chain_step_naive`) at a fraction of the
-    cost.  Totals beyond ``max_population`` saturate with a
-    ``population_cap`` event — never silently.
+    independent offspring draws at a fraction of the cost.  Totals beyond
+    ``max_population`` saturate with a ``population_cap`` event — never
+    silently.
     """
     if x < 0:
         raise ValueError("population must be >= 0")
@@ -328,35 +323,6 @@ def chain_step(
     return total
 
 
-def chain_step_naive(
-    params: ModelParams,
-    x: int,
-    stream: RngStream,
-    max_population: int = DEFAULT_MAX_POPULATION,
-) -> int:
-    """Reference transition: sum ``x`` unconditional offspring draws directly.
-
-    Same law as `chain_step`; kept as the independent implementation that
-    equivalence tests compare against.  Cost grows linearly in ``x``.
-    """
-    if x < 0:
-        raise ValueError("population must be >= 0")
-    total = sample_A(stream)
-    remaining = x
-    while remaining > 0:
-        chunk = min(remaining, _DRAW_CHUNK)
-        draws = _invert_b_uniforms(params, stream.generator.random(chunk))
-        if float(draws.sum(dtype=np.float64)) + total > max_population:
-            stream.events["population_cap"] += 1
-            return max_population
-        total += int(draws.sum())
-        remaining -= chunk
-    if total > max_population:
-        stream.events["population_cap"] += 1
-        return max_population
-    return total
-
-
 def run_chain(
     params: ModelParams, config: ChainConfig, stream: RngStream
 ) -> ChainResult:
@@ -364,8 +330,8 @@ def run_chain(
 
     The start at zero makes the marginal law stochastically increasing in
     time, so any residual burn-in bias underestimates tails (one-sided).
-    Emits every ``thinning_lag``-th step after discarding ``burn_in`` steps;
-    the result carries the cap events recorded during this run.
+    Emits every step after discarding ``burn_in`` steps; the result carries
+    the cap events recorded during this run.
     """
     before = dict(stream.events)
     samples = np.empty(config.n_samples, dtype=np.int64)
@@ -373,8 +339,7 @@ def run_chain(
     for _ in range(config.burn_in):
         x = chain_step(params, x, stream, config.max_population)
     for i in range(config.n_samples):
-        for _ in range(config.thinning_lag):
-            x = chain_step(params, x, stream, config.max_population)
+        x = chain_step(params, x, stream, config.max_population)
         samples[i] = x
     delta = {
         key: count - before.get(key, 0)

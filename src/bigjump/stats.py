@@ -20,11 +20,9 @@ from scipy.stats import beta as _beta_dist
 
 __all__ = [
     "TailCurve",
-    "RatioDiagnostic",
     "AttributionSummary",
     "clopper_pearson",
     "empirical_survival",
-    "ratio_diagnostic",
     "ks_two_sample",
     "attribution_summary",
 ]
@@ -103,53 +101,6 @@ def empirical_survival(
         arr.setflags(write=False)
     return TailCurve(
         xs=grid, count_exceed=counts, n_total=n, level=level, ci_lo=lo, ci_hi=hi
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class RatioDiagnostic:
-    """Estimate-to-prediction ratios with the interval endpoints propagated."""
-
-    xs: np.ndarray
-    estimate: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    predictor: np.ndarray
-    ratio: np.ndarray
-    ratio_lo: np.ndarray
-    ratio_hi: np.ndarray
-
-
-def ratio_diagnostic(
-    curve: TailCurve, predictor: Sequence[float] | np.ndarray
-) -> RatioDiagnostic:
-    """Divide a tail curve (estimate and interval) by a positive prediction.
-
-    ``predictor`` holds the predicted survival at each grid point of
-    ``curve``; a ratio near 1 with the interval straddling 1 means the
-    prediction is consistent with the data at that threshold.
-    """
-    pred = np.broadcast_to(
-        np.asarray(predictor, dtype=float), curve.xs.shape
-    ).copy()
-    if np.any(pred <= 0.0) or not np.all(np.isfinite(pred)):
-        bad = pred[~(np.isfinite(pred) & (pred > 0.0))][0]
-        raise ValueError(f"predictor must be finite and positive, got {bad}")
-    pred.setflags(write=False)
-    ratio = curve.estimate / pred
-    ratio_lo = curve.ci_lo / pred
-    ratio_hi = curve.ci_hi / pred
-    for arr in (ratio, ratio_lo, ratio_hi):
-        arr.setflags(write=False)
-    return RatioDiagnostic(
-        xs=curve.xs,
-        estimate=curve.estimate,
-        ci_lo=curve.ci_lo,
-        ci_hi=curve.ci_hi,
-        predictor=pred,
-        ratio=ratio,
-        ratio_lo=ratio_lo,
-        ratio_hi=ratio_hi,
     )
 
 

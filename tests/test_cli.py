@@ -76,7 +76,7 @@ class TestConfigLoading:
         path.write_text(
             json.dumps(
                 {
-                    "model": {"b": 0.3, "epsilon": 2.0},
+                    "model": {"b": 0.3, "epsilon": 2},
                     "simulate": {"seed": 11, "samples": 42},
                     "predict": {"x_grid": [10, 20, 30]},
                 }
@@ -85,6 +85,7 @@ class TestConfigLoading:
         config = load_config(str(path))
         config.validate()
         assert config.model.b == 0.3
+        assert config.model.epsilon == 2.0  # int is accepted for float
         assert config.simulate.seed == 11
         assert config.predict.x_grid == (10.0, 20.0, 30.0)
 
@@ -103,6 +104,13 @@ class TestConfigLoading:
             ("verify", {"confidence": 1.5}, "verify.confidence"),
             ("verify", {"suite": "series,nonsense"}, "nonsense"),
             ("verify", {"suite": ""}, "no checks"),
+            ("model", {"b": "0.5"}, "model.b must be a number"),
+            ("predict", {"x_grid": ["ten"]}, "predict.x_grid entry"),
+            ("predict", {"x_grid": 10}, "predict.x_grid must be a list"),
+            ("simulate", {"samples": 2.5}, "simulate.samples must be of type int"),
+            ("simulate", {"samples": True}, "simulate.samples must be of type int"),
+            ("simulate", {"seed": "7"}, "simulate.seed must be of type int"),
+            ("verify", {"suite": ["series"]}, "verify.suite must be of type str"),
         ],
     )
     def test_out_of_range_values_rejected(
@@ -228,6 +236,14 @@ class TestExitCodes:
         assert "population_cap" in capsys.readouterr().err
         # The artifact is still written before the saturation exit.
         assert (tmp_path / "simulate.csv").exists()
+
+    def test_oracle_refuses_theta_at_least_half(self, tmp_path, capsys):
+        # b = 0.8, epsilon = 3 calibrates to theta = 0.607.
+        args = ["--b", "0.8", "--epsilon", "3", "--out", str(tmp_path)]
+        assert main(["oracle", "--cutoff", "256", *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "theta" in err and "0.5" in err
+        assert main(["verify", "--suite", "series", *args]) == EXIT_OK
 
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK

@@ -1,14 +1,21 @@
-"""Tests for the truncated-pmf arithmetic and its sound survival brackets."""
+"""Tests for the truncated-pmf arithmetic and its sound survival brackets.
+
+`DiracLaw` and `tail_additivity_check` live here, not in the package: only
+these tests use them.
+"""
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 from scipy.stats import binom
 
 from bigjump.model import (
@@ -21,10 +28,11 @@ from bigjump.model import (
     survival_B,
 )
 from bigjump.oracle import (
-    DiracLaw,
     GeometricLaw,
     Pmf,
     _chain_cache,
+    _conv_full,
+    _spectrum,
     compound,
     conditional_nonzero,
     conv_tail_ratio,
@@ -34,9 +42,67 @@ from bigjump.oracle import (
     pmf_of,
     random_sum_check,
     stationary_pmf,
-    tail_additivity_check,
     thinned_immigrant_count,
 )
+
+
+class DiracLaw:
+    """Unit mass at a fixed nonnegative integer."""
+
+    def __init__(self, value: int) -> None:
+        if value < 0:
+            raise ValueError(f"value must be >= 0: {value}")
+        self.value = int(value)
+
+    def survival(self, k):
+        k_arr = np.floor(np.asarray(k, dtype=np.float64))
+        out = np.where(k_arr < self.value, 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def pmf(self, k):
+        k_arr = np.asarray(k, dtype=np.float64)
+        out = np.where(k_arr == self.value, 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class TailAdditivityCheck:
+    """Tail of an independent sum versus the sum of individual tails."""
+
+    sum_lo: float
+    sum_hi: float
+    additive_lo: float
+    additive_hi: float
+    ratio: float
+
+
+def tail_additivity_check(terms: Sequence[Pmf], x: float) -> TailAdditivityCheck:
+    """Compare P(T_0 + ... + T_k > x) against sum_i P(T_i > x).
+
+    One-big-jump behaviour makes the ratio approach 1 from above for heavy
+    tails; the ratio reported is upper-endpoint over upper-endpoint.
+    """
+    if len(terms) == 0:
+        raise ValueError("need at least one term")
+    total = terms[0]
+    for term in terms[1:]:
+        total = convolve(total, term)
+    sum_lo, sum_hi = total.survival_bracket(x)
+    brackets = [term.survival_bracket(x) for term in terms]
+    additive_lo = sum(b[0] for b in brackets)
+    additive_hi = sum(b[1] for b in brackets)
+    if additive_lo <= 0.0:
+        raise ValueError(
+            f"tail below truncation resolution at x={x}: "
+            "no placed mass above the threshold in any term"
+        )
+    return TailAdditivityCheck(
+        sum_lo=sum_lo,
+        sum_hi=sum_hi,
+        additive_lo=additive_lo,
+        additive_hi=additive_hi,
+        ratio=sum_hi / additive_hi,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +223,23 @@ class TestConvolve:
     def test_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError, match="cutoff mismatch"):
             convolve(pmf_of(LawA, 64), pmf_of(LawA, 128))
+
+    def test_fft_kernel_with_reused_spectrum_is_bit_identical(self):
+        # Past the direct limit the kernel runs on real FFTs.  `compound`
+        # passes the fixed operand's precomputed spectrum; that must change
+        # no bit, and the kernel must match scipy's fftconvolve exactly.
+        rng = np.random.default_rng(5)
+        a = rng.random(5000) ** 4
+        b = rng.random(5000) ** 4
+        plain = _conv_full(a, b)
+        np.testing.assert_array_equal(
+            _conv_full(a, b, _spectrum(b, a.size)), plain
+        )
+        np.testing.assert_array_equal(plain, np.maximum(fftconvolve(a, b), 0.0))
+        np.testing.assert_allclose(
+            plain, np.convolve(a, b), rtol=1e-9, atol=1e-12
+        )
+        assert _spectrum(b[:4096], 4096) is None
 
 
 class TestCompound:

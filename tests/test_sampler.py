@@ -4,7 +4,8 @@ Statistical checks use fixed seeds and generous confidence bands
 (Clopper-Pearson at 99% or wider, mean checks at four standard errors), so
 they are deterministic in practice while still failing loudly on a law
 error.  Structural checks (reproducibility, saturation accounting, draw
-bookkeeping) are exact.
+bookkeeping) are exact.  `chain_step_naive`, the plain-sum reference for
+`chain_step`, lives here because only these tests use it.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from bigjump.sampler import (
     RngStream,
     attribute,
     chain_step,
-    chain_step_naive,
     run_chain,
     sample_A,
     sample_B,
@@ -53,6 +53,35 @@ def cp_interval(successes: int, trials: int, confidence: float = 0.99):
         else sps.beta.ppf(1 - alpha / 2, successes + 1, trials - successes)
     )
     return lo, hi
+
+
+def chain_step_naive(
+    params,
+    x: int,
+    stream: RngStream,
+    max_population: int = smp.DEFAULT_MAX_POPULATION,
+) -> int:
+    """Reference transition: sum ``x`` unconditional offspring draws directly.
+
+    Same law as `chain_step`; kept as the independent implementation that
+    equivalence tests compare against.  Cost grows linearly in ``x``.
+    """
+    if x < 0:
+        raise ValueError("population must be >= 0")
+    total = sample_A(stream)
+    remaining = x
+    while remaining > 0:
+        chunk = min(remaining, smp._DRAW_CHUNK)
+        draws = smp._invert_b_uniforms(params, stream.generator.random(chunk))
+        if float(draws.sum(dtype=np.float64)) + total > max_population:
+            stream.events["population_cap"] += 1
+            return max_population
+        total += int(draws.sum())
+        remaining -= chunk
+    if total > max_population:
+        stream.events["population_cap"] += 1
+        return max_population
+    return total
 
 
 class _StubStream:
@@ -313,7 +342,7 @@ class TestChain:
         assert stub.events["population_cap"] == 1
 
     def test_run_matches_manual_stepping(self, params):
-        config = ChainConfig(n_samples=7, burn_in=13, thinning_lag=3)
+        config = ChainConfig(n_samples=7, burn_in=13)
         auto = run_chain(params, config, RngStream(seed=13))
         twin = RngStream(seed=13)
         x = 0
@@ -321,8 +350,7 @@ class TestChain:
             x = chain_step(params, x, twin, config.max_population)
         manual = []
         for _ in range(config.n_samples):
-            for _ in range(config.thinning_lag):
-                x = chain_step(params, x, twin, config.max_population)
+            x = chain_step(params, x, twin, config.max_population)
             manual.append(x)
         assert auto.samples.tolist() == manual
         assert auto.events == {}
@@ -337,8 +365,6 @@ class TestChain:
             ChainConfig(n_samples=0)
         with pytest.raises(ValueError, match="burn_in"):
             ChainConfig(n_samples=1, burn_in=-1)
-        with pytest.raises(ValueError, match="thinning_lag"):
-            ChainConfig(n_samples=1, thinning_lag=0)
         with pytest.raises(ValueError, match="max_population"):
             ChainConfig(n_samples=1, max_population=(1 << 20) - 1)
 

@@ -11,7 +11,6 @@ from bigjump.stats import (
     clopper_pearson,
     empirical_survival,
     ks_two_sample,
-    ratio_diagnostic,
 )
 
 
@@ -103,31 +102,6 @@ class TestEmpiricalSurvival:
             empirical_survival([1, 2], [2.0, 1.0])
         with pytest.raises(ValueError, match="empty threshold grid"):
             empirical_survival([1, 2], [])
-
-
-class TestRatioDiagnostic:
-    def test_self_ratio_is_one(self):
-        curve = empirical_survival([1, 2, 3, 4], [0.5, 1.5, 2.5])
-        diag = ratio_diagnostic(curve, curve.estimate)
-        assert np.allclose(diag.ratio, 1.0)
-        assert np.all(diag.ratio_lo <= 1.0) and np.all(1.0 <= diag.ratio_hi)
-
-    def test_interval_propagation(self):
-        curve = empirical_survival([1, 2, 3, 4], [1.5])
-        diag = ratio_diagnostic(curve, [0.25])
-        assert diag.ratio[0] == pytest.approx(3.0)  # 3 of 4 exceed 1.5
-        assert diag.ratio_lo[0] == pytest.approx(curve.ci_lo[0] / 0.25)
-        assert diag.ratio_hi[0] == pytest.approx(curve.ci_hi[0] / 0.25)
-
-    def test_scalar_predictor_broadcasts(self):
-        curve = empirical_survival([1, 2, 3, 4], [0.5, 1.5])
-        diag = ratio_diagnostic(curve, 0.5)
-        assert diag.predictor.shape == curve.xs.shape
-
-    def test_rejects_zero_predictor(self):
-        curve = empirical_survival([1, 2, 3], [1.5, 2.5])
-        with pytest.raises(ValueError, match="positive"):
-            ratio_diagnostic(curve, [0.5, 0.0])
 
 
 class TestKsTwoSample:
