@@ -430,19 +430,35 @@ def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
 
     The thinned immigrant count of generation 1 has thinning probability
     ``theta = P(B >= 1)``, and its recurrence is stable only below 1/2, so
-    larger ``theta`` is refused as a config error rather than a traceback.
+    larger ``theta`` is refused as a config error rather than a traceback,
+    as are an iteration that does not converge and a depth remainder too
+    large for the stationary law's mass conservation.
     """
+    where = f"b = {params.b}, epsilon = {params.epsilon}"
     if params.theta >= 0.5:
         raise ConfigError(
             f"the oracle needs theta = P(B >= 1) < 0.5, got theta = "
-            f"{params.theta:.6g} at b = {params.b}, epsilon = {params.epsilon}"
+            f"{params.theta:.6g} at {where}"
         )
-    return oracle.stationary_pmf(
-        params,
-        config.oracle.cutoff,
-        tol=config.oracle.tol,
-        max_iter=config.oracle.max_iter,
-    )
+    try:
+        return oracle.stationary_pmf(
+            params,
+            config.oracle.cutoff,
+            tol=config.oracle.tol,
+            max_iter=config.oracle.max_iter,
+        )
+    except oracle.NotConverged as exc:
+        raise ConfigError(
+            f"the oracle did not converge at {where}: sup-norm gap "
+            f"{exc.gap:.3e} still above oracle.tol = {exc.tol:g} after "
+            f"oracle.max_iter = {exc.max_iter} iterations"
+        ) from exc
+    except oracle.RemainderTooLarge as exc:
+        raise ConfigError(
+            f"the oracle cannot certify {where}: the depth remainder "
+            f"{exc.remainder:.3e} beyond generation {exc.depth} exceeds the "
+            f"mass conservation tolerance {exc.tolerance:g}"
+        ) from exc
 
 
 def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:

@@ -468,7 +468,9 @@ class ExtinctionTable:
         return len(self.q) - 1
 
 
-def extinction_table(params: ModelParams, n_max: int) -> ExtinctionTable:
+def extinction_table(
+    params: ModelParams, n_max: int, head: ExtinctionTable | None = None
+) -> ExtinctionTable:
     """Iterate the offspring pgf to the generation-``n_max`` extinction table.
 
     The recursion is kept in survival form, ``p[n+1] = p[n] * theta * Phi``
@@ -476,16 +478,26 @@ def extinction_table(params: ModelParams, n_max: int) -> ExtinctionTable:
     no precision is lost as ``q[n] -> 1`` and the mean bound ``p[n] <= b**n``
     holds structurally.
 
+    ``head``, an earlier table of the same ``params``, is extended rather
+    than recomputed; the recursion is deterministic, so the result is bit
+    for bit the table built from generation 1.
+
     Raises:
         RuntimeError: if the mean bound fails (a pgf evaluation bug).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    start = 0 if head is None else head.n_max
+    if start > n_max:
+        raise ValueError(f"head reaches generation {start}, past n_max = {n_max}")
     p = np.empty(n_max + 1)
     q = np.empty(n_max + 1)
-    p[0], q[0] = 1.0, 0.0
-    survive = 1.0
-    for n in range(1, n_max + 1):
+    if head is None:
+        p[0], q[0] = 1.0, 0.0
+    else:
+        p[: start + 1], q[: start + 1] = head.p, head.q
+    survive = float(p[start])
+    for n in range(start + 1, n_max + 1):
         series = min(
             _offspring_survival_series(params, survive), params.series_const
         )

@@ -22,6 +22,16 @@ Design notes
   baby-step/giant-step polynomial scheme: ~2*sqrt(K) convolutions plus one
   matrix product instead of K convolutions, each FFT product reusing the
   fixed operand's spectrum (two transforms per product, not three).
+* The generation chain D_n = sum_{k=1}^{B} D_{n-1}^{(k)} compounds the
+  offspring count against D_{n-1} only while D_{n-1} is often nonzero.
+  Writing D_{n-1} = q delta_0 + p C (C the conditional nonzero law), the same
+  sum over the in-grid counts is sum_m beta_m C^{*m} with beta the law of
+  Binomial(B, p) (pgf composition for Galton-Watson processes; Athreya &
+  Ney, *Branching Processes*, 1972, ch. I).  That count has support near pN
+  instead of N.  Once q^N is a normal float (from D_3 at N = 2^12 and from
+  D_6 at N = 2^16 when b = 0.5, epsilon = 1) each generation costs a few
+  convolutions instead of ~2 sqrt(N), and the deep-generation laws carry no
+  FFT residue from a full-support count.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term compounds the *conditional* nonzero
@@ -35,6 +45,7 @@ Design notes
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +53,7 @@ from scipy import fft as sp_fft
 from scipy.signal import lfilter
 
 from .model import (
+    ExtinctionTable,
     LawA,
     ModelParams,
     depth_remainder_bound,
@@ -55,6 +67,8 @@ __all__ = [
     "GeometricLaw",
     "TailRatioBracket",
     "RandomSumCheck",
+    "NotConverged",
+    "RemainderTooLarge",
     "pmf_of",
     "convolve",
     "compound",
@@ -75,6 +89,36 @@ _CONSERVATION_TOLERANCE = 1e-9
 # Vectors at or below this length convolve directly (exact products, no FFT
 # noise floor — needed when tail masses sit near 1e-19).
 _DIRECT_CONV_LIMIT = 4096
+# The thinned offspring count starts its recurrence from b_k * q**k, so it is
+# used only while q**N >= exp(-this) stays a normal float at the cutoff N.
+_THINNED_MAX_NEG_LOG = 600.0
+# Generation chains kept, least recently used dropped first (`law_B`'s bound).
+_CHAIN_CACHE_SIZE = 8
+
+
+class NotConverged(RuntimeError):
+    """The stationary iteration left its sup-norm gap above ``tol``."""
+
+    def __init__(self, gap: float, tol: float, max_iter: int) -> None:
+        super().__init__(
+            f"stationary iteration did not converge: sup-norm gap {gap:.3e} "
+            f"after {max_iter} iterations (tol {tol:g})"
+        )
+        self.gap, self.tol, self.max_iter = gap, tol, max_iter
+
+
+class RemainderTooLarge(ValueError):
+    """The depth-truncation remainder breaks the stationary law's mass
+    conservation: it is added to the overflow without removing placed mass."""
+
+    def __init__(self, remainder: float, deficit: float, depth: int) -> None:
+        super().__init__(
+            f"depth remainder {remainder:.3e} beyond generation {depth} puts "
+            f"mass + overflow {deficit:.3e} off 1, past the conservation "
+            f"tolerance {_CONSERVATION_TOLERANCE:g}"
+        )
+        self.remainder, self.depth = remainder, depth
+        self.tolerance = _CONSERVATION_TOLERANCE
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,10 +447,49 @@ def thinned_immigrant_count(p: float, k_max: int, cutoff: int) -> Pmf:
     )
 
 
-# Cache of generation-aggregate chains keyed by (params, cutoff): building
-# generation n requires every earlier generation, and the stationary
-# assembly, the prediction checks, and the acceptance suite all share them.
-_chain_cache: dict[tuple[ModelParams, int], list[Pmf]] = {}
+def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
+    """Law of Binomial(B, alive) over the in-grid offspring counts k <= N.
+
+    beta[m] = sum_k b_k C(k, m) q**(k-m) p**m with p = ``alive``, q = 1 - p,
+    through the all-positive recurrence w[k, m+1] = w[k, m] (k-m)/(m+1) p/q
+    from w[k, 0] = b_k q**k, one pass over k per m.  Counts above
+    pN + 12 sqrt(pNq) + 12 are dropped (their mass is below e^-60); the
+    overflow 1 - sum(beta) holds them and P(B > N), so the result stays a
+    sound count whatever the cap.
+    """
+    n = offspring.cutoff
+    q = 1.0 - alive
+    spread = alive * n
+    m_max = min(n, math.ceil(spread + 12.0 * math.sqrt(spread * q) + 12.0))
+    k = np.arange(n + 1, dtype=np.float64)
+    w = offspring.mass * np.power(q, k)
+    beta = np.zeros(n + 1)
+    beta[0] = np.sum(w)
+    ratio = alive / q
+    for m in range(m_max):
+        # w[i] holds w[m + i, m]; the k = m entry reaches zero and drops.
+        w = w[1:] * (k[m + 1 :] - m) * (ratio / (m + 1))
+        beta[m + 1] = np.sum(w)
+    return Pmf(
+        mass=beta,
+        overflow=max(0.0, 1.0 - float(np.sum(beta))),
+        meta=f"thinned-offspring(p={alive:.3g})@{m_max}",
+    )
+
+
+@dataclass(eq=False)
+class _Chain:
+    """Generation laws D_1, D_2, ... of one (params, cutoff), and the pgf
+    extinction table their zero masses have been checked against."""
+
+    laws: list[Pmf]
+    table: ExtinctionTable | None = None
+
+
+# Generation-aggregate chains keyed by (params, cutoff): building generation
+# n requires every earlier generation, and the stationary assembly, the
+# prediction checks, and the acceptance suite all share them.
+_chain_cache: OrderedDict[tuple[ModelParams, int], _Chain] = OrderedDict()
 
 
 def _extinct_brood_mass(
@@ -432,43 +515,76 @@ def _extinct_brood_mass(
     return min(max(dead, 0.0), offspring.overflow)
 
 
+def _next_generation(
+    params: ModelParams, offspring: Pmf, prev: Pmf, meta: str
+) -> Pmf:
+    """D_n from D_{n-1} = q delta_0 + p C.
+
+    Where q**N is a normal float, sum_{k <= N} b_k D_{n-1}^{*k} is computed
+    as sum_m beta_m C^{*m} with beta the thinned offspring count, whose
+    support is about pN rather than N.  Otherwise (the first generations,
+    where p is large) the offspring count compounds D_{n-1} directly.
+    """
+    prev_zero = float(prev.mass[0])
+    alive = 1.0 - prev_zero
+    n = offspring.cutoff
+    if 0.0 < alive and -n * math.log1p(-alive) <= _THINNED_MAX_NEG_LOG:
+        nxt = compound(
+            _thinned_offspring_count(offspring, alive), conditional_nonzero(prev)
+        )
+    else:
+        nxt = compound(offspring, prev)
+    dead = _extinct_brood_mass(params, offspring, prev_zero)
+    mass = nxt.mass.copy()
+    mass[0] += dead
+    return Pmf(mass=mass, overflow=nxt.overflow - dead, meta=meta)
+
+
 def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     """Exact (bracketed) law of the generation-``n`` aggregate on {0..cutoff}.
 
-    Generation 1 is the offspring law itself; each later generation is the
-    compound of the offspring count with the previous generation's law, with
-    the fully-extinct portion of the truncated offspring counts resolved
-    analytically back to the zero bin.  The mass at zero is cross-checked
-    against the pgf extinction recursion on every construction.
+    Generation 1 is the offspring law itself.  Each later generation is the
+    previous one compounded by the offspring count.  Once the previous
+    generation is mostly zero, the count is thinned first: Binomial(B, p)
+    copies of the previous law conditioned on being nonzero, a count with
+    support near pN in place of N, so deep generations cost a few
+    convolutions and carry no FFT residue from the full-support count.  The
+    fully-extinct portion of the truncated offspring counts is resolved
+    analytically back to the zero bin.  The mass at zero of each new
+    generation is cross-checked against the pgf extinction recursion, which
+    is extended as the chain grows.  The chains of the 8 most recently used
+    (params, cutoff) pairs are cached.
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
     key = (params, cutoff)
-    chain = _chain_cache.setdefault(key, [])
-    if not chain:
-        chain.append(pmf_of(law_B(params), cutoff, meta="gen1@%d" % cutoff))
-    offspring = chain[0]
-    while len(chain) < n:
-        prev_zero = float(chain[-1].mass[0])
-        nxt = compound(offspring, chain[-1])
-        dead = _extinct_brood_mass(params, offspring, prev_zero)
-        mass = nxt.mass.copy()
-        mass[0] += dead
-        nxt = Pmf(
-            mass=mass,
-            overflow=nxt.overflow - dead,
-            meta=f"gen{len(chain) + 1}@{cutoff}",
+    chain = _chain_cache.get(key)
+    if chain is None:
+        chain = _chain_cache[key] = _Chain(
+            laws=[pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")]
         )
-        chain.append(nxt)
-    table = extinction_table(params, n)
-    for idx in range(n):
-        gap = abs(float(chain[idx].mass[0]) - table.q[idx + 1])
-        if gap > 1e-9 + chain[idx].overflow:
-            raise RuntimeError(
-                f"generation {idx + 1} extinction mass off by {gap:.3e} "
-                "from the pgf recursion"
+        if len(_chain_cache) > _CHAIN_CACHE_SIZE:
+            _chain_cache.popitem(last=False)
+    _chain_cache.move_to_end(key)
+    laws = chain.laws
+    while len(laws) < n:
+        laws.append(
+            _next_generation(
+                params, laws[0], laws[-1], meta=f"gen{len(laws) + 1}@{cutoff}"
             )
-    return chain[n - 1]
+        )
+    checked = 0 if chain.table is None else chain.table.n_max
+    if len(laws) > checked:
+        table = extinction_table(params, len(laws), chain.table)
+        for idx in range(checked, len(laws)):
+            gap = abs(float(laws[idx].mass[0]) - table.q[idx + 1])
+            if gap > 1e-9 + laws[idx].overflow:
+                raise RuntimeError(
+                    f"generation {idx + 1} extinction mass off by {gap:.3e} "
+                    "from the pgf recursion"
+                )
+        chain.table = table
+    return laws[n - 1]
 
 
 def generation_term(params: ModelParams, n: int, cutoff: int) -> Pmf:
@@ -518,7 +634,9 @@ def stationary_pmf(
     stationary law.
 
     Raises:
-        RuntimeError: if ``max_iter`` iterations leave the gap above ``tol``.
+        NotConverged: if ``max_iter`` iterations leave the gap above ``tol``.
+        RemainderTooLarge: if the depth remainder, which is added to the
+            overflow without removing placed mass, breaks conservation.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -543,11 +661,11 @@ def stationary_pmf(
         if gap < tol:
             break
     else:
-        raise RuntimeError(
-            f"stationary iteration did not converge: sup-norm gap {gap:.3e} "
-            f"after {max_iter} iterations (tol {tol:g})"
-        )
+        raise NotConverged(gap, tol, max_iter)
     remainder = depth_remainder_bound(params, depth)
+    deficit = abs(1.0 - current.known_total - current.overflow - remainder)
+    if deficit > _CONSERVATION_TOLERANCE:
+        raise RemainderTooLarge(remainder, deficit, depth)
     return Pmf(
         mass=current.mass,
         overflow=current.overflow + remainder,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "theta" in err and "0.5" in err
         assert main(["verify", "--suite", "series", *args]) == EXIT_OK
+
+    def test_oracle_refuses_no_convergence(self, tmp_path, capsys):
+        # b = 0.9 leaves a sup-norm gap of 2.3e-5 after 60 iterations.
+        args = ["--b", "0.9", "--epsilon", "1", "--cutoff", "256"]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "oracle.max_iter = 60" in err and "oracle.tol = 1e-11" in err
+        assert re.search(r"gap \d\.\d{3}e-05", err)
+        assert not (tmp_path / "oracle.csv").exists()
+
+    def test_oracle_refuses_large_depth_remainder(self, tmp_path, capsys):
+        # epsilon = 0.1 converges at depth 15 with a remainder of 4.1e-4,
+        # which the stationary law cannot hold within mass conservation.
+        args = ["--b", "0.5", "--epsilon", "0.1", "--cutoff", "256"]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "depth remainder 4.077e-04" in err
+        assert "conservation tolerance 1e-09" in err
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK

@@ -278,6 +278,16 @@ class TestExtinctionTable:
     def test_rejects_bad_n(self, params):
         with pytest.raises(ValueError):
             extinction_table(params, 0)
+        with pytest.raises(ValueError, match="past n_max"):
+            extinction_table(params, 2, extinction_table(params, 3))
+
+    def test_extending_a_head_is_bit_identical(self, params):
+        full = extinction_table(params, 12)
+        table = extinction_table(params, 1)
+        for n_max in (1, 5, 12):
+            table = extinction_table(params, n_max, table)
+        np.testing.assert_array_equal(table.p, full.p)
+        np.testing.assert_array_equal(table.q, full.q)
 
     def test_type_roundtrip(self, params):
         table = extinction_table(params, 3)

@@ -30,9 +30,12 @@ from bigjump.model import (
 from bigjump.oracle import (
     GeometricLaw,
     Pmf,
+    _CHAIN_CACHE_SIZE,
     _chain_cache,
     _conv_full,
+    _extinct_brood_mass,
     _spectrum,
+    _thinned_offspring_count,
     compound,
     conditional_nonzero,
     conv_tail_ratio,
@@ -341,6 +344,20 @@ class TestConditionalAndThinnedCount:
         brute = weights @ table
         np.testing.assert_allclose(out.mass[: k_max + 1], brute, atol=5e-6)
 
+    def test_thinned_offspring_count_matches_brute_force(self, params):
+        # beta[m] = sum_{k <= N} b_k P(Binomial(k, p) = m); the count cap
+        # (67 here) drops only mass far below the tolerance.
+        offspring = pmf_of(law_B(params), 256)
+        p = 0.05
+        out = _thinned_offspring_count(offspring, p)
+        ks = np.arange(257)
+        brute = offspring.mass @ binom.pmf(ks[None, :], ks[:, None], p)
+        np.testing.assert_allclose(out.mass, brute, rtol=1e-12, atol=1e-25)
+        assert out.overflow == pytest.approx(
+            1.0 - float(np.sum(brute)), abs=1e-15
+        )
+        assert out.overflow >= offspring.overflow - 1e-15
+
     def test_thinned_count_conservation(self):
         out = thinned_immigrant_count(0.3, 60, 64)
         assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
@@ -376,6 +393,54 @@ class TestGenerationChain:
         # there, so 0.05 slack is comfortable yet still two-sided.
         assert d2.known_mean() <= true_mean + 1e-12
         assert d2.known_mean() >= true_mean - 0.05
+
+    @pytest.mark.parametrize("n", [4, 8, 20, 30])
+    def test_thinned_generation_matches_offspring_compound(self, params, n):
+        # At cutoff 2048 every product is an exact direct convolution, so
+        # the thinned chain must reproduce one step of the offspring-count
+        # compound plus the dead brood.  Both overflows are differences of
+        # numbers near 1e-5, so they agree to absolute float resolution.
+        offspring = dn_pmf(params, 1, 2048)
+        prev = dn_pmf(params, n - 1, 2048)
+        full = compound(offspring, prev)
+        dead = _extinct_brood_mass(params, offspring, float(prev.mass[0]))
+        mass = full.mass.copy()
+        mass[0] += dead
+        ref = Pmf(mass=mass, overflow=full.overflow - dead)
+        new = dn_pmf(params, n, 2048)
+        new_lo = new.survival_curve() - new.overflow
+        ref_lo = ref.survival_curve() - ref.overflow
+        np.testing.assert_allclose(new_lo, ref_lo, rtol=1e-12, atol=0.0)
+        assert new.overflow == pytest.approx(ref.overflow, rel=0.0, abs=1e-15)
+
+    def test_fft_chain_carries_no_residue(self, params, monkeypatch):
+        # Cutoff 4096 takes the FFT path; the same chain with every product
+        # convolved directly is the reference.  The bound is relative to
+        # P(D_n > 0): a full-support count compound leaves FFT residue near
+        # 1e-15 absolute, a 1e-3 error where that survival is ~1e-12.
+        fft = [dn_pmf(params, n, 4096) for n in range(1, 37)]
+        _chain_cache.pop((params, 4096))
+        monkeypatch.setattr("bigjump.oracle._DIRECT_CONV_LIMIT", 1 << 13)
+        try:
+            exact = [dn_pmf(params, n, 4096) for n in range(1, 37)]
+        finally:
+            _chain_cache.pop((params, 4096), None)
+        for a, b in zip(fft, exact):
+            lo_fft = a.survival_curve() - a.overflow
+            lo_ref = b.survival_curve() - b.overflow
+            gap = float(np.max(np.abs(lo_fft - lo_ref)))
+            assert gap <= 1e-14 * lo_ref[0], (a.meta, gap, lo_ref[0])
+
+    def test_chain_cache_keeps_most_recent(self, params):
+        cutoffs = [64 + i for i in range(_CHAIN_CACHE_SIZE + 1)]
+        for cutoff in cutoffs:
+            dn_pmf(params, 2, cutoff)
+        keys = list(_chain_cache)
+        assert len(keys) == _CHAIN_CACHE_SIZE
+        assert (params, cutoffs[0]) not in _chain_cache
+        assert keys[-1] == (params, cutoffs[-1])
+        dn_pmf(params, 2, cutoffs[1])
+        assert list(_chain_cache)[-1] == (params, cutoffs[1])
 
     def test_rejects_generation_zero(self, params):
         with pytest.raises(ValueError, match="generation index"):
