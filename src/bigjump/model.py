@@ -30,6 +30,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from ._native import one_blas_thread
+
 __all__ = [
     "ModelParams",
     "LawA",
@@ -259,7 +261,10 @@ def truncated_mean_A(t: float) -> float:
 
     Direct summation up to ``floor(t) = 2**20``; beyond that the asymptotic
     expansion ``log n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)`` takes over.
-    The two branches agree to well below 1e-12 at the switch point.
+    The two branches agree to well below 1e-12 at the switch point.  The
+    quartic term is taken as ``(1/n)**4``, which underflows to 0 for huge
+    ``n`` (deep generations of `depth_remainder_bound` reach n = 2**1000),
+    where ``n**4`` would overflow.
     """
     if t < 1.0:
         return 0.0
@@ -274,7 +279,7 @@ def truncated_mean_A(t: float) -> float:
         + np.euler_gamma
         + 1.0 / (2.0 * n)
         - 1.0 / (12.0 * n * n)
-        + 1.0 / (120.0 * n**4)
+        + (1.0 / n) ** 4 / 120.0
         - 1.0
     )
 
@@ -430,7 +435,10 @@ def _offspring_survival_series(params: ModelParams, p: float) -> float:
     z = 1.0 - p
     head_terms = _phi_head(params.epsilon)
     weights = np.power(z, np.arange(_PGF_HEAD_TERMS, dtype=np.float64))
-    head = float(np.dot(head_terms, weights))
+    # A threaded dot product would make the pgf's bits depend on the core
+    # count (and leave BLAS threads spinning after each call).
+    with one_blas_thread():
+        head = float(np.dot(head_terms, weights))
     lam = math.inf if p == 1.0 else -math.log1p(-p)
     return head + _survival_series_tail(params.epsilon, _PGF_HEAD_TERMS, lam)
 
@@ -532,7 +540,8 @@ def depth_remainder_bound(params: ModelParams, depth: int) -> float:
     total = 0.0
     for n in range(depth + 1, depth + 400):
         mean_n = params.b**n
-        if mean_n < 1e-320:
+        # Below this 1/mean_n nears overflow; the terms left sum to ~1e-300.
+        if mean_n < 1e-305:
             break
         inv = 1.0 / mean_n
         term = mean_n * (1.0 + truncated_mean_A(inv)) + survival_A(inv)

@@ -19,9 +19,20 @@ Design notes
   vectors and zero-padded FFT (no wrap-around) for long ones, with any tiny
   negative FFT residue (below 1e-12) clipped.
 * ``compound`` evaluates sum_k count[k] * summand^{*k} with a
-  baby-step/giant-step polynomial scheme: ~2*sqrt(K) convolutions plus one
-  matrix product instead of K convolutions, each FFT product reusing the
-  fixed operand's spectrum (two transforms per product, not three).
+  baby-step/giant-step polynomial scheme (Paterson & Stockmeyer 1973):
+  ~2*sqrt(K) convolutions plus a matrix product that collapses the count
+  coefficients instead of K convolutions, each FFT product reusing the
+  fixed operand's spectrum (two transforms per product, not three).  The
+  collapse runs in chunks of rows, top block first, as the Horner pass
+  consumes them, so no blocks x (N+1) table exists; chunks start at
+  multiples of `_COLLAPSE_CHUNK` rows, which keeps every row's bits those
+  of the one-shot product.
+* Every BLAS call here and in the offspring pgf (the collapse and the dot
+  products) runs on one BLAS thread (`_native.one_blas_thread`).  A
+  threaded product or dot splits its sums by the core count, so the bits
+  would depend on the machine and on ``OPENBLAS_NUM_THREADS``, and the idle
+  BLAS threads spin after each call, taking a core from the generation
+  terms.
 * The generation chain D_n = sum_{k=1}^{B} D_{n-1}^{(k)} compounds the
   offspring count against D_{n-1} only while D_{n-1} is often nonzero.
   Writing D_{n-1} = q delta_0 + p C (C the conditional nonzero law), the same
@@ -40,18 +51,27 @@ Design notes
   near the genuinely-above-N mass instead of re-dumping the whole immigration
   tail every generation, which is what makes desk-scale brackets at
   x ~ N/16 usable at all.
+* The generation terms are independent, so ``stationary_pmf`` keeps up to
+  one per available core in flight on a thread pool (the FFTs and the
+  collapse release the GIL) while the calling thread builds the chain and
+  folds finished terms in generation order.  The fold, the stopping rule
+  and the errors are those of the serial loop; terms computed past the
+  stopping depth are discarded, and their errors never surface.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import os
+from collections import OrderedDict, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import lfilter
 
+from ._native import one_blas_thread, release_freed_memory
 from .model import (
     ExtinctionTable,
     LawA,
@@ -94,6 +114,13 @@ _DIRECT_CONV_LIMIT = 4096
 _THINNED_MAX_NEG_LOG = 600.0
 # Generation chains kept, least recently used dropped first (`law_B`'s bound).
 _CHAIN_CACHE_SIZE = 8
+# Block rows per collapse product in `compound`.  A row's bits depend on
+# which dgemm micro-kernel takes it, which follows the row's offset in the
+# product: on an AVX-512 OpenBLAS, chunks starting at multiples of 12 rows
+# reproduce the whole product and multiples of 16 or 32 do not.  24 rows
+# (3 MB at N = 2^14) keep the chunk small next to the 128-row power table;
+# 12 would repack that table twice as often.
+_COLLAPSE_CHUNK = 24
 
 
 class NotConverged(RuntimeError):
@@ -166,7 +193,8 @@ class Pmf:
 
     def known_mean(self) -> float:
         """Mean of the placed mass only — a lower bound on the true mean."""
-        return float(np.dot(np.arange(self.mass.size), self.mass))
+        with one_blas_thread():
+            return float(np.dot(np.arange(self.mass.size), self.mass))
 
     def survival_known(self, x: float) -> float:
         """Lower bound on P(> x): placed mass strictly above x."""
@@ -287,6 +315,26 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
     )
 
 
+def _collapse_top_down(coeff: np.ndarray, powers: np.ndarray) -> Iterator:
+    """Rows of ``coeff @ powers``, last row first, one chunk at a time.
+
+    Chunks start at multiples of `_COLLAPSE_CHUNK`; a one-row top chunk
+    joins the chunk below, since numpy runs a one-row product as a
+    matrix-vector product with different rounding.
+    """
+    n_blocks = coeff.shape[0]
+    starts = list(range(0, n_blocks, _COLLAPSE_CHUNK))
+    if len(starts) > 1 and n_blocks - starts[-1] == 1:
+        starts.pop()
+    end = n_blocks
+    for start in reversed(starts):
+        with one_blas_thread():
+            chunk = coeff[start:end] @ powers
+        yield from chunk[::-1]
+        del chunk  # before the next product, so one chunk is alive at a time
+        end = start
+
+
 def _block_width(count_support: int) -> int:
     """Baby-step width: power of two near sqrt(support), capped at 256."""
     if count_support < 4:
@@ -345,13 +393,15 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     # Collapse count coefficients through the power table, block by block.
     padded = np.zeros(n_blocks * width)
     padded[: support + 1] = count.mass[: support + 1]
-    coeff = padded.reshape(n_blocks, width)  # coeff[g, j] = count[g*width + j]
-    block_mass = coeff[:, :rows] @ powers  # (n_blocks, n+1)
-    block_overflow = coeff[:, :rows] @ pow_overflow
-    block_total = coeff[:, :rows] @ pow_total
+    # coeff[g, j] = count[g*width + j]
+    coeff = padded.reshape(n_blocks, width)[:, :rows]
+    with one_blas_thread():
+        block_overflow = coeff @ pow_overflow
+        block_total = coeff @ pow_total
+    block_mass = _collapse_top_down(coeff, powers)
 
     if n_blocks == 1:
-        acc, acc_over = block_mass[0], float(block_overflow[0])
+        acc, acc_over = next(block_mass), float(block_overflow[0])
     else:
         # Giant step: summand^{*width}, then Horner from the top block down.
         giant, g_spill = _conv_truncate(
@@ -363,14 +413,14 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
             + summand.overflow * pow_total[rows - 1]
         )
         g_total = float(np.sum(giant))
-        acc = block_mass[n_blocks - 1]
+        acc = next(block_mass)
         acc_over = float(block_overflow[n_blocks - 1])
         acc_total = float(block_total[n_blocks - 1])
         g_spectrum = _spectrum(giant, n + 1)
         for g in range(n_blocks - 2, -1, -1):
             known, spill = _conv_truncate(acc, giant, n, g_spectrum)
             acc_over = spill + acc_over * (g_total + g_over) + g_over * acc_total
-            acc = known + block_mass[g]
+            acc = known + next(block_mass)
             acc_over += float(block_overflow[g])
             acc_total = float(np.sum(known)) + float(block_total[g])
 
@@ -434,8 +484,14 @@ def thinned_immigrant_count(p: float, k_max: int, cutoff: int) -> Pmf:
     numerator[1] = p * (-1.0 - log_p)
     if k_max >= 2:
         numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
-    # (1-p) w[k] + p w[k-1] = numerator[k]  <=>  an order-1 IIR filter.
-    w = lfilter([1.0 / (1.0 - p)], [1.0, p / (1.0 - p)], numerator)
+    # (1-p) w[k] + p w[k-1] = numerator[k], run forward in the operation
+    # order of the equivalent order-1 IIR filter (scipy's ``lfilter``).
+    b0, a1 = 1.0 / (1.0 - p), p / (1.0 - p)
+    w = np.empty(k_max + 1)
+    y = 0.0
+    for i, x in enumerate(numerator.tolist()):
+        y = b0 * x - a1 * y
+        w[i] = y
     mass = np.zeros(cutoff + 1)
     mass[: k_max + 1] = w
     mass[0] = 1.0 + w[0]
@@ -510,7 +566,10 @@ def _extinct_brood_mass(
     if prev_zero <= 0.0:
         return 0.0
     powers = np.power(prev_zero, np.arange(offspring.mass.size, dtype=np.float64))
-    in_support = float(offspring.mass @ powers)
+    # A threaded dot product (N above 10,000) sums in an order set by the
+    # core count; on one thread the chain's bits do not depend on it.
+    with one_blas_thread():
+        in_support = float(offspring.mass @ powers)
     dead = pgf_B(params, prev_zero) - in_support
     return min(max(dead, 0.0), offspring.overflow)
 
@@ -587,22 +646,24 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     return laws[n - 1]
 
 
-def generation_term(params: ModelParams, n: int, cutoff: int) -> Pmf:
+def generation_term(aggregate: Pmf) -> Pmf:
     """Law of one generation's total contribution to the stationary value.
 
-    The contribution is a sum of generation-``n`` aggregates over an
-    immigration-count number of independent trees.  Zero aggregates are
-    removed by Bernoulli thinning of the count (through the immigration pgf,
-    so no immigration truncation error enters), and the survivors compound
-    against the conditional nonzero aggregate law.
+    The contribution is a sum of generation-n aggregates (law ``aggregate``,
+    from `dn_pmf`) over an immigration-count number of independent trees.
+    Zero aggregates are removed by Bernoulli thinning of the count (through
+    the immigration pgf, so no immigration truncation error enters), and the
+    survivors compound against the conditional nonzero aggregate law.  A
+    pure function of ``aggregate``, safe to run on any thread.
     """
-    aggregate = dn_pmf(params, n, cutoff)
+    cutoff = aggregate.cutoff
     alive = 1.0 - float(aggregate.mass[0])
     if alive <= 0.0:
         # Survival has rounded to zero (beyond generation ~55 at b = 0.5);
         # there is no float-resolvable contribution left to represent.
         raise RuntimeError(
-            f"generation {n} aggregate extinguished below float resolution"
+            f"{aggregate.meta or 'generation'} aggregate extinguished below "
+            "float resolution"
         )
     # Keep the count support above any usable report threshold (conditional
     # summands are >= 1 each, so dropped counts produce sums above k_max)
@@ -612,8 +673,49 @@ def generation_term(params: ModelParams, n: int, cutoff: int) -> Pmf:
     count = thinned_immigrant_count(alive, k_max, cutoff)
     term = compound(count, conditional_nonzero(aggregate))
     return Pmf(
-        mass=term.mass, overflow=term.overflow, meta=f"gen-term{n}@{cutoff}"
+        mass=term.mass, overflow=term.overflow, meta=f"term({aggregate.meta})"
     )
+
+
+def _pooled_term(aggregate: Pmf) -> Pmf:
+    """`generation_term` as run on the pool's threads, whose allocator
+    arenas would otherwise each keep their largest term's tables."""
+    try:
+        return generation_term(aggregate)
+    finally:
+        release_freed_memory()
+
+
+def _generation_terms(
+    pool: ThreadPoolExecutor,
+    in_flight: int,
+    params: ModelParams,
+    cutoff: int,
+    max_iter: int,
+) -> Iterator[Pmf]:
+    """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order.
+
+    The chain D_n is built on the calling thread; up to ``in_flight`` terms
+    run on ``pool`` ahead of the one being yielded.  An error of generation
+    n, in its chain step or its term, is raised only when n is reached, so
+    a consumer that stops earlier never sees it.
+    """
+    pending: deque[Future] = deque()
+    for n in range(1, max_iter + 1):
+        try:
+            law = dn_pmf(params, n, cutoff)
+        except Exception as exc:  # raised below only if n is reached
+            failed: Future = Future()
+            failed.set_exception(exc)
+            pending.append(failed)
+            break
+        finally:
+            release_freed_memory()
+        pending.append(pool.submit(_pooled_term, law))
+        if len(pending) == in_flight:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def stationary_pmf(
@@ -631,7 +733,9 @@ def stationary_pmf(
     sup-norm between successive survival curves drops below ``tol``; the
     analytic bound on everything beyond the last included generation is
     folded into the overflow, keeping the final bracket sound for the true
-    stationary law.
+    stationary law.  The generation terms are computed concurrently, one per
+    available core, and folded in generation order, so the result is that of
+    the serial fold.
 
     Raises:
         NotConverged: if ``max_iter`` iterations leave the gap above ``tol``.
@@ -646,22 +750,25 @@ def stationary_pmf(
     curve = current.survival_curve()
     gap = math.inf
     depth = 0
-    for n in range(1, max_iter + 1):
-        term = generation_term(params, n, cutoff)
-        nxt = convolve(current, term)
-        nxt_curve = nxt.survival_curve()
-        # Tolerance covers accumulated FFT rounding drift, far below any
-        # genuine monotonicity violation.
-        if float(np.min(nxt_curve - curve)) < -1e-10:
-            raise RuntimeError(
-                f"survival decreased at iteration {n}: monotone convergence broken"
-            )
-        gap = float(np.max(nxt_curve - curve))
-        current, curve, depth = nxt, nxt_curve, n
-        if gap < tol:
-            break
-    else:
-        raise NotConverged(gap, tol, max_iter)
+    in_flight = len(os.sched_getaffinity(0))
+    with ThreadPoolExecutor(max_workers=in_flight) as pool:
+        terms = _generation_terms(pool, in_flight, params, cutoff, max_iter)
+        for n, term in enumerate(terms, start=1):
+            nxt = convolve(current, term)
+            nxt_curve = nxt.survival_curve()
+            # Tolerance covers accumulated FFT rounding drift, far below any
+            # genuine monotonicity violation.
+            if float(np.min(nxt_curve - curve)) < -1e-10:
+                raise RuntimeError(
+                    f"survival decreased at iteration {n}: monotone "
+                    "convergence broken"
+                )
+            gap = float(np.max(nxt_curve - curve))
+            current, curve, depth = nxt, nxt_curve, n
+            if gap < tol:
+                break
+        else:
+            raise NotConverged(gap, tol, max_iter)
     remainder = depth_remainder_bound(params, depth)
     deficit = abs(1.0 - current.known_total - current.overflow - remainder)
     if deficit > _CONSERVATION_TOLERANCE:
@@ -730,7 +837,8 @@ def random_sum_check(count_law, summand: Pmf, x: float) -> RandomSumCheck:
     threshold = x / mean
     edge = min(math.floor(threshold), cutoff)
     ks = np.arange(edge + 1)
-    truncated_mean = float(np.dot(ks, count.mass[: edge + 1]))
+    with one_blas_thread():
+        truncated_mean = float(np.dot(ks, count.mass[: edge + 1]))
     count_tail = float(count_law.survival(threshold))
     summand_tail_hi = summand.survival_bracket(x)[1]
     prediction = truncated_mean * summand_tail_hi + count_tail

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 __all__ = [
     "TailCurve",
@@ -42,9 +41,13 @@ def clopper_pearson(k: int, n: int, level: float) -> tuple[float, float]:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"success count out of range [0, {n}]: {k}")
+    # Imported here: scipy.stats adds about half a second and 18 MB to the
+    # package's import, and most commands never build an interval.
+    from scipy.stats import beta
+
     alpha = 1.0 - level
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
+    hi = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     return lo, hi
 
 

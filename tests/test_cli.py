@@ -265,6 +265,13 @@ class TestExitCodes:
         assert "conservation tolerance 1e-09" in err
         assert not (tmp_path / "oracle.csv").exists()
 
+    def test_cluster_simulate_at_depth_200(self, tmp_path):
+        # The depth remainder evaluates the immigration truncated mean at
+        # 2**200 and beyond; its quartic term overflowed (exit 1).
+        args = ["--method", "cluster", "--depth", "200", "--samples", "10"]
+        assert main(["simulate", *args, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "simulate.csv").exists()
+
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK
 

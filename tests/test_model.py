@@ -163,6 +163,13 @@ class TestTruncatedMeanA:
     def test_infinite_argument(self):
         assert truncated_mean_A(math.inf) == math.inf
 
+    def test_huge_argument_is_finite(self):
+        # The remainder bound of a depth-300 truncation reaches 2**300,
+        # where n**4 overflows; the quartic term underflows to 0 instead.
+        out = truncated_mean_A(2.0**300)
+        expected = 300 * math.log(2.0) + np.euler_gamma - 1.0
+        assert out == pytest.approx(expected, rel=1e-15)
+
 
 class TestLawB:
     def test_survival_at_zero_is_theta(self, params):

@@ -7,7 +7,9 @@ these tests use them.
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 from scipy.stats import binom
 
+from bigjump import oracle
 from bigjump.model import (
     LawA,
+    calibrate,
     depth_remainder_bound,
     extinction_table,
     law_B,
@@ -29,7 +33,9 @@ from bigjump.model import (
 )
 from bigjump.oracle import (
     GeometricLaw,
+    NotConverged,
     Pmf,
+    RemainderTooLarge,
     _CHAIN_CACHE_SIZE,
     _chain_cache,
     _conv_full,
@@ -358,6 +364,20 @@ class TestConditionalAndThinnedCount:
         )
         assert out.overflow >= offspring.overflow - 1e-15
 
+    @pytest.mark.parametrize("p", [1e-12, 1e-5, 0.01, 0.2, 0.3, 0.4999])
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 64, 4097])
+    def test_thinned_count_recurrence_matches_lfilter(self, p, k_max):
+        # The explicit recurrence replaced scipy.signal.lfilter bit for bit.
+        k = np.arange(k_max + 1, dtype=np.float64)
+        numerator = np.empty(k_max + 1)
+        numerator[0] = p * math.log(p)
+        numerator[1] = p * (-1.0 - math.log(p))
+        numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
+        w = lfilter([1.0 / (1.0 - p)], [1.0, p / (1.0 - p)], numerator)
+        out = thinned_immigrant_count(p, k_max, k_max + 7)
+        np.testing.assert_array_equal(out.mass[1 : k_max + 1], w[1:])
+        assert out.mass[0] == 1.0 + w[0]
+
     def test_thinned_count_conservation(self):
         out = thinned_immigrant_count(0.3, 60, 64)
         assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
@@ -457,7 +477,7 @@ class TestGenerationChain:
         assert d35.overflow < d25.overflow
 
     def test_generation_term_zero_mass(self, params):
-        term = generation_term(params, 1, 512)
+        term = generation_term(dn_pmf(params, 1, 512))
         alive = 1.0 - float(dn_pmf(params, 1, 512).mass[0])
         expected_zero = 1.0 + alive * math.log(alive) / (1.0 - alive)
         assert term.mass[0] == pytest.approx(expected_zero, abs=1e-10)
@@ -466,7 +486,7 @@ class TestGenerationChain:
     def test_generation_term_deep_is_near_degenerate(self, params):
         # Far beyond float survival resolution the contribution collapses
         # onto zero but must still construct a conservative, conserving law.
-        term = generation_term(params, 55, 256)
+        term = generation_term(dn_pmf(params, 55, 256))
         assert term.mass[0] >= 1.0 - 1e-12
         assert term.known_total + term.overflow == pytest.approx(
             1.0, abs=1e-9
@@ -479,7 +499,7 @@ class TestStationary:
         depth = int(re.search(r"depth=(\d+)", st_pmf.meta).group(1))
         manual = pmf_of(LawA, 512, meta="LawA@512")
         for n in range(1, depth + 1):
-            manual = convolve(manual, generation_term(params, n, 512))
+            manual = convolve(manual, generation_term(dn_pmf(params, n, 512)))
         np.testing.assert_array_equal(st_pmf.mass, manual.mass)
         assert st_pmf.overflow == manual.overflow + depth_remainder_bound(
             params, depth
@@ -530,6 +550,109 @@ class TestStationary:
     def test_unreachable_tolerance_raises(self, params):
         with pytest.raises(RuntimeError, match="did not converge"):
             stationary_pmf(params, 64, tol=1e-30, max_iter=2)
+
+
+def _depth(law: Pmf) -> int:
+    return int(re.search(r"depth=(\d+)", law.meta).group(1))
+
+
+def _generation(law: Pmf) -> int:
+    """n of a generation law D_n, from its ``gen<n>@<cutoff>`` meta."""
+    return int(re.match(r"gen(\d+)@", law.meta).group(1))
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Four terms in flight whatever the machine, so terms past the
+    stopping depth are computed on any runner."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+class TestConcurrentStationary:
+    def test_bit_identical_to_serial_fold(self, params, four_cores):
+        st_pmf = stationary_pmf(params, 4096)
+        depth = _depth(st_pmf)
+        serial = pmf_of(LawA, 4096, meta="LawA@4096")
+        for n in range(1, depth + 1):
+            serial = convolve(serial, generation_term(dn_pmf(params, n, 4096)))
+        np.testing.assert_array_equal(st_pmf.mass, serial.mass)
+        assert st_pmf.overflow == serial.overflow + depth_remainder_bound(
+            params, depth
+        )
+
+    def test_errors_past_the_stopping_depth_stay_hidden(
+        self, params, monkeypatch, four_cores
+    ):
+        reference = stationary_pmf(params, 512)
+        depth = _depth(reference)
+        real_dn_pmf, real_term = oracle.dn_pmf, oracle.generation_term
+        chain_steps = []
+
+        def failing_dn_pmf(p, n, cutoff):
+            chain_steps.append(n)
+            if n > depth + 1:
+                raise RuntimeError(f"chain step {n} past the stopping depth")
+            return real_dn_pmf(p, n, cutoff)
+
+        def failing_term(law):
+            if _generation(law) > depth:
+                raise RuntimeError(f"term of {law.meta} past the stopping depth")
+            return real_term(law)
+
+        monkeypatch.setattr(oracle, "dn_pmf", failing_dn_pmf)
+        monkeypatch.setattr(oracle, "generation_term", failing_term)
+        result = stationary_pmf(params, 512)
+        # The speculation reached the failing chain step.
+        assert max(chain_steps) == depth + 2
+        np.testing.assert_array_equal(result.mass, reference.mass)
+        assert result.overflow == reference.overflow
+        assert result.meta == reference.meta
+
+    def test_error_of_a_reached_generation_surfaces(
+        self, params, monkeypatch, four_cores
+    ):
+        real_term = oracle.generation_term
+
+        def failing_term(law):
+            if _generation(law) == 3:
+                raise ArithmeticError("term 3")
+            return real_term(law)
+
+        monkeypatch.setattr(oracle, "generation_term", failing_term)
+        with pytest.raises(ArithmeticError, match="term 3"):
+            stationary_pmf(params, 256)
+
+    def test_refusals_raise_and_leave_no_threads(self, params, four_cores):
+        before = threading.active_count()
+        with pytest.raises(NotConverged):
+            stationary_pmf(params, 64, tol=1e-30, max_iter=2)
+        assert threading.active_count() == before
+        # epsilon = 0.1 stops at depth 15 with a remainder of 4.1e-4.
+        with pytest.raises(RemainderTooLarge):
+            stationary_pmf(calibrate(0.5, 0.1), 256)
+        assert threading.active_count() == before
+
+    def test_builds_nothing_past_max_iter(self, params, monkeypatch, four_cores):
+        depth = _depth(stationary_pmf(params, 320))
+        real_term = oracle.generation_term
+        terms = []
+
+        def counted_term(law):
+            terms.append(_generation(law))
+            return real_term(law)
+
+        monkeypatch.setattr(oracle, "generation_term", counted_term)
+        # Converging on the last allowed iteration, then running out of them.
+        _chain_cache.pop((params, 320))
+        stationary_pmf(params, 320, max_iter=depth)
+        assert max(terms) == depth
+        assert len(_chain_cache[(params, 320)].laws) == depth
+        _chain_cache.pop((params, 320))
+        terms.clear()
+        with pytest.raises(NotConverged):
+            stationary_pmf(params, 320, max_iter=3)
+        assert max(terms) == 3
+        assert len(_chain_cache[(params, 320)].laws) == 3
 
 
 class TestTailDiagnostics:
