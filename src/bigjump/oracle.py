@@ -26,7 +26,7 @@ Design notes
   collapse runs in chunks of rows, top block first, as the Horner pass
   consumes them, so no blocks x (N+1) table exists; chunks start at
   multiples of `_COLLAPSE_CHUNK` rows, which keeps every row's bits those
-  of the one-shot product.
+  of the one-shot product on an AVX-512 OpenBLAS (the only one checked).
 * Every BLAS call here and in the offspring pgf (the collapse and the dot
   products) runs on one BLAS thread (`_native.one_blas_thread`).  A
   threaded product or dot splits its sums by the core count, so the bits
@@ -52,11 +52,12 @@ Design notes
   tail every generation, which is what makes desk-scale brackets at
   x ~ N/16 usable at all.
 * The generation terms are independent, so ``stationary_pmf`` keeps up to
-  one per available core in flight on a thread pool (the FFTs and the
-  collapse release the GIL) while the calling thread builds the chain and
-  folds finished terms in generation order.  The fold, the stopping rule
-  and the errors are those of the serial loop; terms computed past the
-  stopping depth are discarded, and their errors never surface.
+  one per available core, and at most `_MAX_TERMS_IN_FLIGHT`, in flight on
+  a thread pool (the FFTs and the collapse release the GIL) while the
+  calling thread builds the chain and folds finished terms in generation
+  order.  The fold, the stopping rule and the errors are those of the
+  serial loop; terms computed past the stopping depth are discarded, and
+  their errors never surface.
 """
 
 from __future__ import annotations
@@ -117,10 +118,17 @@ _CHAIN_CACHE_SIZE = 8
 # Block rows per collapse product in `compound`.  A row's bits depend on
 # which dgemm micro-kernel takes it, which follows the row's offset in the
 # product: on an AVX-512 OpenBLAS, chunks starting at multiples of 12 rows
-# reproduce the whole product and multiples of 16 or 32 do not.  24 rows
-# (3 MB at N = 2^14) keep the chunk small next to the 128-row power table;
-# 12 would repack that table twice as often.
+# reproduce the whole product and multiples of 16 or 32 do not.  That match
+# was checked on that kernel only; another CPU's dgemm may split rows at
+# other offsets, and the chunked collapse then differs from the one-shot
+# product in the last bits.  24 rows (3 MB at N = 2^14) keep the chunk small
+# next to the 128-row power table; 12 would repack that table twice as often.
 _COLLAPSE_CHUNK = 24
+# Generation terms `stationary_pmf` keeps in flight at most, whatever the
+# core count.  Each holds its compound's power table (134 MB at N = 2^16),
+# terms past the stopping depth are computed and discarded, and the affinity
+# mask ignores CPU quotas; the speed-up was measured on two cores only.
+_MAX_TERMS_IN_FLIGHT = 2
 
 
 class NotConverged(RuntimeError):
@@ -686,6 +694,16 @@ def _pooled_term(aggregate: Pmf) -> Pmf:
         release_freed_memory()
 
 
+def _terms_in_flight() -> int:
+    """One generation term per available core, at most
+    `_MAX_TERMS_IN_FLIGHT`."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, _MAX_TERMS_IN_FLIGHT)
+
+
 def _generation_terms(
     pool: ThreadPoolExecutor,
     in_flight: int,
@@ -734,8 +752,8 @@ def stationary_pmf(
     analytic bound on everything beyond the last included generation is
     folded into the overflow, keeping the final bracket sound for the true
     stationary law.  The generation terms are computed concurrently, one per
-    available core, and folded in generation order, so the result is that of
-    the serial fold.
+    available core up to `_MAX_TERMS_IN_FLIGHT`, and folded in generation
+    order, so the result is that of the serial fold.
 
     Raises:
         NotConverged: if ``max_iter`` iterations leave the gap above ``tol``.
@@ -750,7 +768,7 @@ def stationary_pmf(
     curve = current.survival_curve()
     gap = math.inf
     depth = 0
-    in_flight = len(os.sched_getaffinity(0))
+    in_flight = _terms_in_flight()
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         terms = _generation_terms(pool, in_flight, params, cutoff, max_iter)
         for n, term in enumerate(terms, start=1):

@@ -9,8 +9,11 @@ from __future__ import annotations
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -561,27 +564,42 @@ def _generation(law: Pmf) -> int:
     return int(re.match(r"gen(\d+)@", law.meta).group(1))
 
 
+def _serial_fold(params, cutoff: int, depth: int) -> Pmf:
+    """The stationary iteration's fold of its first ``depth`` terms, one
+    after another on the calling thread."""
+    serial = pmf_of(LawA, cutoff, meta=f"LawA@{cutoff}")
+    for n in range(1, depth + 1):
+        serial = convolve(serial, generation_term(dn_pmf(params, n, cutoff)))
+    return serial
+
+
 @pytest.fixture
 def four_cores(monkeypatch):
+    """Four available cores whatever the machine."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
+
+
+@pytest.fixture
+def four_in_flight(monkeypatch, four_cores):
     """Four terms in flight whatever the machine, so terms past the
     stopping depth are computed on any runner."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(oracle, "_MAX_TERMS_IN_FLIGHT", 4)
 
 
 class TestConcurrentStationary:
-    def test_bit_identical_to_serial_fold(self, params, four_cores):
+    def test_bit_identical_to_serial_fold(self, params, four_in_flight):
         st_pmf = stationary_pmf(params, 4096)
         depth = _depth(st_pmf)
-        serial = pmf_of(LawA, 4096, meta="LawA@4096")
-        for n in range(1, depth + 1):
-            serial = convolve(serial, generation_term(dn_pmf(params, n, 4096)))
+        serial = _serial_fold(params, 4096, depth)
         np.testing.assert_array_equal(st_pmf.mass, serial.mass)
         assert st_pmf.overflow == serial.overflow + depth_remainder_bound(
             params, depth
         )
 
     def test_errors_past_the_stopping_depth_stay_hidden(
-        self, params, monkeypatch, four_cores
+        self, params, monkeypatch, four_in_flight
     ):
         reference = stationary_pmf(params, 512)
         depth = _depth(reference)
@@ -609,7 +627,7 @@ class TestConcurrentStationary:
         assert result.meta == reference.meta
 
     def test_error_of_a_reached_generation_surfaces(
-        self, params, monkeypatch, four_cores
+        self, params, monkeypatch, four_in_flight
     ):
         real_term = oracle.generation_term
 
@@ -622,7 +640,7 @@ class TestConcurrentStationary:
         with pytest.raises(ArithmeticError, match="term 3"):
             stationary_pmf(params, 256)
 
-    def test_refusals_raise_and_leave_no_threads(self, params, four_cores):
+    def test_refusals_raise_and_leave_no_threads(self, params, four_in_flight):
         before = threading.active_count()
         with pytest.raises(NotConverged):
             stationary_pmf(params, 64, tol=1e-30, max_iter=2)
@@ -632,7 +650,9 @@ class TestConcurrentStationary:
             stationary_pmf(calibrate(0.5, 0.1), 256)
         assert threading.active_count() == before
 
-    def test_builds_nothing_past_max_iter(self, params, monkeypatch, four_cores):
+    def test_builds_nothing_past_max_iter(
+        self, params, monkeypatch, four_in_flight
+    ):
         depth = _depth(stationary_pmf(params, 320))
         real_term = oracle.generation_term
         terms = []
@@ -653,6 +673,64 @@ class TestConcurrentStationary:
             stationary_pmf(params, 320, max_iter=3)
         assert max(terms) == 3
         assert len(_chain_cache[(params, 320)].laws) == 3
+
+    def test_terms_in_flight_are_capped(self, params, monkeypatch, four_cores):
+        depth = _depth(stationary_pmf(params, 320))
+        real_term = oracle.generation_term
+        terms = []
+
+        def counted_term(law):
+            terms.append(_generation(law))
+            return real_term(law)
+
+        monkeypatch.setattr(oracle, "generation_term", counted_term)
+        stationary_pmf(params, 320)
+        # Each term in flight past the one at the stopping depth is wasted.
+        in_flight = min(4, oracle._MAX_TERMS_IN_FLIGHT)
+        assert max(terms) == depth + in_flight - 1
+
+    @pytest.mark.parametrize("cpu_count, in_flight", [(None, 1), (4, 2)])
+    def test_without_sched_getaffinity(
+        self, params, monkeypatch, cpu_count, in_flight
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert oracle._terms_in_flight() == in_flight
+        st_pmf = stationary_pmf(params, 512)
+        serial = _serial_fold(params, 512, _depth(st_pmf))
+        np.testing.assert_array_equal(st_pmf.mass, serial.mass)
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # At N = 2^14 the extinction dot product and the collapse product are
+    # large enough for OpenBLAS to split them over threads, which would
+    # change their last bits with the thread count.
+    code = (
+        "import hashlib\n"
+        "from bigjump.model import calibrate\n"
+        "from bigjump.oracle import dn_pmf, generation_term\n"
+        "law = dn_pmf(calibrate(0.5, 1.0, tolerance=1e-10), 8, 2**14)\n"
+        "for p in (law, generation_term(law)):\n"
+        "    data = p.mass.tobytes() + repr(p.overflow).encode()\n"
+        "    print(hashlib.md5(data).hexdigest())\n"
+    )
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for threads in ("1", "4", None):
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 class TestTailDiagnostics:
