@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -79,11 +80,13 @@ class ModelConfig:
     def validate(self) -> None:
         if not 0.0 < self.b < 1.0:
             raise ConfigError(f"model.b must lie in (0, 1), got {self.b}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"model.epsilon must be > 0, got {self.epsilon}")
-        if self.tolerance <= 0.0:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ConfigError(
-                f"model.tolerance must be > 0, got {self.tolerance}"
+                f"model.epsilon must be finite and > 0, got {self.epsilon}"
+            )
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ConfigError(
+                f"model.tolerance must be finite and > 0, got {self.tolerance}"
             )
 
 
@@ -131,8 +134,8 @@ class OracleConfig:
     def validate(self) -> None:
         if self.cutoff < 16:
             raise ConfigError(f"oracle.cutoff must be >= 16, got {self.cutoff}")
-        if self.tol <= 0.0:
-            raise ConfigError(f"oracle.tol must be > 0, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"oracle.tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"oracle.max_iter must be >= 1, got {self.max_iter}")
 
@@ -146,8 +149,8 @@ class PredictConfig:
         if len(self.x_grid) == 0:
             raise ConfigError("predict.x_grid must be nonempty")
         grid = list(self.x_grid)
-        if any(x <= 0 for x in grid):
-            raise ConfigError("predict.x_grid entries must be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in grid):
+            raise ConfigError("predict.x_grid entries must be finite and > 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("predict.x_grid must be strictly increasing")
         if self.n_max < 1:
@@ -212,9 +215,17 @@ class RunConfig:
         return DEFAULT_SEED
 
     def params(self) -> ModelParams:
-        return calibrate(
-            self.model.b, self.model.epsilon, tolerance=self.model.tolerance
-        )
+        """The calibrated model; a calibration that cannot meet the model
+        section (an unreachable tolerance, a failed tail bracket) is a
+        config error."""
+        m = self.model
+        try:
+            return calibrate(m.b, m.epsilon, tolerance=m.tolerance)
+        except (ValueError, RuntimeError) as exc:
+            raise ConfigError(
+                f"cannot calibrate model.b={m.b}, model.epsilon={m.epsilon} "
+                f"to model.tolerance={m.tolerance}: {exc}"
+            ) from exc
 
     def canonical_dict(self) -> dict:
         d = asdict(self)

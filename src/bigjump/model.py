@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from ._native import one_blas_thread
 
@@ -69,6 +69,18 @@ _PGF_HEAD_TERMS = 1 << 14
 # beyond it the asymptotic harmonic expansion takes over.
 _HARMONIC_SWITCH = 1 << 20
 
+# Gauss-Legendre nodes on [-1, 1] of `_quadrature`'s coarse rule (16 per
+# panel) and fine rule (32), side by side, and the weights of each.
+_GAUSS_COARSE, _GAUSS_FINE = leggauss(16), leggauss(32)
+_GAUSS_NODES = np.concatenate((_GAUSS_COARSE[0], _GAUSS_FINE[0]))
+# Where `_survival_series_tail` puts panel edges in the weight's exponent
+# lam*t: every 4 while the weight is above exp(-40), then one panel to 800.
+_WEIGHT_FALLS = np.arange(4.0, 44.0, 4.0)
+# Relative rounding floor of every quadrature error estimate.  Each
+# integrand value and the panel sum round, so no integral is known closer
+# than a few ulps of its size, however well the two rules agree.
+_QUADRATURE_ROUNDING = 8.0 * np.finfo(np.float64).eps
+
 
 # ---------------------------------------------------------------------------
 # The tail shape phi and its certified tail sums
@@ -96,21 +108,53 @@ def phi_deriv(t, epsilon):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _quadrature(f, edges: np.ndarray) -> tuple[float, float]:
+    """Integral of ``f`` over ``[edges[0], edges[-1]]`` and an error estimate.
+
+    ``f`` maps an array of points to an array of values.  Each panel
+    between consecutive ``edges`` is integrated by Gauss-Legendre rules of
+    16 and of 32 nodes, from one call of ``f`` on all their nodes.  The
+    finer value is returned; the estimate is the two rules' difference plus
+    the rounding floor `_QUADRATURE_ROUNDING` times the value.  Meant for
+    integrands analytic on a neighbourhood of every panel, where the coarse
+    rule's error already bounds the fine one's.
+    """
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    values = f(mid + half * _GAUSS_NODES)
+    split = _GAUSS_COARSE[0].size
+    coarse = math.fsum((values[:, :split] * _GAUSS_COARSE[1]).sum(axis=1) * half[:, 0])
+    fine = math.fsum((values[:, split:] * _GAUSS_FINE[1]).sum(axis=1) * half[:, 0])
+    return fine, abs(fine - coarse) + _QUADRATURE_ROUNDING * abs(fine)
+
+
 def _phi_integral(a: float, epsilon: float) -> tuple[float, float]:
     """Integral of ``phi`` over ``[a, inf)`` plus the quadrature error bound.
 
     The substitution ``u = log(e+t)`` maps the slowly decaying integrand to
-    ``u**(-1-eps) / (1 - (e-1)*exp(-u))`` on ``[log(e+a), inf)``, which is
-    smooth and monotone, so adaptive quadrature resolves it reliably.
+    ``u**(-1-eps) / (1 - c*exp(-u))`` on ``[u0, inf)``, with ``c = e-1`` and
+    ``u0 = log(e+a)``.  Its leading part ``u**(-1-eps)`` integrates to
+    ``u0**(-eps)/eps`` exactly.  The rest, ``u**(-1-eps) * g(u)`` with
+    ``g = c*exp(-u) / (1 - c*exp(-u))``, decays like ``exp(-u)``: it is
+    integrated over ``[u0, u1]``, ``u1 = u0 + 40``, and the part beyond,
+    at most ``u1**(-1-eps) * (-log(1 - c*exp(-u1)))``, joins the error.
+    The panels widen quadratically from 0.1 to 3.9: the first ones keep
+    clear of the pole of ``g`` at ``log(c) = 0.54``, within 0.46 of
+    ``u0 >= 1``, and the last ones still resolve ``exp(-u)``.
     """
     u0 = math.log(_E + a)
+    edges = u0 + 40.0 * np.linspace(0.0, 1.0, 21) ** 2
+    u1 = float(edges[-1])
     e_minus_1 = _E - 1.0
 
-    def integrand(u: float) -> float:
-        return u ** (-1.0 - epsilon) / (1.0 - e_minus_1 * math.exp(-u))
+    def excess(u: np.ndarray) -> np.ndarray:
+        damped = e_minus_1 * np.exp(-u)
+        return u ** (-1.0 - epsilon) * damped / (1.0 - damped)
 
-    value, err = quad(integrand, u0, np.inf, epsabs=1e-15, epsrel=1e-13, limit=200)
-    return value, err
+    rest, err = _quadrature(excess, edges)
+    beyond = u1 ** (-1.0 - epsilon) * -math.log1p(-e_minus_1 * math.exp(-u1))
+    value = u0 ** (-epsilon) / epsilon + rest
+    return value, err + beyond + _QUADRATURE_ROUNDING * value
 
 
 def phi_tail_bounds(cutoff: float, epsilon: float) -> tuple[float, float]:
@@ -390,33 +434,48 @@ def _phi_head(epsilon: float) -> np.ndarray:
     return values
 
 
-def _survival_series_tail(epsilon: float, cutoff: int, lam: float) -> float:
-    """``sum_{k >= cutoff} phi(k) * exp(-lam*k)`` via integral + endpoint terms.
+def _survival_series_tail(
+    epsilon: float, cutoff: int, lam: float
+) -> tuple[float, float]:
+    """``sum_{k >= cutoff} phi(k) * exp(-lam*k)`` via integral + endpoint terms,
+    and the integral's quadrature error estimate.
 
     Because the expansion point ``cutoff`` is far from phi's singularity, the
     Euler-Maclaurin corrections ``g(cutoff)/2 - g'(cutoff)/12`` leave an error
     of order 1e-13 absolute or smaller for every ``lam`` that reaches here.
+    The integral runs over ``u = log(e+t)``, measured as ``r = u - u0``
+    from the cutoff's ``u0``, to where the weight ``exp(-lam*t)`` has
+    fallen by ``exp(-800)``.  The panels are at most 8 wide in ``r``, for
+    the slowly varying factor, and at most 4 wide in ``lam*t`` while the
+    weight is above ``exp(-40)`` (`_WEIGHT_FALLS`); its fall takes less
+    than 0.01 of ``r`` once ``lam`` nears ``745/cutoff``.  What lies beyond
+    ``exp(-40)`` is below the integral's rounding floor, so one panel
+    suffices there.  With ``t = cutoff + (e+cutoff) * expm1(r)``, the
+    rounding of a node perturbs ``lam*t`` in proportion to ``r``, not to
+    ``u``.
     """
     if lam * cutoff > 745.0:
-        return 0.0  # every term underflows
+        return 0.0, 0.0  # every term underflows
     # Flooring lam only perturbs weights at k beyond ~1e30, and all callers
     # multiply the result by (1-z) <= lam, keeping that error below 1e-16.
     lam = max(lam, 1e-30)
-    u0 = math.log(_E + cutoff)
-    u1 = math.log(_E + cutoff + 800.0 / lam)
+    base = _E + cutoff
+    u0 = math.log(base)
+    r1 = math.log1p(800.0 / (lam * base))
 
-    def integrand(u: float) -> float:
-        w = math.exp(u)
-        t = w - _E
-        return w / ((1.0 + t) * u ** (1.0 + epsilon)) * math.exp(-lam * t)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        t = cutoff + base * np.expm1(r)
+        return (t + _E) / ((1.0 + t) * (u0 + r) ** (1.0 + epsilon)) * np.exp(-lam * t)
 
-    integral, _ = quad(integrand, u0, u1, epsabs=1e-16, epsrel=1e-12, limit=200)
+    slow = np.linspace(0.0, r1, math.ceil(r1 / 8.0) + 1)
+    fast = np.log1p(_WEIGHT_FALLS / (lam * base))
+    integral, err = _quadrature(integrand, np.union1d(slow, fast))
     decay = math.exp(-lam * cutoff)
     g0 = phi(float(cutoff), epsilon) * decay
     g0_deriv = (
         phi_deriv(float(cutoff), epsilon) - lam * phi(float(cutoff), epsilon)
     ) * decay
-    return integral + 0.5 * g0 - g0_deriv / 12.0
+    return integral + 0.5 * g0 - g0_deriv / 12.0, err
 
 
 def _offspring_survival_series(params: ModelParams, p: float) -> float:
@@ -440,7 +499,8 @@ def _offspring_survival_series(params: ModelParams, p: float) -> float:
     with one_blas_thread():
         head = float(np.dot(head_terms, weights))
     lam = math.inf if p == 1.0 else -math.log1p(-p)
-    return head + _survival_series_tail(params.epsilon, _PGF_HEAD_TERMS, lam)
+    tail, _ = _survival_series_tail(params.epsilon, _PGF_HEAD_TERMS, lam)
+    return head + tail
 
 
 def pgf_B(params: ModelParams, z: float) -> float:

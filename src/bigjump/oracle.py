@@ -17,7 +17,10 @@ Design notes
 ------------
 * Convolution is exact discrete convolution: direct summation for short
   vectors and zero-padded FFT (no wrap-around) for long ones, with any tiny
-  negative FFT residue (below 1e-12) clipped.
+  negative FFT residue (below 1e-12) clipped.  The FFT is ``numpy.fft``, at
+  scipy's real transform lengths (`_next_fast_len`).  From numpy 2.0 on it
+  is the C++ pocketfft that ``scipy.fft`` also wraps, so the products keep
+  the bits of ``scipy.signal.fftconvolve`` without importing scipy.
 * ``compound`` evaluates sum_k count[k] * summand^{*k} with a
   baby-step/giant-step polynomial scheme (Paterson & Stockmeyer 1973):
   ~2*sqrt(K) convolutions plus a matrix product that collapses the count
@@ -70,7 +73,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from ._native import one_blas_thread, release_freed_memory
 from .model import (
@@ -256,18 +258,33 @@ def pmf_of(law, cutoff: int, meta: str = "") -> Pmf:
     return Pmf(mass=mass, overflow=overflow, meta=name)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2**i * 3**j * 5**k) at least ``n``: what
+    ``scipy.fft.next_fast_len(n, real=True)`` returns."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest p35 * 2**i at least n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_length(a_size: int, b_size: int) -> int:
     """Transform length `_conv_full` uses; 0 where it convolves directly."""
     if min(a_size, b_size) <= 64 or max(a_size, b_size) <= _DIRECT_CONV_LIMIT:
         return 0
-    return sp_fft.next_fast_len(a_size + b_size - 1, True)
+    return _next_fast_len(a_size + b_size - 1)
 
 
 def _spectrum(b: np.ndarray, a_size: int) -> np.ndarray | None:
     """Real FFT of ``b`` for `_conv_full` against a length-``a_size``
     operand; None where `_conv_full` convolves directly."""
     fshape = _fft_length(a_size, b.size)
-    return sp_fft.rfft(b, fshape) if fshape else None
+    return np.fft.rfft(b, fshape) if fshape else None
 
 
 def _conv_full(
@@ -276,7 +293,8 @@ def _conv_full(
     """Exact full linear convolution; FFT with zero padding for long inputs.
 
     The FFT path computes what ``scipy.signal.fftconvolve(a, b)`` computes
-    (same transform length, transforms and product order), bit for bit.
+    (same transform length, transforms and product order), bit for bit on
+    numpy 2.x.
     Passing ``b_spectrum = _spectrum(b, a.size)`` skips ``b``'s transform,
     one of the three, when ``b`` is convolved many times.
     """
@@ -284,8 +302,8 @@ def _conv_full(
     if not fshape:
         return np.convolve(a, b)
     if b_spectrum is None:
-        b_spectrum = sp_fft.rfft(b, fshape)
-    out = sp_fft.irfft(sp_fft.rfft(a, fshape) * b_spectrum, fshape)
+        b_spectrum = np.fft.rfft(b, fshape)
+    out = np.fft.irfft(np.fft.rfft(a, fshape) * b_spectrum, fshape)
     return np.maximum(out[: a.size + b.size - 1], 0.0)
 
 

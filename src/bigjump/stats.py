@@ -41,13 +41,15 @@ def clopper_pearson(k: int, n: int, level: float) -> tuple[float, float]:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"success count out of range [0, {n}]: {k}")
-    # Imported here: scipy.stats adds about half a second and 18 MB to the
-    # package's import, and most commands never build an interval.
-    from scipy.stats import beta
+    # Imported here: scipy.special costs about 0.3 s and 50 MB, and most
+    # commands never build an interval.  `betaincinv` wraps Boost's
+    # ``ibeta_inv``, the routine behind scipy.stats' `beta.ppf`, without the
+    # 1 s and 100 MB of importing scipy.stats.
+    from scipy.special import betaincinv
 
     alpha = 1.0 - level
-    lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 

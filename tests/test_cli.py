@@ -112,6 +112,10 @@ class TestConfigLoading:
             ("simulate", {"samples": True}, "simulate.samples must be of type int"),
             ("simulate", {"seed": "7"}, "simulate.seed must be of type int"),
             ("verify", {"suite": ["series"]}, "verify.suite must be of type str"),
+            ("model", {"epsilon": float("nan")}, "model.epsilon"),
+            ("model", {"tolerance": float("inf")}, "model.tolerance"),
+            ("oracle", {"tol": float("nan")}, "oracle.tol"),
+            ("predict", {"x_grid": [1.0, float("inf")]}, "finite"),
         ],
     )
     def test_out_of_range_values_rejected(
@@ -271,6 +275,45 @@ class TestExitCodes:
         args = ["--method", "cluster", "--depth", "200", "--samples", "10"]
         assert main(["simulate", *args, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "simulate.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["model", "--epsilon", "nan"], "model.epsilon"),
+            (["model", "--epsilon", "inf"], "model.epsilon"),
+            (["model", "--tolerance", "nan"], "model.tolerance"),
+            (["model", "--tolerance", "inf"], "model.tolerance"),
+            (["oracle", "--tol", "nan"], "oracle.tol"),
+            (["oracle", "--tol", "inf"], "oracle.tol"),
+            (["predict", "--x-grid", "10,nan"], "predict.x_grid"),
+            (["predict", "--x-grid", "10,inf"], "predict.x_grid"),
+        ],
+    )
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, argv, fragment):
+        # NaN passed the `<= 0` range checks: epsilon = nan died in the
+        # quadrature (exit 1) and epsilon = inf calibrated with overflows.
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert fragment in err and "finite" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv", [["--tolerance", "1e-18"], ["--epsilon", "1e-6"]]
+    )
+    def test_unreachable_calibration_exits_2(self, tmp_path, capsys, argv):
+        # The tail bracket cannot narrow below the tolerance by the
+        # summation cap; this was a ValueError traceback (exit 1).
+        assert main(["model", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.tolerance" in err
+        assert "unreachable" in err and "summation cap" in err
+
+    def test_small_epsilon_calibrates(self, tmp_path):
+        # epsilon = 1e-3 died with an inverted tail bracket (exit 1).
+        assert main(["model", "--epsilon", "1e-3", "--out", str(tmp_path)]) == EXIT_OK
+        model = json.loads((tmp_path / "model.json").read_text())
+        bracket = model["offspring_mean_bracket"]
+        assert bracket["lo"] - 1e-9 <= 0.5 <= bracket["hi"] + 1e-9
 
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK

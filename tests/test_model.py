@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from bigjump.model import (
+    _PGF_HEAD_TERMS,
     ExtinctionTable,
     LawA,
     _offspring_survival_series,
+    _phi_integral,
+    _survival_series_tail,
     calibrate,
     depth_remainder_bound,
     extinction_table,
@@ -23,6 +27,7 @@ from bigjump.model import (
     offspring_mean_bracket,
     pgf_B,
     phi,
+    phi_deriv,
     phi_tail_bounds,
     pmf_A,
     pmf_B,
@@ -97,6 +102,60 @@ class TestCalibration:
         for p in (params_b02, params_b08):
             lo, hi = offspring_mean_bracket(p)
             assert lo - 1e-9 <= p.b <= hi + 1e-9
+
+
+class TestQuadrature:
+    """The Gauss-Legendre integrals against scipy's adaptive `quad`."""
+
+    EPSILONS = (0.1, 0.2, 0.5, 1.0, 3.0, 5.0)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize(
+        "a", [0.0, 1.0, 2.0**14, 2.0**17 + 0.5, 2.0**17 + 1.0, 2.0**21 + 0.5]
+    )
+    def test_phi_integral_matches_quad(self, epsilon, a):
+        value, err = _phi_integral(a, epsilon)
+
+        # v = u**(-eps) maps u = log(e+t) in [log(e+a), inf) onto a finite
+        # interval, where the integrand is smooth up to v = 0.
+        def integrand(v):
+            u = v ** (-1.0 / epsilon)
+            return 1.0 / (epsilon * (1.0 - (math.e - 1.0) * math.exp(-u)))
+
+        top = math.log(math.e + a) ** -epsilon
+        ref, _ = quad(integrand, 0.0, top, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(value - ref) <= err
+        assert err <= 1e-14 * value
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize(
+        "lam", [1e-30, 1e-20, 1e-12, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.04]
+    )
+    def test_series_tail_matches_quad(self, epsilon, lam):
+        cutoff = _PGF_HEAD_TERMS
+        value, err = _survival_series_tail(epsilon, cutoff, lam)
+
+        def integrand(u):
+            w = math.exp(u)
+            t = w - math.e
+            return w / ((1.0 + t) * u ** (1.0 + epsilon)) * math.exp(-lam * t)
+
+        u0 = math.log(math.e + cutoff)
+        u1 = math.log(math.e + cutoff + 800.0 / lam)
+        # quad's error estimate is wider than ours; the two values must
+        # agree within the sum of both.
+        ref, ref_err = quad(
+            integrand, u0, u1, epsabs=1e-16, epsrel=1e-12, limit=200
+        )
+        # Both integrals are closed by the same Euler-Maclaurin end terms.
+        g0 = phi(float(cutoff), epsilon)
+        g0_deriv = phi_deriv(float(cutoff), epsilon) - lam * g0
+        ends = (0.5 * g0 - g0_deriv / 12.0) * math.exp(-lam * cutoff)
+        assert abs(value - (ref + ends)) <= err + ref_err
+        assert err <= 1e-13 * value
+
+    def test_series_tail_underflow(self):
+        assert _survival_series_tail(1.0, _PGF_HEAD_TERMS, 0.05) == (0.0, 0.0)
 
 
 class TestLawA:

@@ -43,6 +43,7 @@ from bigjump.oracle import (
     _chain_cache,
     _conv_full,
     _extinct_brood_mass,
+    _next_fast_len,
     _spectrum,
     _thinned_offspring_count,
     compound,
@@ -252,6 +253,19 @@ class TestConvolve:
             plain, np.convolve(a, b), rtol=1e-9, atol=1e-12
         )
         assert _spectrum(b[:4096], 4096) is None
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        rng = np.random.default_rng(11)
+        sizes = [
+            *range(1, 5000),
+            *rng.integers(5000, 1 << 24, size=2000).tolist(),
+            32_805,
+            131_220,
+        ]
+        ours = [_next_fast_len(n) for n in sizes]
+        assert ours == [next_fast_len(n, True) for n in sizes]
 
 
 class TestCompound:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import beta, ks_2samp
 
 from bigjump.stats import (
     attribution_summary,
@@ -41,6 +41,17 @@ class TestClopperPearson:
         interval = {k: clopper_pearson(k, n, 0.95) for k in np.unique(ks)}
         covered = sum(interval[k][0] <= 0.3 <= interval[k][1] for k in ks)
         assert covered / 1000 >= 0.95
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 10_000, 1_000_000])
+    def test_matches_beta_ppf_bit_for_bit(self, n, level):
+        alpha = 1.0 - level
+        for k in {k for k in (0, 1, 2, n // 3, n // 2, n - 1, n) if k <= n}:
+            lo, hi = clopper_pearson(k, n, level)
+            if k > 0:
+                assert lo == float(beta.ppf(alpha / 2, k, n - k + 1))
+            if k < n:
+                assert hi == float(beta.ppf(1 - alpha / 2, k + 1, n - k))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
