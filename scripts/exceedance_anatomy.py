@@ -35,15 +35,13 @@ def main() -> None:
         args.samples,
         sampler.RngStream(seed=args.seed, stream_id=0),
     )
-    exceed = [c for c in clusters if c.value > args.x]
-    if not exceed:
+    attribution = sampler.attribute(clusters, args.x)
+    if not attribution.index.size:
         print(f"no samples above x={args.x}; raise --samples or lower --x")
         return
-    print(f"  {len(exceed)} exceedances above x={args.x}\n")
+    print(f"  {attribution.index.size} exceedances above x={args.x}\n")
 
-    summary = stats.attribution_summary(
-        sampler.attribute(c, args.x) for c in exceed
-    )
+    summary = stats.attribution_summary(zip(attribution.labels, attribution.dominant))
     width = max(len(label) for label in summary.counts)
     for label, count in sorted(
         summary.counts.items(), key=lambda kv: -kv[1]

@@ -12,8 +12,6 @@ Example:
 
 import argparse
 
-import numpy as np
-
 from bigjump import oracle, sampler, stats
 from bigjump.model import calibrate
 
@@ -44,9 +42,9 @@ def main() -> None:
         args.samples,
         sampler.RngStream(seed=args.seed, stream_id=1),
     )
-    cluster_values = np.fromiter((c.value for c in clusters), dtype=np.int64)
+    cluster_values = clusters.value
     print(
-        f"  truncation remainder bound {clusters[0].remainder_bound:.3e}; "
+        f"  truncation remainder bound {clusters.remainder_bound:.3e}; "
         f"events: chain {chain.events or 'none'}\n"
     )
 

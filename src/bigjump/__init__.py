@@ -33,16 +33,14 @@ from bigjump.sampler import (
     Attribution,
     ChainConfig,
     ChainResult,
-    ClusterSample,
+    ClusterBatch,
     RngStream,
     attribute,
     chain_step,
     run_chain,
     sample_A,
     sample_B,
-    sample_cluster,
     sample_clusters,
-    sample_Dn,
 )
 from bigjump.oracle import (
     Pmf,
@@ -100,16 +98,14 @@ __all__ = [
     "Attribution",
     "ChainConfig",
     "ChainResult",
-    "ClusterSample",
+    "ClusterBatch",
     "RngStream",
     "attribute",
     "chain_step",
     "run_chain",
     "sample_A",
     "sample_B",
-    "sample_cluster",
     "sample_clusters",
-    "sample_Dn",
     # oracle
     "Pmf",
     "RandomSumCheck",

@@ -542,18 +542,8 @@ def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
                 params, sim.depth, share, stream, sim.max_population
             )
             events.update(stream.events)
-            for sample in clusters:
-                rows.append(
-                    (
-                        index,
-                        sample.value,
-                        "cluster",
-                        stream_id,
-                        sample.immigration,
-                        *sample.gen_contrib,
-                        sample.remainder_bound,
-                    )
-                )
+            for value, imm, gens, _, bound in clusters:
+                rows.append((index, value, "cluster", stream_id, imm, *gens, bound))
                 index += 1
     path = out_dir / "simulate.csv"
     _csv_artifact(path, columns, rows, config)
@@ -565,36 +555,33 @@ def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _read_cluster_csv(path: Path) -> list:
+def _read_cluster_csv(path: Path) -> sampler.ClusterBatch:
     lines = [
         line
         for line in path.read_text().splitlines()
         if line and not line.startswith("#")
     ]
-    if not lines:
+    if len(lines) < 2:
         raise ConfigError(f"no rows in {path}")
     header = lines[0].split(",")
-    gen_cols = [name for name in header if name.startswith("gen_")]
+    gen_cols = [header.index(name) for name in header if name.startswith("gen_")]
     required = {"value", "immigration", "remainder_bound"}
     if not required.issubset(header) or not gen_cols:
         raise ConfigError(
             f"{path} does not look like cluster output (need value, "
             "immigration, gen_*, remainder_bound columns)"
         )
-    idx = {name: header.index(name) for name in header}
-    samples = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        samples.append(
-            sampler.ClusterSample(
-                value=int(parts[idx["value"]]),
-                immigration=int(parts[idx["immigration"]]),
-                gen_contrib=tuple(int(parts[idx[g]]) for g in gen_cols),
-                depth=len(gen_cols),
-                remainder_bound=float(parts[idx["remainder_bound"]]),
-            )
-        )
-    return samples
+    columns = [header.index("value"), header.index("immigration"), *gen_cols]
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", usecols=columns, dtype=np.int64)
+        remainder = float(lines[1].split(",")[header.index("remainder_bound")])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed cluster row in {path}: {exc}") from exc
+    table = table.reshape(len(lines) - 1, len(columns))
+    clusters = sampler.ClusterBatch(table[:, 1], table[:, 2:], remainder)
+    if not np.array_equal(clusters.value, table[:, 0]):
+        raise ConfigError(f"{path}: value is not immigration + sum(gen_*)")
+    return clusters
 
 
 def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
@@ -613,14 +600,12 @@ def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
             stream,
             config.simulate.max_population,
         )
-    exceed = [c for c in clusters if c.value > threshold]
-    if not exceed:
+    attribution = sampler.attribute(clusters, threshold)
+    if not attribution.index.size:
         raise ConfigError(
             f"no samples exceed x={threshold}; increase samples or lower x"
         )
-    summary = stats.attribution_summary(
-        sampler.attribute(c, threshold) for c in exceed
-    )
+    summary = stats.attribution_summary(zip(attribution.labels, attribution.dominant))
     rows = [
         (label, summary.counts[label], summary.counts[label] / summary.total)
         for label in sorted(
@@ -829,9 +814,8 @@ def _check_ks_consistency(ctx: VerifyContext) -> dict:
     clusters = sampler.sample_clusters(
         ctx.params, depth, 100_000, stream, ctx.config.simulate.max_population
     )
-    remainder = clusters[0].remainder_bound
-    values = np.fromiter((c.value for c in clusters), dtype=np.int64)
-    statistic, critical, reject = stats.ks_two_sample(chain, values, alpha=0.01)
+    remainder = clusters.remainder_bound
+    statistic, critical, reject = stats.ks_two_sample(chain, clusters.value, alpha=0.01)
     saturation = {
         k: v for k, v in stream.events.items() if k != "a_value_cap"
     }

@@ -33,6 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from ._native import one_blas_thread
 
 __all__ = [
+    "EPSILON_MAX",
     "ModelParams",
     "LawA",
     "LawB",
@@ -55,6 +56,11 @@ __all__ = [
 ]
 
 _E = math.e
+
+#: Largest accepted ``epsilon``: ``phi`` stays finite and positive on ``[0,
+#: 2**62]`` (the samplers' value cap) while ``(1+eps) log(log(e+2**62)) +
+#: log(1+2**62) < log(DBL_MAX)``, that is for ``epsilon`` up to 176.31.
+EPSILON_MAX = 176.0
 
 # Terms summed exactly when calibrating the series constant; doubled until the
 # certified tail bracket is narrower than the requested tolerance.
@@ -245,8 +251,10 @@ def calibrate(
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"b out of range: {b!r} (need 0 < b < 1)")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon out of range: {epsilon!r} (need > 0)")
+    if not 0.0 < epsilon <= EPSILON_MAX:
+        raise ValueError(
+            f"epsilon out of range: {epsilon!r} (need 0 < eps <= {EPSILON_MAX:g})"
+        )
     if tolerance <= 0.0:
         raise ValueError(f"tolerance out of range: {tolerance!r} (need > 0)")
 

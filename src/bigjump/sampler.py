@@ -9,38 +9,36 @@ Two independent sampling routes to the stationary law:
   summing ``X`` independent copies of ``B`` but costs ``O(theta * X)``
   conditional draws instead of ``X``.
 
-* **Cluster sampling** (`sample_cluster`): resolve the stationary value
+* **Cluster sampling** (`sample_clusters`): resolve the stationary value
   into its per-generation contributions — immigration plus, for each
-  generation ``n``, a thinned count of nonzero depth-``n`` aggregates with
-  conditional aggregate sizes drawn by rejection.  The truncation error of
-  stopping at depth ``m`` is certified by an explicit bound carried on
-  every sample.
+  generation ``n``, a thinned count of nonzero depth-``n`` aggregates.
+  Each nonzero aggregate ``(D_n | D_n > 0)`` is drawn exactly by following
+  the first surviving lineage of a tree conditioned on survival
+  (`_surviving_sums`), so no tree is simulated and then thrown away.  The
+  truncation error of stopping at depth ``m`` is certified by an explicit
+  bound carried on the batch.
 
 All randomness flows through :class:`RngStream`, a counter-based generator
 with explicit ``(seed, stream_id)`` addressing: the same pair reproduces the
 same draws bit-for-bit, distinct stream ids are statistically independent,
 and tallies accumulated on different streams merge commutatively.
 
-Every cap (population saturation, immigration-value overflow, rejection
-retries) is recorded in the stream's event counter — saturation is never
-silent.  Runs intended as ground truth should assert the counters are zero.
+Every cap (population saturation, immigration-value overflow) is recorded in
+the stream's event counter — saturation is never silent.  Runs intended as
+ground truth should assert the counters are zero.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import lru_cache
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    depth_remainder_bound,
-    extinction_table,
-    law_B,
-    survival_B,
-)
+from .model import ModelParams, depth_remainder_bound, extinction_table, law_B
 
 __all__ = [
     "A_VALUE_CAP",
@@ -48,15 +46,13 @@ __all__ = [
     "Attribution",
     "ChainConfig",
     "ChainResult",
-    "ClusterSample",
+    "ClusterBatch",
     "RngStream",
     "attribute",
     "chain_step",
     "run_chain",
     "sample_A",
     "sample_B",
-    "sample_Dn",
-    "sample_cluster",
     "sample_clusters",
 ]
 
@@ -65,27 +61,13 @@ __all__ = [
 A_VALUE_CAP = 1 << 62
 
 #: Default saturation cap for population sizes.  Large enough that honest
-#: runs at desk scale never touch it, small enough that batched integer
-#: accumulation stays exact (see `_grow_one_level`).
+#: runs at desk scale never touch it; also the largest cap cluster sampling
+#: accepts, since larger ones would let its float64 per-owner sums of
+#: clipped draws pass the exact-integer range (see `_surviving_sums`).
 DEFAULT_MAX_POPULATION = 1 << 26
 
-#: Population caps above this would let batched per-tree sums exceed the
-#: exact-integer range of float64 accumulation, so the tree engines refuse.
-_MAX_EXACT_POPULATION = 1 << 26
-
-#: Largest number of offspring draws requested from the generator at once.
+#: Largest number of individuals whose draws are requested at once.
 _DRAW_CHUNK = 1 << 22
-
-#: A rejection round asking for ``need`` conditional aggregates may spend at
-#: most ``_REJECTION_RETRY_CAP * need / p`` candidate trees before giving up
-#: (recording ``rejection_cap`` and substituting the smallest valid value).
-#: The exhaustion probability is below ``exp(-_REJECTION_RETRY_CAP * need)``.
-_REJECTION_RETRY_CAP = 60
-
-#: Absolute wall on candidate trees per rejection call, so a conditional
-#: draw at extreme depth (acceptance probability ~ b**n) stalls for bounded
-#: time and records ``rejection_cap`` instead of running for hours.
-_REJECTION_BUDGET_WALL = 1 << 28
 
 
 @dataclass
@@ -103,8 +85,7 @@ class RngStream:
         stream_id: stream index, ``0 <= stream_id < 2**64``.
         generator: the wrapped `numpy` generator (counter-based bit stream).
         events: tally of cap events recorded by sampling routines fed from
-            this stream (``a_value_cap``, ``population_cap``,
-            ``rejection_cap``).
+            this stream (``a_value_cap``, ``population_cap``).
     """
 
     seed: int
@@ -158,17 +139,8 @@ class ChainResult:
         self.samples.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ClusterSample:
-    """One stationary draw resolved into per-generation contributions.
-
-    ``value = immigration + sum(gen_contrib)`` holds exactly by
-    construction; ``gen_contrib[n - 1]`` is the total size of the
-    generation-``n`` aggregates, for ``n = 1 .. depth``.  ``remainder_bound``
-    bounds the probability that any generation beyond ``depth`` would have
-    contributed at all, so the sampled law is within that total-variation
-    distance of the untruncated one.
-    """
+class ClusterRow(NamedTuple):
+    """One sample of a `ClusterBatch`, read by row."""
 
     value: int
     immigration: int
@@ -176,21 +148,68 @@ class ClusterSample:
     depth: int
     remainder_bound: float
 
+
+@dataclass(frozen=True, eq=False)
+class ClusterBatch:
+    """Stationary draws resolved into per-generation contributions, by column.
+
+    ``gen_contrib[i, n - 1]`` is sample ``i``'s generation-``n`` total and
+    ``value = immigration + gen_contrib.sum(axis=1)`` by construction.
+    ``remainder_bound`` bounds the probability that any generation beyond
+    ``depth`` would have contributed, so the sampled law is within that
+    total-variation distance of the untruncated one.  ``len``, indexing and
+    iteration read samples as `ClusterRow` tuples.
+    """
+
+    immigration: np.ndarray
+    gen_contrib: np.ndarray
+    remainder_bound: float
+    value: np.ndarray = field(init=False)
+
     def __post_init__(self) -> None:
-        if self.value != self.immigration + sum(self.gen_contrib):
-            raise ValueError("value must equal immigration + sum(gen_contrib)")
-        if len(self.gen_contrib) != self.depth:
-            raise ValueError("gen_contrib must have one entry per generation")
+        contrib = self.gen_contrib
+        if contrib.ndim != 2 or len(contrib) != len(self.immigration):
+            raise ValueError("gen_contrib must hold one row per sample")
+        object.__setattr__(self, "value", self.immigration + contrib.sum(axis=1))
+        for column in (self.immigration, contrib, self.value):
+            column.setflags(write=False)
+
+    @property
+    def depth(self) -> int:
+        return self.gen_contrib.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> ClusterRow:
+        contrib = tuple(self.gen_contrib[i].tolist())
+        row = (int(self.value[i]), int(self.immigration[i]), contrib)
+        return ClusterRow(*row, self.depth, self.remainder_bound)
+
+    def __iter__(self):
+        tail = (self.depth, self.remainder_bound)
+        columns = (self.value, self.immigration, self.gen_contrib)
+        for value, immigration, contrib in zip(*(c.tolist() for c in columns)):
+            yield ClusterRow(value, immigration, tuple(contrib), *tail)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Attribution:
-    """Which component of a cluster sample carried its large value."""
+    """Per sample with ``value > x``, in batch order: its ``index``, the
+    winning ``component`` (0 immigration, ``n`` generation ``n``), that
+    component's ``value``, and whether it is ``dominant`` (alone > ``x/2``).
+    """
 
-    label: str
-    component: int
-    value: int
-    dominant: bool
+    index: np.ndarray
+    component: np.ndarray
+    value: np.ndarray
+    dominant: np.ndarray
+
+    @property
+    def labels(self) -> list:
+        return [
+            "immigration" if c == 0 else f"gen {c}" for c in self.component.tolist()
+        ]
 
 
 def sample_A(stream: RngStream) -> int:
@@ -203,61 +222,62 @@ def sample_A(stream: RngStream) -> int:
     u = stream.generator.random()
     if u < 2.0**-62:
         stream.events["a_value_cap"] += 1
-        return A_VALUE_CAP
-    return int(1.0 / u)
+    return int(1.0 / max(u, 2.0**-62))  # 1 / 2**-62 is A_VALUE_CAP
 
 
 def _sample_a_batch(stream: RngStream, size: int) -> np.ndarray:
     """Vectorized immigration draws with the same cap-and-record contract."""
     u = stream.generator.random(size)
-    capped = u < 2.0**-62
-    n_capped = int(capped.sum())
+    n_capped = int(np.count_nonzero(u < 2.0**-62))
     if n_capped:
         stream.events["a_value_cap"] += n_capped
-        u = u.copy()
-        u[capped] = 1.0  # placeholder; overwritten below
-    values = (1.0 / u).astype(np.int64)
-    if n_capped:
-        values[capped] = A_VALUE_CAP
-    return values
+    return (1.0 / np.maximum(u, 2.0**-62)).astype(np.int64)
 
 
-def _invert_b_tail(params: ModelParams, u: float) -> int:
-    """Smallest ``k`` with ``P(B > k) < u``, for ``u`` below the table floor.
+def _invert_b_tail(params: ModelParams, u: np.ndarray) -> np.ndarray:
+    """Smallest ``k`` with ``P(B > k) < u``, elementwise, for ``u`` below the
+    table floor.
 
-    Exponential search brackets the level crossing, bisection pins it; the
-    analytic survival function is evaluated with the same formula that built
-    the table, so the seam at the table edge is exact.  Values beyond
-    `A_VALUE_CAP` are saturated (the uniform grid cannot resolve them).
+    Exponential search brackets each level crossing, bisection pins it; all
+    uniforms advance together, each through the comparisons a one-at-a-time
+    search makes.  The analytic survival function is the table's formula,
+    so the seam is exact.  Values beyond `A_VALUE_CAP` saturate there.
     """
-    lo = params.tail_table_cutoff  # survival(lo) >= u by construction
-    hi = 2 * lo
-    while survival_B(params, hi) >= u:
-        lo = hi
-        hi *= 2
-        if hi >= A_VALUE_CAP:
-            return A_VALUE_CAP
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if survival_B(params, mid) >= u:
-            lo = mid
-        else:
-            hi = mid
+    survival = law_B(params).survival
+    lo = np.full(u.shape, params.tail_table_cutoff, dtype=np.int64)
+    hi = 2 * lo  # survival(lo) >= u by construction
+    todo = np.arange(u.size)
+    while todo.size:
+        todo = todo[survival(hi[todo]) >= u[todo]]
+        lo[todo] = hi[todo]
+        hi[todo] *= 2
+        lo[todo[hi[todo] == A_VALUE_CAP]] = A_VALUE_CAP - 1  # answer: the cap
+        todo = todo[hi[todo] < A_VALUE_CAP]
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        below = survival(mid) >= u[todo]
+        lo[todo[below]] = mid[below]
+        hi[todo[~below]] = mid[~below]
+        todo = todo[hi[todo] - lo[todo] > 1]
     return hi
 
 
-def _invert_b_uniforms(params: ModelParams, u: np.ndarray) -> np.ndarray:
+def _invert_b_uniforms(
+    params: ModelParams, u: np.ndarray, key: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Map uniforms to offspring values: ``B = min{k : P(B > k) < u}``.
 
-    The precomputed survival table answers all but the ~``3e-8`` tail via
-    one vectorized binary search; deeper uniforms fall through to analytic
-    bisection element by element.
+    The precomputed survival table (``key``, its negation, looked up when
+    not given) answers all but the ~``3e-8`` tail via one vectorized binary
+    search; deeper uniforms fall through to the analytic bisection.
     """
-    key = law_B(params).search_key
+    if key is None:
+        key = law_B(params).search_key
     values = np.searchsorted(key, -u, side="right")
     deep = np.flatnonzero(values == key.size)
-    for i in deep:
-        values[i] = _invert_b_tail(params, float(u[i]))
+    if deep.size:
+        values[deep] = _invert_b_tail(params, u[deep])
     return values
 
 
@@ -278,15 +298,42 @@ def sample_B(
 def _conditional_b_batch(
     params: ModelParams, stream: RngStream, size: int
 ) -> np.ndarray:
-    """Draws from ``(B | B >= 1)`` by inverting the conditional survival.
-
-    Scaling the uniforms into ``(0, P(B > 0))`` reuses the unconditional
-    inversion: the result is the exact conditional law, at one table search
-    per draw.
-    """
+    """Exact draws from ``(B | B >= 1)``: uniforms scaled into ``(0, P(B > 0))``
+    by the unconditional inversion, one table search per draw."""
     theta = float(law_B(params).survival_table[0])
-    u = stream.generator.random(size) * theta
-    return _invert_b_uniforms(params, u)
+    return _invert_b_uniforms(params, stream.generator.random(size) * theta)
+
+
+def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
+    """`chain_step` as ``step(x)``, with the survival table, ``theta`` and
+    the generator's methods looked up once; same draws, same order."""
+    law = law_B(params)
+    theta = float(law.survival_table[0])
+    key = law.search_key
+    random, binomial = stream.generator.random, stream.generator.binomial
+    events = stream.events
+
+    def step(x: int) -> int:
+        u = random()
+        if u < 2.0**-62:
+            events["a_value_cap"] += 1
+        total = int(1.0 / max(u, 2.0**-62))
+        if x > 0:
+            k = int(binomial(x, theta))
+            if k > 0:
+                draws = _invert_b_uniforms(params, random(k) * theta, key)
+                # Float guard first: the exact int64 sum is only formed once
+                # the total is known to be small enough to be exact.
+                if float(draws.sum(dtype=np.float64)) + total > max_population:
+                    events["population_cap"] += 1
+                    return max_population
+                total += int(draws.sum())
+        if total > max_population:
+            events["population_cap"] += 1
+            return max_population
+        return total
+
+    return step
 
 
 def chain_step(
@@ -305,22 +352,7 @@ def chain_step(
     """
     if x < 0:
         raise ValueError("population must be >= 0")
-    total = sample_A(stream)
-    if x > 0:
-        theta = float(law_B(params).survival_table[0])
-        k = int(stream.generator.binomial(x, theta))
-        if k > 0:
-            draws = _conditional_b_batch(params, stream, k)
-            # Float guard first: the exact int64 sum is only formed once the
-            # total is known to be small enough to be exact.
-            if float(draws.sum(dtype=np.float64)) + total > max_population:
-                stream.events["population_cap"] += 1
-                return max_population
-            total += int(draws.sum())
-    if total > max_population:
-        stream.events["population_cap"] += 1
-        return max_population
-    return total
+    return _chain_kernel(params, stream, max_population)(x)
 
 
 def run_chain(
@@ -331,15 +363,17 @@ def run_chain(
     The start at zero makes the marginal law stochastically increasing in
     time, so any residual burn-in bias underestimates tails (one-sided).
     Emits every step after discarding ``burn_in`` steps; the result carries
-    the cap events recorded during this run.
+    the cap events recorded during this run.  The samples are those of
+    calling `chain_step` in a loop on the same stream.
     """
     before = dict(stream.events)
+    step = _chain_kernel(params, stream, config.max_population)
     samples = np.empty(config.n_samples, dtype=np.int64)
     x = 0
     for _ in range(config.burn_in):
-        x = chain_step(params, x, stream, config.max_population)
+        x = step(x)
     for i in range(config.n_samples):
-        x = chain_step(params, x, stream, config.max_population)
+        x = step(x)
         samples[i] = x
     delta = {
         key: count - before.get(key, 0)
@@ -349,127 +383,142 @@ def run_chain(
     return ChainResult(samples=samples, config=config, events=delta)
 
 
-def _grow_one_level(
-    params: ModelParams,
-    populations: np.ndarray,
-    saturated: np.ndarray,
-    stream: RngStream,
-    max_population: int,
-) -> None:
-    """Advance a batch of branching populations by one generation, in place.
+@lru_cache(maxsize=8)
+def _generation_tables(params: ModelParams, depth: int) -> tuple:
+    """``p[n] = P(D_n > 0)`` for ``n <= depth`` and `depth_remainder_bound`,
+    cached per ``(params, depth)``."""
+    return extinction_table(params, depth).p, depth_remainder_bound(params, depth)
 
-    Every individual in every non-saturated tree draws an offspring count;
-    per-tree totals are accumulated exactly (counts and values are both at
-    most ``2**26``, so the float64 partial sums stay below ``2**53``).
-    Trees whose population crosses ``max_population`` saturate — the cap is
-    absorbing and recorded — so the level cost stays bounded.
+
+@lru_cache(maxsize=8)
+def _equilibrium_cdf(params: ModelParams) -> np.ndarray:
+    """CDF of ``P(K = k) = P(B > k) / b`` over the survival table's ``k``."""
+    cdf = np.cumsum(law_B(params).survival_table) / params.b
+    cdf.setflags(write=False)
+    return cdf
+
+
+def _equilibrium_tail(params: ModelParams, stream: RngStream, size: int) -> np.ndarray:
+    """``size`` draws of ``P(K = k) = P(B > k) / b`` conditioned on ``k > N``,
+    ``N`` the survival table's cutoff.
+
+    Proposals ``t`` follow the envelope ``g(t) = 1/((e+t) log(e+t)**(1+eps))``
+    on ``t > N``, which inverts in closed form: ``log(e+t) = log(e+N) *
+    V**(-1/eps)``.  The cell ``(k-1, k]`` proposes ``k = ceil(t)``, accepted
+    with probability ``phi(k) / (M g(t))``; ``M = (e+N)/(1+N)`` bounds
+    ``phi(ceil(t)) / g(t)``, so each ``k`` is accepted with mass
+    proportional to ``phi(k)``: the law is exact.  Proposals at or past
+    `A_VALUE_CAP` saturate there, accepted at the ratio's limit ``1/M``.
     """
-    active = np.flatnonzero((populations > 0) & ~saturated)
-    if active.size == 0:
-        return
-    counts = populations[active]
-    new_totals = np.zeros(active.size, dtype=np.float64)
-    # Chunk the flat draw so one level never materializes a huge array.
-    tree_of_individual = np.repeat(np.arange(active.size), counts)
-    start = 0
-    total_individuals = int(counts.sum())
-    while start < total_individuals:
-        stop = min(start + _DRAW_CHUNK, total_individuals)
-        draws = _invert_b_uniforms(params, stream.generator.random(stop - start))
-        # Clip one above the cap so a draw at or past it still trips the
-        # saturation test below instead of silently landing exactly on it.
-        np.minimum(draws, max_population + 1, out=draws)
-        new_totals += np.bincount(
-            tree_of_individual[start:stop],
-            weights=draws,
-            minlength=active.size,
-        )
-        start = stop
-    over = new_totals > max_population
-    n_over = int(over.sum())
-    if n_over:
-        stream.events["population_cap"] += n_over
-        saturated[active[over]] = True
-        new_totals[over] = max_population
-    populations[active] = new_totals.astype(np.int64)
-
-
-def _simulate_trees(
-    params: ModelParams,
-    n: int,
-    count: int,
-    stream: RngStream,
-    max_population: int,
-) -> np.ndarray:
-    """Sizes of generation ``n`` for ``count`` independent branching trees.
-
-    Iterates exactly ``n`` levels from single roots, so the recursion depth
-    equals ``n`` by construction and the expected work per tree is the total
-    expected population, ``O(1 / (1 - b))``.
-    """
-    if n < 0:
-        raise ValueError("generation must be >= 0")
-    if max_population > _MAX_EXACT_POPULATION:
-        raise ValueError(
-            "tree engines require max_population <= 2**26 for exact sums"
-        )
-    populations = np.ones(count, dtype=np.int64)
-    saturated = np.zeros(count, dtype=bool)
-    for _ in range(n):
-        if not populations.any():
-            break
-        _grow_one_level(params, populations, saturated, stream, max_population)
-    return populations
-
-
-def sample_Dn(
-    params: ModelParams,
-    n: int,
-    stream: RngStream,
-    max_population: int = DEFAULT_MAX_POPULATION,
-) -> int:
-    """Size of generation ``n`` of one branching tree (direct simulation)."""
-    if n < 0:
-        raise ValueError("generation must be >= 0")
-    return int(_simulate_trees(params, n, 1, stream, max_population)[0])
-
-
-def _conditional_dn_batch(
-    params: ModelParams,
-    n: int,
-    need: int,
-    p_survive: float,
-    stream: RngStream,
-    max_population: int,
-) -> np.ndarray:
-    """``need`` draws from the nonzero-conditioned generation-``n`` size.
-
-    Rejection sampling: simulate candidate trees, keep those whose
-    generation ``n`` is nonzero.  Acceptance probability is ``p_survive``,
-    so batches are sized at slightly above ``need / p_survive`` candidates.
-    A candidate budget of ``_REJECTION_RETRY_CAP * need / p_survive`` (capped
-    by an absolute wall) bounds the worst case; exhausting it — probability
-    below ``exp(-_REJECTION_RETRY_CAP * need)`` unless the wall bites —
-    records ``rejection_cap`` events and substitutes the smallest valid
-    value for the unfilled draws.
-    """
-    out = np.empty(need, dtype=np.int64)
-    filled = 0
-    budget = int(np.ceil(_REJECTION_RETRY_CAP * max(need, 1) / p_survive)) + 64
-    budget = min(budget, _REJECTION_BUDGET_WALL)
-    while filled < need and budget > 0:
-        deficit = need - filled
-        chunk = min(budget, _DRAW_CHUNK, int(1.4 * deficit / p_survive) + 16)
-        budget -= chunk
-        values = _simulate_trees(params, n, chunk, stream, max_population)
-        accepted = values[values > 0]
-        take = min(accepted.size, deficit)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    if filled < need:
-        stream.events["rejection_cap"] += need - filled
-        out[filled:] = 1
+    cutoff, eps = params.tail_table_cutoff, params.epsilon
+    inv_m = (1.0 + cutoff) / (math.e + cutoff)
+    out = np.empty(size, dtype=np.int64)
+    todo = np.arange(size)
+    while todo.size:
+        v = 1.0 - stream.generator.random(todo.size)
+        w = stream.generator.random(todo.size)
+        with np.errstate(over="ignore"):
+            log_t = math.log(math.e + cutoff) * v ** (-1.0 / eps)  # log(e+t)
+        k = np.full(todo.size, float(A_VALUE_CAP))
+        accept = w < inv_m
+        fine = np.flatnonzero(log_t < math.log(A_VALUE_CAP))
+        t = np.exp(log_t[fine]) - math.e
+        k[fine] = kf = np.maximum(np.ceil(t), cutoff + 1.0)
+        shape = (log_t[fine] / np.log(math.e + kf)) ** (1.0 + eps)
+        accept[fine] = w[fine] < inv_m * (math.e + t) / (1.0 + kf) * shape
+        out[todo[accept]] = k[accept]
+        todo = todo[~accept]
     return out
+
+
+def _spine_positions(
+    params: ModelParams, log_q: np.ndarray, stream: RngStream
+) -> np.ndarray:
+    """Per conditioned individual, the number ``K`` of children before its
+    first surviving one: ``P(K = k)`` proportional to ``P(B > k) * q**k``,
+    with ``log_q`` its children's log extinction probability.
+
+    Proposals follow the equilibrium law ``P(K = k) = P(B > k) / b``: a
+    table search, or `_equilibrium_tail` beyond the table (4.3% at the
+    default ``b = 0.5, eps = 1``).  Each is accepted with probability
+    ``q**K``, and the rest are retried.
+    """
+    cdf = _equilibrium_cdf(params)
+    k = np.empty(log_q.size, dtype=np.int64)
+    todo = np.arange(log_q.size)
+    while todo.size:
+        proposal = np.searchsorted(cdf, stream.generator.random(todo.size), "right")
+        deep = np.flatnonzero(proposal == cdf.size)
+        if deep.size:
+            proposal[deep] = _equilibrium_tail(params, stream, deep.size)
+        keep = stream.generator.random(todo.size) < np.exp(proposal * log_q[todo])
+        k[todo[keep]] = proposal[keep]
+        todo = todo[~keep]
+    return k
+
+
+def _owner_chunks(alive: np.ndarray):
+    """Owner of each individual of a frontier with ``alive[o]`` individuals
+    per owner, `_DRAW_CHUNK` individuals at a time."""
+    active = np.flatnonzero(alive)
+    ends = np.cumsum(alive[active])
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _DRAW_CHUNK):
+        positions = np.arange(start, min(start + _DRAW_CHUNK, total))
+        yield active[np.searchsorted(ends, positions, side="right")]
+
+
+def _surviving_sums(
+    params: ModelParams,
+    alive: np.ndarray,
+    dist: np.ndarray,
+    p: np.ndarray,
+    stream: RngStream,
+    max_population: int,
+) -> np.ndarray:
+    """Per owner ``o``, the sum of ``alive[o]`` independent draws of
+    ``(D_d | D_d > 0)``, ``d = dist[o]``, along first surviving lineages
+    (Geiger 1999; Lyons, Pemantle & Peres 1995).
+
+    A conditioned individual at distance 1 from the target adds its brood
+    ``(B | B >= 1)``.  One at distance ``d >= 2`` has ``K`` children before
+    its first surviving one (`_spine_positions`) in a brood ``J ~ (B | B >
+    K)``: those ``K`` die out, the next survives, and ``Binomial(J - K - 1,
+    p[d-1])`` of the rest survive; the survivors go on at distance ``d - 1``.
+    All owners advance one distance per round; ``p[n] = P(D_n > 0)`` must
+    reach ``max(dist)``.  An owner whose frontier or total passes
+    ``max_population`` saturates there, with one ``population_cap`` event.
+    """
+    n = alive.astype(np.float64)
+    d = dist.copy()
+    sums = np.zeros(n.size, dtype=np.int64)
+    while n.any():
+        over = n > max_population  # a frontier past the cap: each adds >= 1
+        n[over] = 0.0
+        grown, broods = np.zeros(n.size), np.zeros(n.size)
+        for who in _owner_chunks(n.astype(np.int64)):
+            leaf = d[who] == 1
+            if leaf.any():
+                draws = _conditional_b_batch(params, stream, int(leaf.sum()))
+                np.minimum(draws, max_population + 1, out=draws)
+                broods += np.bincount(who[leaf], weights=draws, minlength=n.size)
+            inner = who[~leaf]
+            if inner.size:
+                d_in = d[inner]
+                k = _spine_positions(params, np.log1p(-p[d_in - 1]), stream)
+                u = stream.generator.random(k.size) * law_B(params).survival(k)
+                j = _invert_b_uniforms(params, u)
+                r = stream.generator.binomial(np.maximum(j - k - 1, 0), p[d_in - 1])
+                grown += np.bincount(inner, weights=1.0 + r, minlength=n.size)
+        finished = (d == 1) & (n > 0)
+        sums[finished] = broods[finished]
+        over |= broods > max_population
+        if over.any():
+            stream.events["population_cap"] += int(over.sum())
+            sums[over] = max_population
+        n = grown
+        d -= 1
+    return sums
 
 
 def sample_clusters(
@@ -478,94 +527,50 @@ def sample_clusters(
     count: int,
     stream: RngStream,
     max_population: int = DEFAULT_MAX_POPULATION,
-) -> list:
+) -> ClusterBatch:
     """Draw ``count`` stationary samples resolved by generation (batched).
 
     For each sample: one immigration draw, then for each generation
     ``n = 1 .. depth`` an independent immigration count whose nonzero
     depth-``n`` aggregates are selected by Binomial thinning at the
-    survival probability ``p[n]`` and sized by conditional rejection draws.
-    The batch engine vectorizes across samples per generation; draw order
-    is deterministic, so a fixed ``(seed, stream_id)`` reproduces the batch
-    bit-for-bit (the order differs from calling `sample_cluster` in a loop,
-    but the law is the same).
+    survival probability ``p[n]``; every generation's aggregates are then
+    drawn together by `_surviving_sums`.  Draw order is deterministic, so a
+    fixed ``(seed, stream_id)`` reproduces the batch bit-for-bit; the
+    cached tables never change a draw.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    survival = extinction_table(params, depth).p
-    remainder = depth_remainder_bound(params, depth)
+    if max_population > DEFAULT_MAX_POPULATION:
+        raise ValueError("cluster sampling needs max_population <= 2**26 (exact sums)")
+    p, remainder = _generation_tables(params, depth)
     immigration = _sample_a_batch(stream, count)
-    contrib = np.zeros((count, depth), dtype=np.int64)
+    contrib = np.empty((count, depth), dtype=np.int64)
     for n in range(1, depth + 1):
         counts = _sample_a_batch(stream, count)
-        p_n = float(survival[n])
-        nonzero = stream.generator.binomial(counts, p_n)
-        over = nonzero > max_population
-        n_over = int(over.sum())
-        if n_over:
-            # More nonzero aggregates than the cap: the total would exceed
-            # the cap regardless of their sizes.
-            stream.events["population_cap"] += n_over
-            contrib[over, n - 1] = max_population
-            nonzero = np.where(over, 0, nonzero)
-        need = int(nonzero.sum())
-        if need:
-            values = _conditional_dn_batch(
-                params, n, need, p_n, stream, max_population
-            )
-            np.minimum(values, max_population, out=values)
-            owners = np.repeat(np.arange(count), nonzero)
-            totals = np.bincount(owners, weights=values, minlength=count)
-            capped = totals > max_population
-            n_capped = int(capped.sum())
-            if n_capped:
-                stream.events["population_cap"] += n_capped
-                totals[capped] = max_population
-            contrib[:, n - 1] += totals.astype(np.int64)
-    gen_totals = contrib.sum(axis=1)
-    return [
-        ClusterSample(
-            value=int(immigration[i] + gen_totals[i]),
-            immigration=int(immigration[i]),
-            gen_contrib=tuple(int(v) for v in contrib[i]),
-            depth=depth,
-            remainder_bound=remainder,
-        )
-        for i in range(count)
-    ]
-
-
-def sample_cluster(
-    params: ModelParams,
-    depth: int,
-    stream: RngStream,
-    max_population: int = DEFAULT_MAX_POPULATION,
-) -> ClusterSample:
-    """One stationary draw resolved into per-generation contributions."""
-    return sample_clusters(params, depth, 1, stream, max_population)[0]
-
-
-def attribute(sample: ClusterSample, x: int) -> Attribution:
-    """Name the component that carried a sample past the threshold ``x``.
-
-    Requires ``sample.value > x``.  The winning component is the largest of
-    ``(immigration, gen_contrib[0], .., gen_contrib[depth - 1])``, ties going
-    to the lowest index (immigration first); it is ``dominant`` iff it alone
-    exceeds ``x / 2``.
-    """
-    if sample.value <= x:
-        raise ValueError(
-            f"attribution requires value > threshold, got {sample.value} <= {x}"
-        )
-    components = (sample.immigration, *sample.gen_contrib)
-    winner = int(np.argmax(components))
-    value = components[winner]
-    label = "immigration" if winner == 0 else f"gen {winner}"
-    return Attribution(
-        label=label,
-        component=winner,
-        value=int(value),
-        dominant=2 * value > x,
+        contrib[:, n - 1] = stream.generator.binomial(counts, p[n])
+    owners = np.flatnonzero(contrib)  # (sample, generation) cells
+    flat = contrib.reshape(-1)
+    flat[owners] = _surviving_sums(
+        params, flat[owners], owners % depth + 1, p, stream, max_population
     )
+    return ClusterBatch(immigration, contrib, remainder)
+
+
+def attribute(clusters: ClusterBatch, x: int) -> Attribution:
+    """Name the component that carried each sample past the threshold ``x``.
+
+    Only samples with ``value > x`` are attributed.  The winning component
+    is the largest of ``(immigration, gen_contrib[0], .., gen_contrib[depth -
+    1])``, ties going to the lowest index (immigration first); it is
+    ``dominant`` iff it alone exceeds ``x / 2``.
+    """
+    index = np.flatnonzero(clusters.value > x)
+    components = np.column_stack(
+        (clusters.immigration[index], clusters.gen_contrib[index])
+    )
+    component = components.argmax(axis=1)
+    value = components[np.arange(index.size), component]
+    # 2 * value > x, without doubling values near 2**62 past int64.
+    return Attribution(index, component, value, value > x // 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,22 @@ class TestExitCodes:
         assert "model.tolerance" in err
         assert "unreachable" in err and "summation cap" in err
 
+    def test_epsilon_just_below_the_limit_works(self, tmp_path):
+        # phi stays finite and positive up to 2**62 for epsilon <= 176.31.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["model", "--epsilon", "176", "--out", str(tmp_path)]) == EXIT_OK
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["extinction_survival"]["p1"] > 0.0
+
+    @pytest.mark.parametrize("epsilon", ["176.5", "1e300"])
+    def test_epsilon_above_the_limit_exits_2(self, tmp_path, capsys, epsilon):
+        # epsilon = 1e300 exited 0 after an overflow warning, with phi
+        # reading 0 for every k >= 1.
+        assert main(["model", "--epsilon", epsilon, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "model.epsilon" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_small_epsilon_calibrates(self, tmp_path):
         # epsilon = 1e-3 died with an inverted tail bracket (exit 1).
         assert main(["model", "--epsilon", "1e-3", "--out", str(tmp_path)]) == EXIT_OK
@@ -528,6 +545,27 @@ class TestArtifacts:
     def test_attribute_requires_x(self, tmp_path, capsys):
         code = main(["attribute", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda row: [row[0], str(int(row[1]) + 1), *row[2:]],  # value != sum
+            lambda row: row[:-2],  # ragged row
+            lambda row: [row[0], "x", *row[2:]],  # not an integer
+        ],
+    )
+    def test_attribute_refuses_malformed_cluster_csv(self, tmp_path, capsys, corrupt):
+        args = ["--method", "cluster", "--samples", "20", "--depth", "4"]
+        main(["simulate", *args, "--out", str(tmp_path)])
+        path = tmp_path / "simulate.csv"
+        lines = read_lines(path)
+        last = lines[-1] if lines[-1] else lines[-2]
+        bad = ",".join(corrupt(last.split(",")))
+        path.write_text(path.read_text().replace(last, bad))
+        code = main(["attribute", "--out", str(tmp_path), "--x", "1", "--in", str(path)])
+        assert code == EXIT_CONFIG
+        assert "simulate.csv" in capsys.readouterr().err
+        assert not (tmp_path / "attribution.csv").exists()
 
     def test_no_partial_files_on_config_error(self, tmp_path):
         code = main(["predict", "--out", str(tmp_path), "--x-grid", "5,4"])

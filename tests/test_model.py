@@ -79,6 +79,8 @@ class TestCalibration:
             calibrate(1.0, 1.0)
         with pytest.raises(ValueError, match="epsilon out of range"):
             calibrate(0.5, 0.0)
+        with pytest.raises(ValueError, match="epsilon out of range"):
+            calibrate(0.5, 176.5)  # phi would overflow to 0 before 2**62
         with pytest.raises(ValueError, match="tolerance out of range"):
             calibrate(0.5, 1.0, tolerance=0.0)
 

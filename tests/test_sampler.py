@@ -4,9 +4,14 @@ Statistical checks use fixed seeds and generous confidence bands
 (Clopper-Pearson at 99% or wider, mean checks at four standard errors), so
 they are deterministic in practice while still failing loudly on a law
 error.  Structural checks (reproducibility, saturation accounting, draw
-bookkeeping) are exact.  `chain_step_naive`, the plain-sum reference for
-`chain_step`, lives here because only these tests use it.
+bookkeeping) are exact.  The references live here because only these tests
+use them: `chain_step_naive`, the plain-sum reference for `chain_step`;
+`invert_b_tail_scalar`, the one-uniform-at-a-time tail search; and
+`simulate_trees` / `conditional_dn_rejection`, whole-tree simulation with
+rejection of extinct trees, an independent route to ``(D_n | D_n > 0)``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,23 +24,22 @@ from bigjump.model import (
     depth_remainder_bound,
     extinction_table,
     law_B,
+    phi_tail_bounds,
     survival_A,
     survival_B,
 )
+from bigjump.oracle import conditional_nonzero, dn_pmf
 from bigjump.sampler import (
     A_VALUE_CAP,
-    Attribution,
     ChainConfig,
-    ClusterSample,
+    ClusterBatch,
     RngStream,
     attribute,
     chain_step,
     run_chain,
     sample_A,
     sample_B,
-    sample_cluster,
     sample_clusters,
-    sample_Dn,
 )
 
 
@@ -82,6 +86,111 @@ def chain_step_naive(
         stream.events["population_cap"] += 1
         return max_population
     return total
+
+
+def invert_b_tail_scalar(params, u: float) -> int:
+    """Reference for `_invert_b_tail`: one uniform at a time, exponential
+    search then bisection on the analytic survival function."""
+    lo = params.tail_table_cutoff
+    hi = 2 * lo
+    while survival_B(params, hi) >= u:
+        lo = hi
+        hi *= 2
+        if hi >= A_VALUE_CAP:
+            return A_VALUE_CAP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if survival_B(params, mid) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def simulate_trees(params, n: int, count: int, stream, max_population=1 << 26):
+    """Reference: generation-``n`` sizes of ``count`` independent trees.
+
+    Every individual of every live tree draws its offspring count; a tree
+    whose population passes ``max_population`` saturates there (absorbing,
+    with a ``population_cap`` event).  Per-tree sums are exact in float64
+    while counts and clipped draws stay at or below ``2**26``.
+    """
+    populations = np.ones(count, dtype=np.int64)
+    saturated = np.zeros(count, dtype=bool)
+    for _ in range(n):
+        active = np.flatnonzero((populations > 0) & ~saturated)
+        if active.size == 0:
+            break
+        owner = np.repeat(np.arange(active.size), populations[active])
+        draws = smp._invert_b_uniforms(params, stream.generator.random(owner.size))
+        np.minimum(draws, max_population + 1, out=draws)
+        totals = np.bincount(owner, weights=draws, minlength=active.size)
+        over = totals > max_population
+        stream.events["population_cap"] += int(over.sum())
+        saturated[active[over]] = True
+        totals[over] = max_population
+        populations[active] = totals.astype(np.int64)
+    return populations
+
+
+def conditional_dn_rejection(params, n: int, need: int, stream) -> np.ndarray:
+    """Reference: ``need`` draws of ``(D_n | D_n > 0)`` by simulating whole
+    trees and keeping those alive at generation ``n``."""
+    p_n = float(extinction_table(params, n).p[n])
+    kept = []
+    while sum(k.size for k in kept) < need:
+        values = simulate_trees(params, n, int(1.2 * need / p_n) + 16, stream)
+        kept.append(values[values > 0])
+    return np.concatenate(kept)[:need]
+
+
+def spine_draws(params, n: int, count: int, stream, max_population=1 << 26):
+    """``count`` independent draws of ``(D_n | D_n > 0)`` by the sampler."""
+    return smp._surviving_sums(
+        params,
+        np.ones(count, dtype=np.int64),
+        np.full(count, n),
+        smp._generation_tables(params, n)[0],
+        stream,
+        max_population,
+    )
+
+
+def bracket_chi2(values: np.ndarray, lower: np.ndarray) -> tuple[float, int]:
+    """Smallest Pearson statistic over every law the oracle brackets.
+
+    ``lower[k]`` (k = 1 .. cutoff) are the oracle's pointwise lower bounds
+    on ``P(D = k)``; its overflow ``1 - sum(lower)`` is mass at unknown
+    values, at or below the cutoff as well as above it.  The cells are
+    runs of values holding at least 20 expected draws under ``lower``, and
+    the overflow cell ``D > cutoff`` with lower bound 0.  The law nearest
+    the counts ``o`` under that constraint is ``max(lower_c, t * o_c / m)``
+    with ``t`` setting its total to one.  Under the null the true law is
+    one of them, so this statistic is at most the true law's and the
+    chi-square level holds (conservatively).  Returns it and the degrees
+    of freedom.
+    """
+    m, cutoff = values.size, lower.size - 1
+    counts = np.bincount(np.minimum(values, cutoff + 1), minlength=cutoff + 2)
+    cells_o, cells_l, acc_o, acc_l = [], [], 0, 0.0
+    for o, low in zip(counts[1 : cutoff + 1], lower[1:]):
+        acc_o, acc_l = acc_o + o, acc_l + low
+        if acc_l * m >= 20:
+            cells_o.append(acc_o)
+            cells_l.append(acc_l)
+            acc_o, acc_l = 0, 0.0
+    cells_o[-1] += acc_o
+    cells_l[-1] += acc_l
+    obs = np.array(cells_o + [counts[cutoff + 1]], dtype=float)
+    low = np.array(cells_l + [0.0])
+    lo_t, hi_t = 0.0, 1.0  # total(0) = sum(lower) <= 1 <= total(1)
+    for _ in range(100):
+        t = 0.5 * (lo_t + hi_t)
+        lo_t, hi_t = (t, hi_t) if np.maximum(low, t * obs / m).sum() < 1 else (lo_t, t)
+    expected = m * np.maximum(low, hi_t * obs / m)
+    used = expected > 0
+    stat = float(np.sum((obs[used] - expected[used]) ** 2 / expected[used]))
+    return stat, int(used.sum()) - 1
 
 
 class _StubStream:
@@ -145,7 +254,7 @@ class TestRngStream:
 
     def test_event_merge_is_commutative(self):
         a = smp.Counter({"population_cap": 3, "a_value_cap": 1})
-        b = smp.Counter({"population_cap": 2, "rejection_cap": 5})
+        b = smp.Counter({"population_cap": 2, "a_value_cap": 5})
         assert a + b == b + a
 
 
@@ -209,10 +318,20 @@ class TestSampleB:
         assert abs(draws.mean() - params.b) <= halfwidth
 
     def test_tail_inversion_brackets_uniform(self, params):
-        for u in (1e-9, 1e-12, 2e-8):
-            k = smp._invert_b_tail(params, u)
+        ks = smp._invert_b_tail(params, np.array([1e-9, 1e-12, 2e-8]))
+        for u, k in zip((1e-9, 1e-12, 2e-8), ks.tolist()):
             assert k > params.tail_table_cutoff
             assert survival_B(params, k) < u <= survival_B(params, k - 1)
+
+    def test_vector_tail_inversion_equals_scalar_search(self, params):
+        # 10**4 uniforms spread over 30 decades below the table floor, so
+        # the deepest hit the value cap; the chain's draws rest on these
+        # values, so they must not move by a single comparison.
+        floor = float(law_B(params).survival_table[-1])
+        u = floor * 10.0 ** -RngStream(seed=25).generator.uniform(0, 30, 10_000)
+        vector = smp._invert_b_tail(params, u)
+        assert vector.tolist() == [invert_b_tail_scalar(params, x) for x in u]
+        assert (vector == A_VALUE_CAP).any()
 
     def test_scripted_inversion_hits_exact_levels(self, params):
         table = law_B(params).survival_table
@@ -232,7 +351,10 @@ class TestSampleB:
 
 
 class TestGenerationTrees:
-    def test_mean_within_four_sigma_of_geometric_decay(self, params):
+    """The whole-tree reference, checked against the exact laws, and the
+    spine draws of ``(D_n | D_n > 0)`` checked against both."""
+
+    def test_reference_mean_within_four_sigma_of_geometric_decay(self, params):
         # A raw four-sigma band around b**n is vacuous at this tail index:
         # the sample mean sits ~1/log(N) below the true mean (the mean lives
         # in tail events a finite sample rarely reaches) while the empirical
@@ -240,14 +362,10 @@ class TestGenerationTrees:
         # seeds at any N no matter how correct the sampler is.  Capping the
         # values restores finite variance; the capped mean is then compared
         # at four sigma against the exact truncated-law bracket.
-        from bigjump.oracle import dn_pmf
-
         cap = 4096
         stream = RngStream(seed=7)
         for n in range(1, 6):
-            values = smp._simulate_trees(
-                params, n, 150_000, stream, smp.DEFAULT_MAX_POPULATION
-            )
+            values = simulate_trees(params, n, 150_000, stream)
             capped = np.minimum(values, cap)
             law = dn_pmf(params, n, cap)
             exact_lo = law.known_mean()
@@ -260,54 +378,92 @@ class TestGenerationTrees:
             # and at this cap removes well under half.
             assert 0.5 * params.b**n < exact_lo <= params.b**n + 1e-12, f"n={n}"
 
-    def test_extinction_fraction_matches_table(self, params):
-        stream = RngStream(seed=8)
-        values = smp._simulate_trees(
-            params, 2, 200_000, stream, smp.DEFAULT_MAX_POPULATION
-        )
+    def test_reference_extinction_fraction_matches_table(self, params):
+        values = simulate_trees(params, 2, 200_000, RngStream(seed=8))
         hits = int((values == 0).sum())
         lo, hi = cp_interval(hits, values.size, confidence=0.99)
         assert lo <= extinction_table(params, 2).q[2] <= hi
 
-    def test_generation_zero_is_the_root(self, params):
-        stream = RngStream(seed=9)
-        assert sample_Dn(params, 0, stream) == 1
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_spine_draws_match_oracle_by_chi_square(self, params, n):
+        # The oracle's conditional law at cutoff 2**14 leaves 2.9e-6,
+        # 5.4e-5 and 2.8e-3 of its mass unplaced at n = 2, 5 and 10, most
+        # of it below the cutoff (heavy broods on the spine), so that mass
+        # is placed where it fits the counts best (`bracket_chi2`).
+        # alpha = 1e-3 per generation.
+        values = spine_draws(params, n, 50_000, RngStream(seed=30, stream_id=n))
+        law = conditional_nonzero(dn_pmf(params, n, 1 << 14))
+        stat, dof = bracket_chi2(values, law.mass)
+        assert dof > 30
+        assert sps.chi2.sf(stat, dof) > 1e-3, f"n={n}: chi2 {stat:.1f} on {dof}"
 
-    def test_negative_generation_rejected(self, params):
-        with pytest.raises(ValueError, match="generation"):
-            sample_Dn(params, -1, RngStream(seed=0))
+    def test_spine_draws_match_rejection_reference_by_ks(self, params):
+        n = 4
+        spine = spine_draws(params, n, 20_000, RngStream(seed=31))
+        reference = conditional_dn_rejection(params, n, 20_000, RngStream(seed=32))
+        assert int(reference.min()) >= 1 and int(spine.min()) >= 1
+        assert sps.ks_2samp(spine, reference).pvalue > 1e-3
 
-    def test_population_cap_is_recorded_and_absorbing(self, params):
-        # A scripted uniform of 1e-12 inverts to an offspring count around
-        # 1.6e9, far past the cap, so the tree must saturate and record it.
-        stub = _StubStream([1e-12])
-        value = sample_Dn(params, 1, stub, max_population=1 << 20)
-        assert value == 1 << 20
-        assert stub.events["population_cap"] == 1
+    def test_distance_one_is_the_nonzero_brood(self, params):
+        values = spine_draws(params, 1, 100_000, RngStream(seed=9))
+        assert int(values.min()) >= 1
+        hits = int((values > 5).sum())
+        lo, hi = cp_interval(hits, values.size, confidence=0.99)
+        assert lo <= survival_B(params, 5) / params.theta <= hi
 
-    def test_tree_engine_rejects_inexact_cap(self, params):
+    def test_beyond_table_share_of_spine_proposals(self, params):
+        # Proposals K follow P(K = k) = P(B > k) / b, all accepted when the
+        # children cannot die out (q = 1); the table covers k <= N and the
+        # envelope sampler the rest.
+        draws = smp._spine_positions(params, np.zeros(1_000_000), RngStream(seed=33))
+        beyond = int((draws > params.tail_table_cutoff).sum())
+        share = 1.0 - math.fsum(law_B(params).survival_table.tolist()) / params.b
+        assert share == pytest.approx(4.27e-2, abs=1e-4)
+        lo, hi = cp_interval(beyond, draws.size, confidence=0.999)
+        assert lo <= share <= hi
+
+    def test_beyond_table_law_is_exact(self, params):
+        # P(K > m | K > N) = sum_{k > m} phi(k) / sum_{k > N} phi(k), both
+        # bracketed by the certified tail sums.
+        n_cut = params.tail_table_cutoff
+        draws = smp._equilibrium_tail(params, RngStream(seed=34), 200_000)
+        assert int(draws.min()) > n_cut
+        base_lo, base_hi = phi_tail_bounds(n_cut, params.epsilon)
+        for m in (n_cut + 1, 1 << 20, 1 << 40, 1 << 61):
+            hits = int((draws > m).sum())
+            lo, hi = cp_interval(hits, draws.size, confidence=0.999)
+            tail_lo, tail_hi = phi_tail_bounds(m, params.epsilon)
+            assert lo <= tail_hi / base_lo and tail_lo / base_hi <= hi, f"m={m}"
+
+    def test_frontier_cap_is_recorded_from_a_scripted_stream(self, params):
+        # Proposal uniform 0 gives K = 0, accepted by uniform 0; the brood
+        # uniform 1e-12 gives J around 2.2e9, whose ~5e8 surviving siblings
+        # pass the cap: the owner saturates with one event.
+        stub = _StubStream([0.0, 0.0, 1e-12])
+        values = spine_draws(params, 2, 1, stub, max_population=1 << 20)
+        assert values.tolist() == [1 << 20]
+        assert stub.events == {"population_cap": 1}
+
+    def test_brood_cap_is_recorded_from_a_scripted_stream(self, params):
+        # One sample, depth 1: immigration 2, generation-1 count 100, and
+        # a first nonzero brood of about 2.2e9 from the uniform 1e-12.
+        stub = _StubStream([0.5, 0.01, 1e-12])
+        batch = sample_clusters(params, 1, 1, stub, max_population=1 << 20)
+        assert batch.gen_contrib.tolist() == [[1 << 20]]
+        assert stub.events == {"population_cap": 1}
+
+    def test_chunked_frontier_keeps_the_law(self, params, monkeypatch):
+        # Frontiers above `_DRAW_CHUNK` individuals are drawn a chunk at a
+        # time; with a chunk of 64 every round of this batch is split.
+        whole = spine_draws(params, 3, 20_000, RngStream(seed=35))
+        monkeypatch.setattr(smp, "_DRAW_CHUNK", 64)
+        chunked = spine_draws(params, 3, 20_000, RngStream(seed=36))
+        assert int(chunked.min()) >= 1
+        assert sps.ks_2samp(whole, chunked).pvalue > 1e-3
+
+    def test_inexact_cap_is_refused(self, params):
         with pytest.raises(ValueError, match="max_population"):
-            smp._simulate_trees(params, 1, 1, RngStream(seed=0), 1 << 27)
-
-    def test_rejection_fills_conditional_draws(self, params):
-        stream = RngStream(seed=10)
-        p2 = float(extinction_table(params, 2).p[2])
-        values = smp._conditional_dn_batch(
-            params, 2, 50_000, p2, stream, smp.DEFAULT_MAX_POPULATION
-        )
-        assert int(values.min()) >= 1
-        assert stream.events["rejection_cap"] == 0
-        halfwidth = 4.0 * values.std() / np.sqrt(values.size)
-        assert abs(values.mean() - params.b**2 / p2) <= halfwidth
-
-    def test_rejection_budget_wall_records_shortfall(self, params, monkeypatch):
-        monkeypatch.setattr(smp, "_REJECTION_BUDGET_WALL", 64)
-        stream = RngStream(seed=11)
-        values = smp._conditional_dn_batch(
-            params, 3, 5, 1e-12, stream, smp.DEFAULT_MAX_POPULATION
-        )
-        assert stream.events["rejection_cap"] > 0
-        assert int(values.min()) >= 1
+            sample_clusters(params, 1, 1, RngStream(seed=0), 1 << 27)
 
 
 class TestChain:
@@ -341,19 +497,30 @@ class TestChain:
         assert value == 1 << 20
         assert stub.events["population_cap"] == 1
 
-    def test_run_matches_manual_stepping(self, params):
-        config = ChainConfig(n_samples=7, burn_in=13)
-        auto = run_chain(params, config, RngStream(seed=13))
-        twin = RngStream(seed=13)
+    @staticmethod
+    def _manual(params, config, stream):
         x = 0
         for _ in range(config.burn_in):
-            x = chain_step(params, x, twin, config.max_population)
+            x = chain_step(params, x, stream, config.max_population)
         manual = []
         for _ in range(config.n_samples):
-            x = chain_step(params, x, twin, config.max_population)
+            x = chain_step(params, x, stream, config.max_population)
             manual.append(x)
-        assert auto.samples.tolist() == manual
+        return manual
+
+    def test_run_matches_manual_stepping(self, params):
+        config = ChainConfig(n_samples=4_000, burn_in=1_000)
+        auto = run_chain(params, config, RngStream(seed=13))
+        assert auto.samples.tolist() == self._manual(params, config, RngStream(13))
         assert auto.events == {}
+        # Immigration 100 on the first step; the first nonzero child of the
+        # second draws the uniform 1e-7, whose conditional level lies below
+        # the survival table, so the tail search runs inside the loop.
+        config = ChainConfig(n_samples=50, burn_in=1)
+        script = [0.01, 0.5, 1e-7]
+        auto = run_chain(params, config, _StubStream(script))
+        assert auto.samples.tolist() == self._manual(params, config, _StubStream(script))
+        assert max(auto.samples) > params.tail_table_cutoff
 
     def test_run_output_is_frozen(self, params):
         result = run_chain(params, ChainConfig(n_samples=3, burn_in=0), RngStream(0))
@@ -373,41 +540,56 @@ class TestClusters:
     def test_batch_reproducible_and_consistent(self, params):
         one = sample_clusters(params, 10, 50, RngStream(seed=14))
         two = sample_clusters(params, 10, 50, RngStream(seed=14))
-        assert [c.value for c in one] == [c.value for c in two]
-        for sample in one:
-            assert sample.value == sample.immigration + sum(sample.gen_contrib)
-            assert sample.depth == 10
-            assert len(sample.gen_contrib) == 10
-            assert sample.immigration >= 1
+        assert np.array_equal(one.gen_contrib, two.gen_contrib)
+        assert np.array_equal(one.value, two.value)
+        assert one.depth == 10 and one.gen_contrib.shape == (50, 10)
+        assert np.array_equal(one.value, one.immigration + one.gen_contrib.sum(1))
+        assert int(one.immigration.min()) >= 1
 
-    def test_scalar_equals_batch_of_one(self, params):
-        scalar = sample_cluster(params, 5, RngStream(seed=15))
-        batch = sample_clusters(params, 5, 1, RngStream(seed=15))[0]
-        assert scalar == batch
+    def test_rows_read_the_columns(self, params):
+        batch = sample_clusters(params, 5, 20, RngStream(seed=15))
+        assert len(batch) == 20
+        rows = list(batch)
+        assert rows[3] == batch[3]
+        assert [row.value for row in rows] == batch.value.tolist()
+        row = batch[-1]
+        assert row.immigration == batch.immigration[-1]
+        assert row.gen_contrib == tuple(batch.gen_contrib[-1].tolist())
+        assert row.value == row.immigration + sum(row.gen_contrib)
+        assert (row.depth, row.remainder_bound) == (5, batch.remainder_bound)
 
     def test_remainder_bound_certifies_depth_forty(self, params):
-        sample = sample_cluster(params, 40, RngStream(seed=16))
-        assert sample.remainder_bound == depth_remainder_bound(params, 40)
-        assert sample.remainder_bound < 1e-3
-        assert sample.remainder_bound == pytest.approx(2.791184e-11, rel=1e-6)
+        batch = sample_clusters(params, 40, 1, RngStream(seed=16))
+        assert batch.remainder_bound == depth_remainder_bound(params, 40)
+        assert batch.remainder_bound < 1e-3
+        assert batch.remainder_bound == pytest.approx(2.791184e-11, rel=1e-6)
 
-    def test_constructor_rejects_inconsistent_totals(self):
-        with pytest.raises(ValueError, match="immigration"):
-            ClusterSample(
-                value=5, immigration=1, gen_contrib=(1,), depth=1, remainder_bound=0.1
-            )
-        with pytest.raises(ValueError, match="per generation"):
-            ClusterSample(
-                value=3, immigration=1, gen_contrib=(1, 1), depth=3, remainder_bound=0.1
-            )
+    def test_constructor_rejects_misshapen_columns(self):
+        with pytest.raises(ValueError, match="one row per sample"):
+            ClusterBatch(np.ones(3, np.int64), np.ones((2, 4), np.int64), 0.1)
+        with pytest.raises(ValueError, match="one row per sample"):
+            ClusterBatch(np.ones(3, np.int64), np.ones(3, np.int64), 0.1)
+
+    def test_columns_are_frozen(self, params):
+        batch = sample_clusters(params, 3, 4, RngStream(seed=0))
+        with pytest.raises(ValueError):
+            batch.value[0] = 0
+
+    def test_caches_never_change_a_draw(self, params):
+        smp._generation_tables.cache_clear()
+        smp._equilibrium_cdf.cache_clear()
+        law_B.cache_clear()
+        cold = sample_clusters(params, 40, 2_000, RngStream(seed=20))
+        warm = sample_clusters(params, 40, 2_000, RngStream(seed=20))
+        assert np.array_equal(cold.immigration, warm.immigration)
+        assert np.array_equal(cold.gen_contrib, warm.gen_contrib)
 
     def test_agrees_with_chain_by_ks(self, params):
         chain = run_chain(
             params, ChainConfig(n_samples=30_000, burn_in=1000), RngStream(seed=17)
         )
         clusters = sample_clusters(params, 40, 30_000, RngStream(seed=18))
-        values = np.fromiter((c.value for c in clusters), dtype=np.int64)
-        result = sps.ks_2samp(chain.samples, values)
+        result = sps.ks_2samp(chain.samples, clusters.value)
         assert result.pvalue > 0.01
 
     def test_validation(self, params):
@@ -419,47 +601,50 @@ class TestClusters:
 
 class TestAttribution:
     @staticmethod
-    def _sample(immigration, contrib):
-        return ClusterSample(
-            value=immigration + sum(contrib),
-            immigration=immigration,
-            gen_contrib=tuple(contrib),
-            depth=len(contrib),
+    def _attribute(immigration, contrib, x):
+        batch = ClusterBatch(
+            np.array([immigration], dtype=np.int64),
+            np.array([contrib], dtype=np.int64),
             remainder_bound=0.0,
         )
+        result = attribute(batch, x)
+        assert result.index.tolist() == [0]
+        return result.labels[0], int(result.component[0]), int(result.value[0]), bool(result.dominant[0])
 
     def test_immigration_win_is_dominant(self):
-        result = attribute(self._sample(150, (30, 20, 0)), 100)
-        assert result == Attribution(
-            label="immigration", component=0, value=150, dominant=True
-        )
+        assert self._attribute(150, (30, 20, 0), 100) == ("immigration", 0, 150, True)
 
     def test_generation_win(self):
-        result = attribute(self._sample(10, (5, 80, 15)), 100)
-        assert result.label == "gen 2"
-        assert result.component == 2
-        assert result.dominant  # 80 > 50
+        label, component, _, dominant = self._attribute(10, (5, 80, 15), 100)
+        assert (label, component) == ("gen 2", 2)
+        assert dominant  # 80 > 50
 
     def test_tie_prefers_lowest_index(self):
-        result = attribute(self._sample(50, (50, 10)), 100)
-        assert result.label == "immigration"
-        tied = attribute(self._sample(10, (46, 46, 9)), 110)
-        assert tied.label == "gen 1"
+        assert self._attribute(50, (50, 10), 100)[0] == "immigration"
+        assert self._attribute(10, (46, 46, 9), 110)[0] == "gen 1"
 
     def test_split_value_is_not_dominant(self):
-        result = attribute(self._sample(40, (40, 30)), 100)
-        assert result.label in ("immigration",)
-        assert not result.dominant  # 40 <= 50
+        label, _, _, dominant = self._attribute(40, (40, 30), 100)
+        assert label == "immigration"
+        assert not dominant  # 40 <= 50
 
     def test_boundary_is_strict(self):
-        result = attribute(self._sample(50, (49, 2)), 100)
-        assert not result.dominant  # exactly half does not dominate
-        result = attribute(self._sample(51, (49, 1)), 100)
-        assert result.dominant
+        assert not self._attribute(50, (49, 2), 100)[3]  # exactly half
+        assert self._attribute(51, (49, 1), 100)[3]
+        assert not self._attribute(50, (50, 2), 101)[3]  # 50 <= 50.5
+        assert self._attribute(51, (50, 1), 101)[3]
 
-    def test_requires_exceedance(self):
-        with pytest.raises(ValueError, match="value > threshold"):
-            attribute(self._sample(40, (40, 20)), 100)
+    def test_only_exceedances_are_attributed(self):
+        batch = ClusterBatch(
+            np.array([40, 200, 7, 1 << 62], dtype=np.int64),
+            np.array([[20, 0], [0, 0], [0, 300], [0, 0]], dtype=np.int64),
+            remainder_bound=0.0,
+        )
+        result = attribute(batch, 100)
+        assert result.index.tolist() == [1, 2, 3]
+        assert result.labels == ["immigration", "gen 2", "immigration"]
+        assert result.dominant.tolist() == [True, True, True]
+        assert attribute(batch, 1 << 62).index.size == 0
 
     def test_share_of_dominant_exceedances_matches_immigration_tails(self, params):
         # Nearly every exceedance should trace to one oversized immigration
@@ -467,10 +652,11 @@ class TestAttribution:
         # feeding generation n, which needs about x / b**n immigrants.
         x = 100
         clusters = sample_clusters(params, 40, 250_000, RngStream(seed=19))
-        exceed = [c for c in clusters if c.value > x]
-        assert len(exceed) > 3000
-        dominant = np.mean([attribute(c, x).dominant for c in exceed])
+        result = attribute(clusters, x)
+        assert result.index.size > 3000
+        assert np.array_equal(result.index, np.flatnonzero(clusters.value > x))
+        dominant = result.dominant.mean()
         scales = x / params.b ** np.arange(1, 41)
         predicted_rate = survival_A(x) + float(np.sum(survival_A(scales)))
-        predicted_share = predicted_rate * len(clusters) / len(exceed)
+        predicted_share = predicted_rate * len(clusters) / result.index.size
         assert abs(dominant - predicted_share) <= 0.10
