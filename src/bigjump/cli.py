@@ -574,11 +574,15 @@ def _read_cluster_csv(path: Path) -> sampler.ClusterBatch:
     columns = [header.index("value"), header.index("immigration"), *gen_cols]
     try:
         table = np.loadtxt(lines[1:], delimiter=",", usecols=columns, dtype=np.int64)
-        remainder = float(lines[1].split(",")[header.index("remainder_bound")])
+        remainder = np.loadtxt(
+            lines[1:], delimiter=",", usecols=header.index("remainder_bound")
+        )
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed cluster row in {path}: {exc}") from exc
+    if not np.all(remainder == remainder.flat[0]):
+        raise ConfigError(f"{path}: remainder_bound differs between rows")
     table = table.reshape(len(lines) - 1, len(columns))
-    clusters = sampler.ClusterBatch(table[:, 1], table[:, 2:], remainder)
+    clusters = sampler.ClusterBatch(table[:, 1], table[:, 2:], float(remainder.flat[0]))
     if not np.array_equal(clusters.value, table[:, 0]):
         raise ConfigError(f"{path}: value is not immigration + sum(gen_*)")
     return clusters

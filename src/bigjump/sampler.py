@@ -23,9 +23,9 @@ with explicit ``(seed, stream_id)`` addressing: the same pair reproduces the
 same draws bit-for-bit, distinct stream ids are statistically independent,
 and tallies accumulated on different streams merge commutatively.
 
-Every cap (population saturation, immigration-value overflow) is recorded in
-the stream's event counter — saturation is never silent.  Runs intended as
-ground truth should assert the counters are zero.
+Every cap (population saturation, value overflow at `A_VALUE_CAP`) is
+recorded in the stream's event counter — saturation is never silent.  Runs
+intended as ground truth should assert the counters are zero.
 """
 
 from __future__ import annotations
@@ -251,7 +251,8 @@ def _invert_b_tail(params: ModelParams, u: np.ndarray) -> np.ndarray:
         todo = todo[survival(hi[todo]) >= u[todo]]
         lo[todo] = hi[todo]
         hi[todo] *= 2
-        lo[todo[hi[todo] == A_VALUE_CAP]] = A_VALUE_CAP - 1  # answer: the cap
+        capped = todo[hi[todo] >= A_VALUE_CAP]
+        lo[capped], hi[capped] = A_VALUE_CAP - 1, A_VALUE_CAP  # answer: the cap
         todo = todo[hi[todo] < A_VALUE_CAP]
     todo = np.flatnonzero(hi - lo > 1)
     while todo.size:
@@ -263,17 +264,14 @@ def _invert_b_tail(params: ModelParams, u: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _invert_b_uniforms(
-    params: ModelParams, u: np.ndarray, key: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _invert_b_uniforms(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """Map uniforms to offspring values: ``B = min{k : P(B > k) < u}``.
 
-    The precomputed survival table (``key``, its negation, looked up when
-    not given) answers all but the ~``3e-8`` tail via one vectorized binary
-    search; deeper uniforms fall through to the analytic bisection.
+    The precomputed survival table answers all but the ~``3e-8`` tail via
+    one vectorized binary search; deeper uniforms fall through to the
+    analytic bisection.
     """
-    if key is None:
-        key = law_B(params).search_key
+    key = law_B(params).search_key
     values = np.searchsorted(key, -u, side="right")
     deep = np.flatnonzero(values == key.size)
     if deep.size:
@@ -305,11 +303,9 @@ def _conditional_b_batch(
 
 
 def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
-    """`chain_step` as ``step(x)``, with the survival table, ``theta`` and
-    the generator's methods looked up once; same draws, same order."""
-    law = law_B(params)
-    theta = float(law.survival_table[0])
-    key = law.search_key
+    """`chain_step` as ``step(x)``, with ``theta`` and the generator's
+    methods looked up once; same draws, same order."""
+    theta = float(law_B(params).survival_table[0])
     random, binomial = stream.generator.random, stream.generator.binomial
     events = stream.events
 
@@ -321,7 +317,7 @@ def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
         if x > 0:
             k = int(binomial(x, theta))
             if k > 0:
-                draws = _invert_b_uniforms(params, random(k) * theta, key)
+                draws = _invert_b_uniforms(params, random(k) * theta)
                 # Float guard first: the exact int64 sum is only formed once
                 # the total is known to be small enough to be exact.
                 if float(draws.sum(dtype=np.float64)) + total > max_population:
@@ -408,7 +404,8 @@ def _equilibrium_tail(params: ModelParams, stream: RngStream, size: int) -> np.n
     with probability ``phi(k) / (M g(t))``; ``M = (e+N)/(1+N)`` bounds
     ``phi(ceil(t)) / g(t)``, so each ``k`` is accepted with mass
     proportional to ``phi(k)``: the law is exact.  Proposals at or past
-    `A_VALUE_CAP` saturate there, accepted at the ratio's limit ``1/M``.
+    `A_VALUE_CAP` saturate there, accepted at the ratio's limit ``1/M``;
+    `_surviving_sums` records those it keeps.
     """
     cutoff, eps = params.tail_table_cutoff, params.epsilon
     inv_m = (1.0 + cutoff) / (math.e + cutoff)
@@ -487,7 +484,9 @@ def _surviving_sums(
     p[d-1])`` of the rest survive; the survivors go on at distance ``d - 1``.
     All owners advance one distance per round; ``p[n] = P(D_n > 0)`` must
     reach ``max(dist)``.  An owner whose frontier or total passes
-    ``max_population`` saturates there, with one ``population_cap`` event.
+    ``max_population`` saturates there, with one ``population_cap`` event;
+    each ``K`` or ``J`` saturated at `A_VALUE_CAP` (siblings beyond it go
+    uncounted) records an ``a_value_cap`` event.
     """
     n = alive.astype(np.float64)
     d = dist.copy()
@@ -508,6 +507,9 @@ def _surviving_sums(
                 k = _spine_positions(params, np.log1p(-p[d_in - 1]), stream)
                 u = stream.generator.random(k.size) * law_B(params).survival(k)
                 j = _invert_b_uniforms(params, u)
+                n_capped = int(np.count_nonzero(j == A_VALUE_CAP))  # K or J
+                if n_capped:
+                    stream.events["a_value_cap"] += n_capped
                 r = stream.generator.binomial(np.maximum(j - k - 1, 0), p[d_in - 1])
                 grown += np.bincount(inner, weights=1.0 + r, minlength=n.size)
         finished = (d == 1) & (n > 0)

@@ -150,14 +150,19 @@ class AttributionSummary:
 
 
 def attribution_summary(attributions: Iterable) -> AttributionSummary:
-    """Aggregate exceedance attributions, ``(label, dominant)`` pairs such as
-    ``zip(a.labels, a.dominant)`` of a `sampler.Attribution`, into label
-    shares.
+    """Aggregate exceedance attributions into label shares.
+
+    Accepts any iterable of records carrying a ``label`` and ``dominant``
+    attribute (or bare ``(label, dominant)`` pairs).
     """
     counts: Counter[str] = Counter()
     dominant = 0
     total = 0
-    for label, is_dominant in attributions:
+    for item in attributions:
+        if isinstance(item, tuple):
+            label, is_dominant = item
+        else:
+            label, is_dominant = item.label, item.dominant
         counts[str(label)] += 1
         dominant += bool(is_dominant)
         total += 1

@@ -552,6 +552,8 @@ class TestArtifacts:
             lambda row: [row[0], str(int(row[1]) + 1), *row[2:]],  # value != sum
             lambda row: row[:-2],  # ragged row
             lambda row: [row[0], "x", *row[2:]],  # not an integer
+            lambda row: [*row[:-1], "abc"],  # remainder_bound not a number
+            lambda row: [*row[:-1], "0.5"],  # remainder_bound differs
         ],
     )
     def test_attribute_refuses_malformed_cluster_csv(self, tmp_path, capsys, corrupt):

@@ -21,6 +21,7 @@ from scipy import stats as sps
 
 from bigjump import sampler as smp
 from bigjump.model import (
+    calibrate,
     depth_remainder_bound,
     extinction_table,
     law_B,
@@ -326,12 +327,17 @@ class TestSampleB:
     def test_vector_tail_inversion_equals_scalar_search(self, params):
         # 10**4 uniforms spread over 30 decades below the table floor, so
         # the deepest hit the value cap; the chain's draws rest on these
-        # values, so they must not move by a single comparison.
-        floor = float(law_B(params).survival_table[-1])
-        u = floor * 10.0 ** -RngStream(seed=25).generator.uniform(0, 30, 10_000)
-        vector = smp._invert_b_tail(params, u)
-        assert vector.tolist() == [invert_b_tail_scalar(params, x) for x in u]
-        assert (vector == A_VALUE_CAP).any()
+        # values, so they must not move by a single comparison.  A cutoff
+        # that is not a power of two doubles past the cap without landing
+        # on it, and u = 0 never stops doubling: both must saturate.
+        odd = calibrate(0.5, 1.0, tail_table_cutoff=3 << 15)
+        for law, size in ((params, 10_000), (odd, 2_000)):
+            floor = float(law_B(law).survival_table[-1])
+            u = floor * 10.0 ** -RngStream(seed=25).generator.uniform(0, 30, size)
+            u[-1] = 0.0
+            vector = smp._invert_b_tail(law, u)
+            assert vector.tolist() == [invert_b_tail_scalar(law, x) for x in u]
+            assert (vector == A_VALUE_CAP).sum() > 1
 
     def test_scripted_inversion_hits_exact_levels(self, params):
         table = law_B(params).survival_table
@@ -443,6 +449,17 @@ class TestGenerationTrees:
         values = spine_draws(params, 2, 1, stub, max_population=1 << 20)
         assert values.tolist() == [1 << 20]
         assert stub.events == {"population_cap": 1}
+
+    def test_value_cap_is_recorded_from_a_scripted_stream(self, params):
+        # At distance 60, q**(2**62) = exp(-2**62 p[59]) is far from 0: the
+        # proposal uniform 0.99 lands beyond the table, 0.9 proposes past
+        # 2**62, and both acceptance uniforms 0 keep K at the cap, so the
+        # brood J saturates there too and its right siblings go uncounted.
+        assert smp._generation_tables(params, 60)[0][59] * A_VALUE_CAP < 1
+        stub = _StubStream([0.99, 0.9, 0.0, 0.0])
+        values = spine_draws(params, 60, 1, stub)
+        assert int(values[0]) >= 1
+        assert stub.events == {"a_value_cap": 1}
 
     def test_brood_cap_is_recorded_from_a_scripted_stream(self, params):
         # One sample, depth 1: immigration 2, generation-1 count 100, and

@@ -174,6 +174,15 @@ class TestAttributionSummary:
         assert summary.shares["gen 1"] == 0.5
         assert summary.dominant_share == 0.5
 
+    def test_accepts_attribute_records(self):
+        class Record:
+            def __init__(self, label, dominant):
+                self.label = label
+                self.dominant = dominant
+
+        summary = attribution_summary([Record("gen 3", True)])
+        assert summary.counts == {"gen 3": 1}
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no attributions"):
             attribution_summary([])
