@@ -13,7 +13,11 @@ Subcommands
 One JSON config file holds every knob; command-line flags override single
 values (flags win over the file, the file wins over defaults).  The default
 seed — used only when neither the config nor a flag sets one — may be
-overridden by the ``BIGJUMP_SEED`` environment variable.
+overridden by the ``BIGJUMP_SEED`` environment variable.  Each knob is one
+dataclass field whose metadata holds its limits and its flag's help: one
+pass in ``RunConfig.validate`` checks them all (a value out of range exits
+2), and every field is the flag ``--<name-with-dashes>`` (``--burnin`` for
+``simulate.burn_in``).
 
 Artifacts are deterministic given (config, seed): no timestamps, shortest
 round-trip float formatting, fixed column orders (documented per subcommand
@@ -33,10 +37,11 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -71,111 +76,56 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _setting(default, help: str, flag: Optional[str] = None, **limits):
+    """Declare one config field: its default, its flag's help text, its flag
+    where that is not ``--<name-with-dashes>``, and its limits (``gt``,
+    ``ge``, ``lt``, ``le`` or ``choices``), which ``RunConfig.validate``
+    checks."""
+    return field(default=default, metadata={"help": help, "flag": flag, **limits})
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    b: float = 0.5
-    epsilon: float = 1.0
-    tolerance: float = 1e-10
-
-    def validate(self) -> None:
-        if not 0.0 < self.b < 1.0:
-            raise ConfigError(f"model.b must lie in (0, 1), got {self.b}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigError(
-                f"model.epsilon must be finite and > 0, got {self.epsilon}"
-            )
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ConfigError(
-                f"model.tolerance must be finite and > 0, got {self.tolerance}"
-            )
+    b: float = _setting(0.5, "offspring mean", gt=0, lt=1)
+    epsilon: float = _setting(1.0, "tail log exponent offset", gt=0)
+    tolerance: float = _setting(1e-10, "calibration tolerance", gt=0)
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    method: str = "chain"
-    samples: int = 10_000
-    burn_in: int = 1_000
-    depth: int = 40
-    seed: Optional[int] = None  # None: DEFAULT_SEED (or its env override)
-    streams: int = 1
-    max_population: int = sampler.DEFAULT_MAX_POPULATION
-
-    def validate(self) -> None:
-        if self.method not in ("chain", "cluster"):
-            raise ConfigError(
-                f"simulate.method must be 'chain' or 'cluster', got "
-                f"'{self.method}'"
-            )
-        if self.samples < 1:
-            raise ConfigError(f"simulate.samples must be >= 1, got {self.samples}")
-        if self.burn_in < 0:
-            raise ConfigError(f"simulate.burn_in must be >= 0, got {self.burn_in}")
-        if self.depth < 1:
-            raise ConfigError(f"simulate.depth must be >= 1, got {self.depth}")
-        if self.seed is not None and not 0 <= self.seed < 1 << 64:
-            raise ConfigError(
-                f"simulate.seed must lie in [0, 2**64), got {self.seed}"
-            )
-        if self.streams < 1:
-            raise ConfigError(f"simulate.streams must be >= 1, got {self.streams}")
-        if self.max_population < 1 << 20:
-            raise ConfigError(
-                f"simulate.max_population must be >= 2**20, got "
-                f"{self.max_population}"
-            )
+    method: str = _setting("chain", "which sampler draws", choices=("chain", "cluster"))
+    samples: int = _setting(10_000, "number of samples", ge=1)
+    burn_in: int = _setting(1_000, "chain steps dropped first", flag="--burnin", ge=0)
+    depth: int = _setting(40, "cluster generations drawn", ge=1)
+    # None: DEFAULT_SEED (or its env override)
+    seed: Optional[int] = _setting(None, "random seed", ge=0, lt=1 << 64)
+    streams: int = _setting(1, "independent substreams", ge=1)
+    # At most 2**26: cluster sums are exact only up to there.
+    max_population: int = _setting(
+        sampler.DEFAULT_MAX_POPULATION,
+        "sampler population cap",
+        ge=1 << 20,
+        le=sampler.DEFAULT_MAX_POPULATION,
+    )
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    cutoff: int = 1 << 16
-    tol: float = 1e-11
-    max_iter: int = 60
-
-    def validate(self) -> None:
-        if self.cutoff < 16:
-            raise ConfigError(f"oracle.cutoff must be >= 16, got {self.cutoff}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"oracle.tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"oracle.max_iter must be >= 1, got {self.max_iter}")
+    cutoff: int = _setting(1 << 16, "oracle pmf truncation", ge=16)
+    tol: float = _setting(1e-11, "assembly stopping gap", gt=0)
+    max_iter: int = _setting(60, "assembly iteration cap", ge=1)
 
 
 @dataclass(frozen=True)
 class PredictConfig:
-    x_grid: tuple = (100.0, 1000.0, 10_000.0)
-    n_max: int = 6
-
-    def validate(self) -> None:
-        if len(self.x_grid) == 0:
-            raise ConfigError("predict.x_grid must be nonempty")
-        grid = list(self.x_grid)
-        if not all(math.isfinite(x) and x > 0 for x in grid):
-            raise ConfigError("predict.x_grid entries must be finite and > 0")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("predict.x_grid must be strictly increasing")
-        if self.n_max < 1:
-            raise ConfigError(f"predict.n_max must be >= 1, got {self.n_max}")
+    x_grid: tuple = _setting((100.0, 1000.0, 10_000.0), "comma-separated x", gt=0)
+    n_max: int = _setting(6, "generations in the decomposition", ge=1)
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    suite: str = "all"
-    confidence: float = 0.999
-
-    def validate(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise ConfigError(
-                f"verify.confidence must lie in (0, 1), got {self.confidence}"
-            )
-        tokens = _suite_tokens(self.suite)
-        if not tokens:
-            raise ConfigError("verify.suite selects no checks")
-        for token in tokens:
-            if token not in CHECK_IDS:
-                raise ConfigError(
-                    f"unknown verify.suite entry '{token}'; known: "
-                    f"{', '.join(CHECK_IDS)}"
-                )
+    suite: str = _setting("all", "'all' or comma-separated check ids")
+    confidence: float = _setting(0.999, "survival interval level", gt=0, lt=1)
 
 
 @dataclass(frozen=True)
@@ -187,11 +137,26 @@ class RunConfig:
     verify: VerifyConfig = field(default_factory=VerifyConfig)
 
     def validate(self) -> None:
-        self.model.validate()
-        self.simulate.validate()
-        self.oracle.validate()
-        self.predict.validate()
-        self.verify.validate()
+        """Check every field against its declaration (type, finiteness,
+        limits), then the two rules that are not limits: the grid's order
+        and the suite's check names."""
+        for name, f, hint in _declared_fields():
+            value = getattr(getattr(self, name), f.name)
+            _check_value(f"{name}.{f.name}", value, hint, f.metadata)
+        grid = self.predict.x_grid
+        if len(grid) == 0:
+            raise ConfigError("predict.x_grid must be nonempty")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("predict.x_grid must be strictly increasing")
+        tokens = _suite_tokens(self.verify.suite)
+        if not tokens:
+            raise ConfigError("verify.suite selects no checks")
+        for token in tokens:
+            if token not in CHECK_IDS:
+                raise ConfigError(
+                    f"unknown verify.suite entry '{token}'; known: "
+                    f"{', '.join(CHECK_IDS)}"
+                )
 
     @property
     def seed(self) -> int:
@@ -207,10 +172,8 @@ class RunConfig:
                 raise ConfigError(
                     f"{_SEED_ENV_VAR} must be an integer, got '{raw}'"
                 ) from exc
-            if not 0 <= value < 1 << 64:
-                raise ConfigError(
-                    f"{_SEED_ENV_VAR} must lie in [0, 2**64), got {value}"
-                )
+            seed_limits = SimulateConfig.__dataclass_fields__["seed"].metadata
+            _check_value(_SEED_ENV_VAR, value, int, seed_limits)
             return value
         return DEFAULT_SEED
 
@@ -238,43 +201,59 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-_SECTION_TYPES = {
-    "model": ModelConfig,
-    "simulate": SimulateConfig,
-    "oracle": OracleConfig,
-    "predict": PredictConfig,
-    "verify": VerifyConfig,
-}
+_SECTION_TYPES = get_type_hints(RunConfig)  # section name -> its dataclass
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
-def _typed(where: str, value, hint):
-    """Check one config value against its field's type.
+def _declared_fields():
+    """Yield (section name, field, type hint) for every config field."""
+    for name, cls in _SECTION_TYPES.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            yield name, f, hints[f.name]
 
-    ``bool`` is not accepted as ``int``, and ``int`` is accepted as
-    ``float``; ``Optional`` fields also take ``null`` and the ``tuple``
-    field is a list of numbers.
+
+def _check_value(where: str, value, hint, limits) -> None:
+    """Check one config value against its field's type and limits.
+
+    ``bool`` is not accepted as ``int``, ``int`` is accepted as ``float``,
+    and a float must be finite; ``Optional`` fields also take ``null`` and
+    the ``tuple`` field is a list of numbers, each held to the limits.
     """
     if get_origin(hint) is Union:
         if value is None:
-            return None
+            return
         (hint,) = (h for h in get_args(hint) if h is not type(None))
     if hint is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list of numbers")
-        return tuple(float(_typed(f"{where} entry", x, float)) for x in value)
+        for x in value:
+            _check_value(f"{where} entry", x, float, limits)
+        return
     kinds = (int, float) if hint is float else (hint,)
     if isinstance(value, bool) or not isinstance(value, kinds):
         expected = "a number" if hint is float else f"of type {hint.__name__}"
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
-    return value
+    choices = limits.get("choices")
+    if choices is not None and value not in choices:
+        wanted = ", ".join(repr(c) for c in choices)
+        raise ConfigError(f"{where} must be one of {wanted}, got {value!r}")
+    bounds = [(_BOUNDS[key], limits[key]) for key in _BOUNDS if key in limits]
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if not (finite and all(op(value, bound) for (op, _), bound in bounds)):
+        wanted = ["finite"] if isinstance(value, float) else []
+        wanted += [f"{sign} {bound}" for (_, sign), bound in bounds]
+        raise ConfigError(f"{where} must be {' and '.join(wanted)}, got {value!r}")
 
 
 def _build_section(name: str, cls, data: dict):
-    hints = get_type_hints(cls)
+    """One section from its JSON object; ``RunConfig.validate`` checks the
+    values, and a JSON array (the grid) becomes a tuple."""
     for key in data:
-        if key not in hints:
+        if key not in cls.__dataclass_fields__:
             raise ConfigError(f"unknown config key '{key}' in section '{name}'")
-    return cls(**{k: _typed(f"{name}.{k}", v, hints[k]) for k, v in data.items()})
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -304,8 +283,9 @@ def load_config(path: Optional[str]) -> RunConfig:
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Fold command-line flags into the config (flags win).
 
-    Every config field name is unique across sections and is the ``dest``
-    of its flag, so each non-None ``args.<field>`` replaces that field.
+    Every config field name is unique across sections and ``build_parser``
+    makes it the ``dest`` of its flag, so each non-None ``args.<field>``
+    replaces that field.
     """
     sections = {}
     for name in _SECTION_TYPES:
@@ -403,6 +383,12 @@ def _cmd_model(config: RunConfig, out_dir: Path) -> int:
 def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     xs = [float(x) for x in config.predict.x_grid]
+    threshold = asymptotics.second_scale_positivity_threshold(params)
+    if xs[0] < threshold:
+        raise ConfigError(
+            f"predict.x_grid entry x={xs[0]:g} lies below the second-scale "
+            f"positivity threshold {threshold:g} at model.b = {params.b}"
+        )
     table = asymptotics.prediction_table(params, xs, n_max=config.predict.n_max)
     rows = []
     for i, x in enumerate(xs):
@@ -492,59 +478,36 @@ def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _split_across_streams(total: int, streams: int) -> list:
-    share, extra = divmod(total, streams)
-    return [share + (1 if i < extra else 0) for i in range(streams)]
-
-
 def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     sim = config.simulate
-    seed = config.seed
     columns = ["sample_index", "value", "method", "stream_id"]
+    if sim.method == "cluster":
+        gen_cols = [f"gen_{n}" for n in range(1, sim.depth + 1)]
+        columns += ["immigration", *gen_cols, "remainder_bound"]
     rows = []
     events = Counter()
-    if sim.method == "chain":
-        index = 0
-        for stream_id, share in enumerate(
-            _split_across_streams(sim.samples, sim.streams)
-        ):
-            if share == 0:
-                continue
-            stream = sampler.RngStream(seed=seed, stream_id=stream_id)
-            result = sampler.run_chain(
-                params,
-                sampler.ChainConfig(
-                    n_samples=share,
-                    burn_in=sim.burn_in,
-                    max_population=sim.max_population,
-                ),
-                stream,
+    # The samples split evenly, the remainder going to the early streams;
+    # streams past the sample count would draw none and are skipped.
+    share, extra = divmod(sim.samples, sim.streams)
+    for stream_id in range(min(sim.streams, sim.samples)):
+        n = share + (stream_id < extra)
+        stream = sampler.RngStream(seed=config.seed, stream_id=stream_id)
+        if sim.method == "chain":
+            chain = sampler.ChainConfig(
+                n_samples=n, burn_in=sim.burn_in, max_population=sim.max_population
             )
+            result = sampler.run_chain(params, chain, stream)
             events.update(result.events)
-            for value in result.samples:
-                rows.append((index, int(value), "chain", stream_id))
-                index += 1
-    else:
-        columns = columns + [
-            "immigration",
-            *[f"gen_{n}" for n in range(1, sim.depth + 1)],
-            "remainder_bound",
-        ]
-        index = 0
-        for stream_id, share in enumerate(
-            _split_across_streams(sim.samples, sim.streams)
-        ):
-            if share == 0:
-                continue
-            stream = sampler.RngStream(seed=seed, stream_id=stream_id)
+            draws = [(int(value),) for value in result.samples]
+        else:
             clusters = sampler.sample_clusters(
-                params, sim.depth, share, stream, sim.max_population
+                params, sim.depth, n, stream, sim.max_population
             )
             events.update(stream.events)
-            for value, imm, gens, _, bound in clusters:
-                rows.append((index, value, "cluster", stream_id, imm, *gens, bound))
-                index += 1
+            draws = [(v, imm, *gens, bound) for v, imm, gens, _, bound in clusters]
+        for value, *parts in draws:
+            rows.append((len(rows), value, sim.method, stream_id, *parts))
     path = out_dir / "simulate.csv"
     _csv_artifact(path, columns, rows, config)
     print(path)
@@ -726,10 +689,13 @@ def _check_calibration(ctx: VerifyContext) -> dict:
     )
 
 
+_CONV_TAIL_X = 1 << 14  # needs placed mass above it: oracle.cutoff > 2**14
+
+
 def _check_conv_tail(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
     heavy = oracle.pmf_of(law_B(ctx.params), cutoff)
-    ratio = oracle.conv_tail_ratio(heavy, float(1 << 14))
+    ratio = oracle.conv_tail_ratio(heavy, float(_CONV_TAIL_X))
     light = oracle.pmf_of(oracle.GeometricLaw(0.5), 256)
     control = oracle.conv_tail_ratio(light, 60.0)
     passed = 1.8 <= ratio.point <= 2.2 and control.point > 2.5
@@ -964,8 +930,13 @@ def _suite_tokens(suite: str) -> list:
 
 def run_verify(config: RunConfig) -> dict:
     """Run the selected checks and assemble the machine-readable report."""
-    ctx = VerifyContext(config)
     selected = _suite_tokens(config.verify.suite)
+    if "conv_tail" in selected and config.oracle.cutoff <= _CONV_TAIL_X:
+        raise ConfigError(
+            f"the conv_tail check needs oracle.cutoff > {_CONV_TAIL_X} to place "
+            f"mass above x = {_CONV_TAIL_X}, got {config.oracle.cutoff}"
+        )
+    ctx = VerifyContext(config)
     checks = [CHECKS[check_id](ctx) for check_id in selected]
     return {
         "checks": checks,
@@ -1014,6 +985,25 @@ BIGJUMP_SEED overrides the built-in default seed (explicit config wins).
 """
 
 
+# Subcommand -> (help, the config fields it takes as flags besides the
+# model's).  Each flag's name, type, choices and help come from its field.
+_COMMANDS = {
+    "model": ("calibration summary (model.json)", ""),
+    "predict": ("closed-form tail predictors (predict.csv)", "x_grid n_max"),
+    "oracle": ("truncated stationary pmf (oracle.csv)", "cutoff tol max_iter"),
+    "simulate": (
+        "draw samples (simulate.csv)",
+        "method samples burn_in depth seed streams max_population",
+    ),
+    "verify": (
+        "acceptance checks (verify_report.json)",
+        "suite confidence seed cutoff",
+    ),
+    "attribute": ("exceedance attribution (attribution.csv)", "samples depth seed"),
+}
+_FLAG_TYPES = {tuple: _parse_x_grid, Optional[int]: int}  # else the hint itself
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigjump",
@@ -1022,65 +1012,31 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    declared = {f.name: (f, hint) for _, f, hint in _declared_fields()}
 
-    def common(p):
+    def add_flag(p, name):
+        f, hint = declared[name]
+        p.add_argument(
+            f.metadata["flag"] or "--" + name.replace("_", "-"),
+            dest=name,
+            type=_FLAG_TYPES.get(hint, hint),
+            choices=f.metadata.get("choices"),
+            help=f.metadata["help"],
+        )
+
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--b", type=float, help="offspring mean")
-        p.add_argument("--epsilon", type=float, help="tail log exponent offset")
-        p.add_argument("--tolerance", type=float, help="calibration tolerance")
-
-    p_model = sub.add_parser("model", help="calibration summary (model.json)")
-    common(p_model)
-
-    p_predict = sub.add_parser(
-        "predict", help="closed-form tail predictors (predict.csv)"
-    )
-    common(p_predict)
-    p_predict.add_argument(
-        "--x-grid", dest="x_grid", type=_parse_x_grid, help="comma-separated x"
-    )
-    p_predict.add_argument("--n-max", dest="n_max", type=int)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="truncated stationary pmf (oracle.csv)"
-    )
-    common(p_oracle)
-    p_oracle.add_argument("--cutoff", type=int, help="pmf truncation")
-    p_oracle.add_argument("--tol", type=float, help="assembly stopping gap")
-    p_oracle.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p_sim = sub.add_parser("simulate", help="draw samples (simulate.csv)")
-    common(p_sim)
-    p_sim.add_argument("--method", choices=["chain", "cluster"])
-    p_sim.add_argument("--samples", type=int)
-    p_sim.add_argument("--burnin", dest="burn_in", type=int)
-    p_sim.add_argument("--depth", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--streams", type=int)
-    p_sim.add_argument("--max-population", dest="max_population", type=int)
-
-    p_verify = sub.add_parser(
-        "verify", help="acceptance checks (verify_report.json)"
-    )
-    common(p_verify)
-    p_verify.add_argument("--suite", help="'all' or comma-separated check ids")
-    p_verify.add_argument("--confidence", type=float)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--cutoff", type=int, help="oracle pmf truncation")
-
-    p_att = sub.add_parser(
-        "attribute", help="exceedance attribution (attribution.csv)"
-    )
-    common(p_att)
-    p_att.add_argument("--x", type=int, help="exceedance threshold")
-    p_att.add_argument(
-        "--in", dest="infile", help="cluster simulate.csv to attribute"
-    )
-    p_att.add_argument("--samples", type=int)
-    p_att.add_argument("--depth", type=int)
-    p_att.add_argument("--seed", type=int)
-
+        for f in fields(ModelConfig):
+            add_flag(p, f.name)
+        if command == "attribute":
+            p.add_argument("--x", type=int, help="exceedance threshold")
+            p.add_argument(
+                "--in", dest="infile", help="cluster simulate.csv to attribute"
+            )
+        for name in names.split():
+            add_flag(p, name)
     return parser
 
 

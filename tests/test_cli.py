@@ -7,9 +7,13 @@ the suite stays fast and the exit codes are asserted directly.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
+import math
 import os
 import re
+import typing
 import warnings
 
 import numpy as np
@@ -41,6 +45,45 @@ def csv_header(path):
         if not line.startswith("#"):
             return line
     raise AssertionError(f"no header line in {path}")
+
+
+def _limit_cases():
+    """For each declared limit of each config field: a value just outside
+    it and one just inside it (the bound itself where it is inclusive)."""
+    cases = []
+    for section, cls in cli._SECTION_TYPES.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            for key in ("gt", "ge", "lt", "le"):
+                if key not in f.metadata:
+                    continue
+                bound = f.metadata[key]
+                if hint in (float, tuple):
+                    below = math.nextafter(float(bound), -math.inf)
+                    above = math.nextafter(float(bound), math.inf)
+                else:
+                    below, above = bound - 1, bound + 1
+                outside, inside = {
+                    "gt": (bound, above),
+                    "ge": (below, bound),
+                    "lt": (bound, below),
+                    "le": (above, bound),
+                }[key]
+                if hint is tuple:  # the limits hold for each grid entry
+                    outside, inside = (float(outside),), (float(inside),)
+                where = f"{section}.{f.name}"
+                cases.append(
+                    pytest.param(section, f.name, outside, inside, id=f"{where}-{key}")
+                )
+            if "choices" in f.metadata:
+                inside = f.metadata["choices"][0]
+                cases.append(
+                    pytest.param(
+                        section, f.name, "not-" + inside, inside, id=f"{where}-choices"
+                    )
+                )
+    return cases
 
 
 class TestConfigLoading:
@@ -100,6 +143,7 @@ class TestConfigLoading:
             ("simulate", {"samples": 0}, "simulate.samples"),
             ("simulate", {"seed": -1}, "simulate.seed"),
             ("simulate", {"max_population": 1024}, "simulate.max_population"),
+            ("simulate", {"max_population": 100_000_000}, "simulate.max_population"),
             ("oracle", {"cutoff": 2}, "oracle.cutoff"),
             ("predict", {"x_grid": [10.0, 10.0]}, "strictly increasing"),
             ("predict", {"x_grid": []}, "nonempty"),
@@ -126,6 +170,19 @@ class TestConfigLoading:
         path.write_text(json.dumps({section: payload}))
         with pytest.raises(ConfigError, match=fragment):
             load_config(str(path)).validate()
+
+    @pytest.mark.parametrize("section, key, outside, inside", _limit_cases())
+    def test_declared_limits_are_enforced(self, section, key, outside, inside):
+        default = RunConfig()
+        default.validate()
+
+        def with_value(value):
+            changed = dataclasses.replace(getattr(default, section), **{key: value})
+            return RunConfig(**{section: changed})
+
+        with_value(inside).validate()
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            with_value(outside).validate()
 
     def test_config_hash_changes_with_values(self):
         base = RunConfig()
@@ -331,6 +388,43 @@ class TestExitCodes:
         model = json.loads((tmp_path / "model.json").read_text())
         bracket = model["offspring_mean_bracket"]
         assert bracket["lo"] - 1e-9 <= 0.5 <= bracket["hi"] + 1e-9
+
+    def test_cluster_population_cap_above_2_26_exits_2(self, tmp_path, capsys):
+        # Cluster sums are exact only up to 2**26; a larger cap was a
+        # ValueError traceback from the sampler (exit 1).
+        args = ["--method", "cluster", "--max-population", "100000000"]
+        code = main(["simulate", *args, "--samples", "10", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "simulate.max_population" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, x, threshold",
+        [(["--b", "0.01"], "x=100 ", "109.7"), (["--x-grid", "1,2"], "x=1 ", " 8 ")],
+    )
+    def test_predict_below_positivity_threshold_exits_2(
+        self, tmp_path, capsys, argv, x, threshold
+    ):
+        # Grid points below the second-scale positivity threshold (which
+        # depends on b) were a ValueError traceback (exit 1).
+        assert main(["predict", *argv, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "predict.x_grid" in err and x in err and threshold in err
+        assert not any(tmp_path.iterdir())
+
+    def test_conv_tail_needs_mass_above_2_14(self, tmp_path, capsys):
+        # Below the cutoff 2**14 + 1 the offspring law places no mass above
+        # x = 2**14, which was a ValueError traceback (exit 1).
+        args = ["--cutoff", "16384", "--out", str(tmp_path)]
+        assert main(["verify", "--suite", "series,conv_tail", *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "oracle.cutoff > 16384" in err and "got 16384" in err
+        assert not any(tmp_path.iterdir())
+        # Suites without conv_tail still run at small cutoffs, and the next
+        # cutoff runs conv_tail.
+        assert main(["verify", "--suite", "series", *args]) == EXIT_OK
+        args[1] = "16385"
+        assert main(["verify", "--suite", "conv_tail", *args]) == EXIT_OK
 
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK
@@ -694,7 +788,72 @@ class TestVerifyReportShape:
         assert len(cli.CHECK_IDS) == 11
 
 
+# The flags each subcommand had when they were written out by hand: option
+# string, dest, choices and type name (None for a plain string).  Every
+# subcommand first takes --config, --out and the model's three flags.
+_COMMON_FLAGS = [
+    ("--config", "config", None, None),
+    ("--out", "out", None, None),
+    ("--b", "b", None, "float"),
+    ("--epsilon", "epsilon", None, "float"),
+    ("--tolerance", "tolerance", None, "float"),
+]
+_FLAG_SNAPSHOT = {
+    "model": [],
+    "predict": [
+        ("--x-grid", "x_grid", None, "_parse_x_grid"),
+        ("--n-max", "n_max", None, "int"),
+    ],
+    "oracle": [
+        ("--cutoff", "cutoff", None, "int"),
+        ("--tol", "tol", None, "float"),
+        ("--max-iter", "max_iter", None, "int"),
+    ],
+    "simulate": [
+        ("--method", "method", ("chain", "cluster"), None),
+        ("--samples", "samples", None, "int"),
+        ("--burnin", "burn_in", None, "int"),
+        ("--depth", "depth", None, "int"),
+        ("--seed", "seed", None, "int"),
+        ("--streams", "streams", None, "int"),
+        ("--max-population", "max_population", None, "int"),
+    ],
+    "verify": [
+        ("--suite", "suite", None, None),
+        ("--confidence", "confidence", None, "float"),
+        ("--seed", "seed", None, "int"),
+        ("--cutoff", "cutoff", None, "int"),
+    ],
+    "attribute": [
+        ("--x", "x", None, "int"),
+        ("--in", "infile", None, None),
+        ("--samples", "samples", None, "int"),
+        ("--depth", "depth", None, "int"),
+        ("--seed", "seed", None, "int"),
+    ],
+}
+
+
 class TestHelp:
+    def test_flags_match_snapshot(self):
+        parser = cli.build_parser()
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == list(_FLAG_SNAPSHOT)
+        for command, expected in _FLAG_SNAPSHOT.items():
+            flags = [
+                (
+                    " ".join(a.option_strings),
+                    a.dest,
+                    tuple(a.choices) if a.choices is not None else None,
+                    None if a.type in (None, str) else a.type.__name__,
+                )
+                for a in sub.choices[command]._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            assert flags == _COMMON_FLAGS + expected, command
+
     def test_help_documents_columns_and_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
