@@ -24,7 +24,6 @@ from bigjump.model import (
     offspring_mean_bracket,
     pgf_B,
     pmf_A,
-    pmf_B,
     survival_A,
     survival_B,
     truncated_mean_A,
@@ -36,10 +35,7 @@ from bigjump.sampler import (
     ClusterBatch,
     RngStream,
     attribute,
-    chain_step,
     run_chain,
-    sample_A,
-    sample_B,
     sample_clusters,
 )
 from bigjump.oracle import (
@@ -90,7 +86,6 @@ __all__ = [
     "offspring_mean_bracket",
     "pgf_B",
     "pmf_A",
-    "pmf_B",
     "survival_A",
     "survival_B",
     "truncated_mean_A",
@@ -101,10 +96,7 @@ __all__ = [
     "ClusterBatch",
     "RngStream",
     "attribute",
-    "chain_step",
     "run_chain",
-    "sample_A",
-    "sample_B",
     "sample_clusters",
     # oracle
     "Pmf",

@@ -42,22 +42,32 @@ __all__ = [
     "prediction_table",
 ]
 
+# Largest ``b`` the summability sums accept.  They need about ``37/(1-b)``
+# generations (7,400 here), and each generation whose scale ``x*b^-n`` is
+# below ``2**20`` sums that many harmonic terms in `truncated_mean_A`:
+# `correction_sum` over ``x = 1e3 .. 1e6`` takes about 1.6 s at this
+# ``b``, 8 s at 0.999 and minutes at 0.9999.
+_TAIL_SUMS_B_MAX = 0.995
+
+# Past ``exp(690)``, about 1e300, `per_generation_pred` carries the
+# immigration scale ``x*b^-n`` by its log, which stays finite.
+_LOG_SCALE_MAX = 690.0
+
 
 # ---------------------------------------------------------------------------
 # Power-series identities
 # ---------------------------------------------------------------------------
 
 
-def _series_partial_sums(b: float, n_terms: int | None = None) -> tuple[float, float]:
+def _series_partial_sums(b: float) -> tuple[float, float]:
     """Numeric partial sums of ``sum n b^(n-1)`` and ``sum n^2 b^(n-1)``.
 
-    With ``n_terms=None`` the count adapts until the next term drops below
-    1e-18, so the partial sums agree with the closed forms to machine level.
+    The count adapts until the next term drops below 1e-18, so the partial
+    sums agree with the closed forms to machine level.
     """
-    if n_terms is None:
-        n_terms = 400
-        while n_terms**2 * b ** (n_terms - 1) > 1e-18 and n_terms < (1 << 24):
-            n_terms *= 2
+    n_terms = 400
+    while n_terms**2 * b ** (n_terms - 1) > 1e-18 and n_terms < (1 << 24):
+        n_terms *= 2
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     weights = b ** (n - 1.0)
     return float(np.sum(n * weights)), float(np.sum(n * n * weights))
@@ -165,9 +175,14 @@ def per_generation_pred(params: ModelParams, n: int, x: float) -> float:
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
-    scale = float(x) * params.b ** (-n)
-    jump = truncated_mean_A(scale) * n * params.b ** (n - 1) * survival_B(params, x)
-    return jump + survival_A(scale)
+    log_scale = math.log(x) - n * math.log(params.b) if x > 0 else -math.inf
+    if log_scale > _LOG_SCALE_MAX:
+        # E[A; A <= t] = log t + gamma - 1 and P(A > t) = 1/t, up to 1/t.
+        mean, tail = log_scale + np.euler_gamma - 1.0, math.exp(-log_scale)
+    else:
+        scale = float(x) * params.b ** (-n)
+        mean, tail = truncated_mean_A(scale), survival_A(scale)
+    return mean * n * params.b ** (n - 1) * survival_B(params, x) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +190,29 @@ def per_generation_pred(params: ModelParams, n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def a_tail_sums(
-    params: ModelParams, x: float, n_max: int | None = None
-) -> tuple[float, float]:
+def _check_tail_sums_b(b: float) -> None:
+    if b > _TAIL_SUMS_B_MAX:
+        raise ValueError(
+            f"b = {b} is above {_TAIL_SUMS_B_MAX}, the largest b the tail sums "
+            f"take: they would need about {37.0 / (1.0 - b):.0f} generations"
+        )
+
+
+def a_tail_sums(params: ModelParams, x: float) -> tuple[float, float]:
     """Exact and asymptotic values of ``sum_{n>=1} P(A > x*b^-n)``.
 
-    exact:     ``sum_n 1/(1 + floor(x*b^-n))`` with ``n_max`` chosen so the
-               geometric remainder is below 1e-16 of the sum;
+    exact:     ``sum_n 1/(1 + floor(x*b^-n))``, summed until the geometric
+               remainder is below 1e-16 of the sum;
     asymptote: ``b/((1-b)*x)``.
 
     The exact sum keeps the integer floors, which is why desk-scale ratios
-    sit a couple of percent away from 1.
+    sit a couple of percent away from 1.  ``b`` above `_TAIL_SUMS_B_MAX` is
+    refused.
     """
     if x <= 0:
         raise ValueError("x must be > 0")
     b = params.b
+    _check_tail_sums_b(b)
     asymptote = b / ((1.0 - b) * x)
     total = 0.0
     n = 1
@@ -199,10 +222,6 @@ def a_tail_sums(
         if b ** (n + 1) / ((1.0 - b) * x) < 1e-16 * max(total, 1e-300):
             break
         n += 1
-        if n_max is not None and n > n_max:
-            break
-        if n > 5000:
-            raise RuntimeError("a_tail_sums failed to converge")
     return total, asymptote
 
 
@@ -212,10 +231,12 @@ def correction_sum(params: ModelParams, x: float) -> float:
     The genuinely second-order part of the tail decomposition; multiplied
     by ``x`` it decays to zero like ``(log x)^(-epsilon)`` (boundary slow
     variation), and it decreases monotonically in ``x`` past a small start.
+    ``b`` above `_TAIL_SUMS_B_MAX` is refused.
     """
     if x <= 1:
         raise ValueError("x must be > 1")
     b = params.b
+    _check_tail_sums_b(b)
     weight_sum = 0.0
     n = 1
     while True:
@@ -224,24 +245,13 @@ def correction_sum(params: ModelParams, x: float) -> float:
         if term < 1e-16 * weight_sum:
             break
         n += 1
-        if n > 5000:
-            raise RuntimeError("correction_sum failed to converge")
     return weight_sum * survival_B(params, x)
 
 
-def decomposition_pred(params: ModelParams, x: float, n_max: int | None = None) -> float:
-    """Full tail decomposition ``P(A > x) + sum_n per_generation_pred(n, x)``.
-
-    ``n_max`` defaults to the smallest depth whose geometric remainder bound
-    ``b^n * (2 + log(1 + b^-n))`` drops below 1e-16.
-    """
+def decomposition_pred(params: ModelParams, x: float, n_max: int) -> float:
+    """Tail decomposition ``P(A > x) + sum_{n <= n_max} per_generation_pred(n, x)``."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    b = params.b
-    if n_max is None:
-        n_max = 1
-        while b**n_max * (2.0 + math.log1p(b**-n_max)) >= 1e-16 and n_max < 4000:
-            n_max += 1
     total = survival_A(x)
     for n in range(1, n_max + 1):
         total += per_generation_pred(params, n, x)
@@ -258,32 +268,28 @@ class PredictionTable:
     """Per-threshold values of every closed-form tail predictor.
 
     All entries are nonnegative; ``two_scale_total = leading + second_scale``
-    by construction.  ``per_gen[i, n-1]`` holds the generation-``n`` cluster
-    prediction at ``xs[i]`` for ``n = 1..gen_count``.
+    by construction.  ``decomposition[i]`` is `decomposition_pred` at
+    ``xs[i]`` over generations ``1..n_max``.
     """
 
     xs: np.ndarray
     leading: np.ndarray
     second_scale: np.ndarray
     two_scale_total: np.ndarray
-    per_gen: np.ndarray
+    decomposition: np.ndarray
     a_tail_exact: np.ndarray
     a_tail_asym: np.ndarray
 
-    @property
-    def gen_count(self) -> int:
-        return self.per_gen.shape[1]
 
-
-def prediction_table(
-    params: ModelParams, xs, n_max: int = 6
-) -> PredictionTable:
-    """Evaluate every predictor on a threshold grid.
+def prediction_table(params: ModelParams, xs, n_max: int) -> PredictionTable:
+    """Evaluate every predictor on a threshold grid, the decomposition over
+    generations ``1..n_max``.
 
     Raises:
         ValueError: if any grid point sits at or below the second-scale
             positivity threshold (the table's entries must all be
-            nonnegative to be meaningful).
+            nonnegative to be meaningful), or ``b`` is above the tail sums'
+            limit.
     """
     xs_arr = np.asarray(xs, dtype=np.float64)
     if xs_arr.ndim != 1 or len(xs_arr) == 0:
@@ -295,19 +301,18 @@ def prediction_table(
         bad = float(xs_arr[xs_arr < threshold][0])
         raise ValueError(
             f"grid point x={bad:g} lies below the second-scale positivity "
-            f"threshold {threshold:g}; predictions there are not meaningful"
+            f"threshold {threshold:g} of b = {params.b}"
         )
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
     lead = leading_tail(params, xs_arr)
     second = second_scale(params, xs_arr)
-    per_gen = np.empty((len(xs_arr), n_max))
+    decomposition = np.empty(len(xs_arr))
     a_exact = np.empty(len(xs_arr))
     a_asym = np.empty(len(xs_arr))
     for i, x in enumerate(xs_arr):
-        for n in range(1, n_max + 1):
-            per_gen[i, n - 1] = per_generation_pred(params, n, float(x))
+        decomposition[i] = decomposition_pred(params, float(x), n_max)
         a_exact[i], a_asym[i] = a_tail_sums(params, float(x))
 
     table = PredictionTable(
@@ -315,7 +320,7 @@ def prediction_table(
         leading=lead,
         second_scale=second,
         two_scale_total=lead + second,
-        per_gen=per_gen,
+        decomposition=decomposition,
         a_tail_exact=a_exact,
         a_tail_asym=a_asym,
     )
@@ -323,7 +328,7 @@ def prediction_table(
         table.leading,
         table.second_scale,
         table.two_scale_total,
-        table.per_gen,
+        table.decomposition,
         table.a_tail_exact,
         table.a_tail_asym,
     ):

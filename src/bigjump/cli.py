@@ -363,6 +363,7 @@ def _provenance(config: RunConfig) -> dict:
 def _cmd_model(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     lo, hi = offspring_mean_bracket(params)
+    survival = extinction_table(params, 5).p
     payload = {
         "b": params.b,
         "epsilon": params.epsilon,
@@ -370,9 +371,7 @@ def _cmd_model(config: RunConfig, out_dir: Path) -> int:
         "series_const": params.series_const,
         "tail_table_cutoff": params.tail_table_cutoff,
         "offspring_mean_bracket": {"lo": lo, "hi": hi},
-        "extinction_survival": {
-            f"p{n}": float(extinction_table(params, 5).p[n]) for n in range(1, 6)
-        },
+        "extinction_survival": {f"p{n}": float(survival[n]) for n in range(1, 6)},
     }
     path = out_dir / "model.json"
     _json_artifact(path, payload, config)
@@ -383,41 +382,24 @@ def _cmd_model(config: RunConfig, out_dir: Path) -> int:
 def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     xs = [float(x) for x in config.predict.x_grid]
-    threshold = asymptotics.second_scale_positivity_threshold(params)
-    if xs[0] < threshold:
-        raise ConfigError(
-            f"predict.x_grid entry x={xs[0]:g} lies below the second-scale "
-            f"positivity threshold {threshold:g} at model.b = {params.b}"
-        )
-    table = asymptotics.prediction_table(params, xs, n_max=config.predict.n_max)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append(
-            (
-                x,
-                float(table.leading[i]),
-                float(table.second_scale[i]),
-                float(table.two_scale_total[i]),
-                asymptotics.decomposition_pred(params, x, config.predict.n_max),
-                float(table.a_tail_exact[i]),
-                float(table.a_tail_asym[i]),
-            )
-        )
+    try:
+        table = asymptotics.prediction_table(params, xs, config.predict.n_max)
+    except ValueError as exc:
+        raise ConfigError(f"predict.x_grid at model.b = {params.b}: {exc}") from exc
+    columns = [
+        "leading",
+        "second_scale",
+        "two_scale_total",
+        "decomposition",
+        "a_tail_exact",
+        "a_tail_asym",
+    ]
+    rows = [
+        (x, *(float(getattr(table, column)[i]) for column in columns))
+        for i, x in enumerate(xs)
+    ]
     path = out_dir / "predict.csv"
-    _csv_artifact(
-        path,
-        [
-            "x",
-            "leading",
-            "second_scale",
-            "two_scale_total",
-            "decomposition",
-            "a_tail_exact",
-            "a_tail_asym",
-        ],
-        rows,
-        config,
-    )
+    _csv_artifact(path, ["x", *columns], rows, config)
     print(path)
     return EXIT_OK
 
@@ -762,7 +744,11 @@ def _check_a_tail(ctx: VerifyContext) -> dict:
         measured[f"b={b}"] = rel
         passed = passed and rel <= 0.02
     xs = [1e3, 1e4, 1e5, 1e6]
-    corr = [asymptotics.correction_sum(ctx.params, x) * x for x in xs]
+    try:
+        corr = [asymptotics.correction_sum(ctx.params, x) * x for x in xs]
+    except ValueError as exc:
+        message = f"the a_tail check at model.b = {ctx.params.b}: {exc}"
+        raise ConfigError(message) from exc
     decreasing = all(later < earlier for earlier, later in zip(corr, corr[1:]))
     measured["correction_times_x"] = corr
     passed = passed and decreasing

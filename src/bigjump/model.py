@@ -43,7 +43,6 @@ __all__ = [
     "pmf_A",
     "truncated_mean_A",
     "survival_B",
-    "pmf_B",
     "pgf_B",
     "law_B",
     "extinction_table",
@@ -66,6 +65,13 @@ EPSILON_MAX = 176.0
 # certified tail bracket is narrower than the requested tolerance.
 _CALIBRATION_CUTOFF = 1 << 17
 _MAX_CALIBRATION_CUTOFF = 1 << 26
+
+# Length of the offspring survival table every calibration carries.
+_TAIL_TABLE_CUTOFF = 1 << 16
+
+# Terms summed exactly in the offspring mean bracket; its certified tail
+# bracket is about 1e-13 wide there.
+_MEAN_BRACKET_CUTOFF = 1 << 21
 
 # Leading terms summed exactly inside the survival-weighted pgf series; the
 # remainder is handled by an integral with endpoint corrections.
@@ -233,12 +239,7 @@ class ModelParams:
             raise ValueError("tail_table_cutoff must be >= 1")
 
 
-def calibrate(
-    b: float,
-    epsilon: float,
-    tolerance: float = 1e-10,
-    tail_table_cutoff: int = 1 << 16,
-) -> ModelParams:
+def calibrate(b: float, epsilon: float, tolerance: float = 1e-10) -> ModelParams:
     """Compute the series constant ``S(epsilon)`` and tail scale ``theta``.
 
     ``S`` is a direct (exactly rounded) partial sum of ``phi`` plus the
@@ -276,7 +277,7 @@ def calibrate(
         epsilon=epsilon,
         theta=b / series_const,
         series_const=series_const,
-        tail_table_cutoff=tail_table_cutoff,
+        tail_table_cutoff=_TAIL_TABLE_CUTOFF,
     )
 
 
@@ -399,11 +400,6 @@ def survival_B(params: ModelParams, k):
     return law_B(params).survival(k)
 
 
-def pmf_B(params: ModelParams, k):
-    """``P(B = k)`` under the calibrated parameters."""
-    return law_B(params).pmf(k)
-
-
 def slowly_varying_part(params: ModelParams, x):
     """``L(x) = theta * log(e+x)**(-1-epsilon)``.
 
@@ -416,16 +412,13 @@ def slowly_varying_part(params: ModelParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-def offspring_mean_bracket(
-    params: ModelParams, cutoff: int = 1 << 21
-) -> tuple[float, float]:
+def offspring_mean_bracket(params: ModelParams) -> tuple[float, float]:
     """Bracket ``E[B] = sum_k P(B > k)`` by partial sum plus certified tail.
 
     The returned interval must contain ``b`` — the calibration self-check.
-    Width at the default cutoff is ~1e-13.
     """
-    partial = _phi_partial_sum(cutoff, params.epsilon)
-    lo, hi = phi_tail_bounds(cutoff, params.epsilon)
+    partial = _phi_partial_sum(_MEAN_BRACKET_CUTOFF, params.epsilon)
+    lo, hi = phi_tail_bounds(_MEAN_BRACKET_CUTOFF, params.epsilon)
     return params.theta * (partial + lo), params.theta * (partial + hi)
 
 

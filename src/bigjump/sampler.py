@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +49,7 @@ __all__ = [
     "ClusterBatch",
     "RngStream",
     "attribute",
-    "chain_step",
     "run_chain",
-    "sample_A",
-    "sample_B",
     "sample_clusters",
 ]
 
@@ -132,7 +129,6 @@ class ChainResult:
     """Samples plus the cap events recorded during one chain run."""
 
     samples: np.ndarray
-    config: ChainConfig
     events: dict
 
     def __post_init__(self) -> None:
@@ -212,21 +208,13 @@ class Attribution:
         ]
 
 
-def sample_A(stream: RngStream) -> int:
-    """One immigration draw: ``floor(1/U)``, so ``P(A > k) = 1/(1 + k)``.
+def _sample_a_batch(stream: RngStream, size: int) -> np.ndarray:
+    """Immigration draws ``floor(1/U)``, so ``P(A > k) = 1/(1 + k)``.
 
     Draws below the uniform resolution (``U < 2**-62``) are capped at
-    `A_VALUE_CAP` with an ``a_value_cap`` event recorded — the inversion
-    cannot resolve larger values.
+    `A_VALUE_CAP` with an ``a_value_cap`` event each: the inversion cannot
+    resolve larger values.
     """
-    u = stream.generator.random()
-    if u < 2.0**-62:
-        stream.events["a_value_cap"] += 1
-    return int(1.0 / max(u, 2.0**-62))  # 1 / 2**-62 is A_VALUE_CAP
-
-
-def _sample_a_batch(stream: RngStream, size: int) -> np.ndarray:
-    """Vectorized immigration draws with the same cap-and-record contract."""
     u = stream.generator.random(size)
     n_capped = int(np.count_nonzero(u < 2.0**-62))
     if n_capped:
@@ -267,9 +255,10 @@ def _invert_b_tail(params: ModelParams, u: np.ndarray) -> np.ndarray:
 def _invert_b_uniforms(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """Map uniforms to offspring values: ``B = min{k : P(B > k) < u}``.
 
-    The precomputed survival table answers all but the ~``3e-8`` tail via
-    one vectorized binary search; deeper uniforms fall through to the
-    analytic bisection.
+    Uniforms above ``P(B > 0)`` map to zero.  The precomputed survival
+    table answers all but the ~``3e-8`` tail via one vectorized binary
+    search; deeper uniforms fall through to the analytic bisection, so the
+    draw is exact in distribution at every scale.
     """
     key = law_B(params).search_key
     values = np.searchsorted(key, -u, side="right")
@@ -277,20 +266,6 @@ def _invert_b_uniforms(params: ModelParams, u: np.ndarray) -> np.ndarray:
     if deep.size:
         values[deep] = _invert_b_tail(params, u[deep])
     return values
-
-
-def sample_B(
-    params: ModelParams, stream: RngStream, size: Optional[int] = None
-) -> Union[int, np.ndarray]:
-    """Offspring draws by survival inversion (scalar, or a batch of `size`).
-
-    Uniforms above ``P(B > 0)`` map to zero; the rest invert the precomputed
-    survival table (binary search), falling back to analytic bisection
-    beyond the table — so the draw is exact in distribution at every scale.
-    """
-    if size is None:
-        return int(_invert_b_uniforms(params, stream.generator.random(1))[0])
-    return _invert_b_uniforms(params, stream.generator.random(size))
 
 
 def _conditional_b_batch(
@@ -303,8 +278,15 @@ def _conditional_b_batch(
 
 
 def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
-    """`chain_step` as ``step(x)``, with ``theta`` and the generator's
-    methods looked up once; same draws, same order."""
+    """One chain transition ``x -> A + sum_{i <= x} B_i`` as ``step(x)``.
+
+    The number of nonzero children is ``Binomial(x, P(B > 0))``; each is
+    then drawn from ``(B | B >= 1)``.  This is identical in law to summing
+    ``x`` independent offspring draws at a fraction of the cost.  Totals
+    beyond ``max_population`` saturate with a ``population_cap`` event,
+    never silently.  ``theta`` and the generator's methods are looked up
+    once per kernel.
+    """
     theta = float(law_B(params).survival_table[0])
     random, binomial = stream.generator.random, stream.generator.binomial
     events = stream.events
@@ -332,25 +314,6 @@ def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
     return step
 
 
-def chain_step(
-    params: ModelParams,
-    x: int,
-    stream: RngStream,
-    max_population: int = DEFAULT_MAX_POPULATION,
-) -> int:
-    """One transition ``x -> A + sum_{i <= x} B_i``, offspring sum by thinning.
-
-    The number of nonzero children is ``Binomial(x, P(B > 0))``; each is then
-    drawn from ``(B | B >= 1)``.  This is identical in law to summing ``x``
-    independent offspring draws at a fraction of the cost.  Totals beyond
-    ``max_population`` saturate with a ``population_cap`` event — never
-    silently.
-    """
-    if x < 0:
-        raise ValueError("population must be >= 0")
-    return _chain_kernel(params, stream, max_population)(x)
-
-
 def run_chain(
     params: ModelParams, config: ChainConfig, stream: RngStream
 ) -> ChainResult:
@@ -358,9 +321,8 @@ def run_chain(
 
     The start at zero makes the marginal law stochastically increasing in
     time, so any residual burn-in bias underestimates tails (one-sided).
-    Emits every step after discarding ``burn_in`` steps; the result carries
-    the cap events recorded during this run.  The samples are those of
-    calling `chain_step` in a loop on the same stream.
+    Emits every step after discarding ``burn_in`` steps of `_chain_kernel`;
+    the result carries the cap events recorded during this run.
     """
     before = dict(stream.events)
     step = _chain_kernel(params, stream, config.max_population)
@@ -376,7 +338,7 @@ def run_chain(
         for key, count in stream.events.items()
         if count - before.get(key, 0)
     }
-    return ChainResult(samples=samples, config=config, events=delta)
+    return ChainResult(samples=samples, events=delta)
 
 
 @lru_cache(maxsize=8)

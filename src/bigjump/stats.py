@@ -5,7 +5,7 @@ intervals rather than normal approximations: tail exceedance counts are tiny
 by design, and exactness at small counts is what makes the diagnostics
 trustworthy.  Cross-method agreement is checked with a two-sample
 Kolmogorov–Smirnov test (no binning decisions), and exceedance attributions
-are reduced to per-label shares.
+are reduced to per-label counts.
 """
 
 from __future__ import annotations
@@ -138,31 +138,20 @@ def ks_two_sample(
 
 @dataclass(frozen=True)
 class AttributionSummary:
-    """Per-label exceedance counts and the single-component dominance rate."""
+    """Per-label exceedance counts, their total and the single-component
+    dominance rate."""
 
     counts: dict[str, int]
     total: int
     dominant_share: float
 
-    @property
-    def shares(self) -> dict[str, float]:
-        return {label: k / self.total for label, k in self.counts.items()}
 
-
-def attribution_summary(attributions: Iterable) -> AttributionSummary:
-    """Aggregate exceedance attributions into label shares.
-
-    Accepts any iterable of records carrying a ``label`` and ``dominant``
-    attribute (or bare ``(label, dominant)`` pairs).
-    """
+def attribution_summary(attributions: Iterable[tuple]) -> AttributionSummary:
+    """Aggregate ``(label, dominant)`` pairs into per-label counts."""
     counts: Counter[str] = Counter()
     dominant = 0
     total = 0
-    for item in attributions:
-        if isinstance(item, tuple):
-            label, is_dominant = item
-        else:
-            label, is_dominant = item.label, item.dominant
+    for label, is_dominant in attributions:
         counts[str(label)] += 1
         dominant += bool(is_dominant)
         total += 1

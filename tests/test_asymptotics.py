@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigjump.asymptotics import (
+    _TAIL_SUMS_B_MAX,
     _series_partial_sums,
     a_tail_sums,
     correction_sum,
@@ -91,7 +92,7 @@ class TestSeriesIdentities:
 
     def test_partial_sums_match_closed_forms(self):
         for b in (0.2, 0.5, 0.8):
-            n1, n2 = _series_partial_sums(b, n_terms=400)
+            n1, n2 = _series_partial_sums(b)
             assert n1 == pytest.approx(1.0 / (1.0 - b) ** 2, rel=1e-10)
             assert n2 == pytest.approx((1.0 + b) / (1.0 - b) ** 3, rel=1e-10)
 
@@ -188,6 +189,27 @@ class TestPerGenerationPred:
         with pytest.raises(ValueError):
             per_generation_pred(params, 1, -1.0)
 
+    def test_finite_past_the_float_range(self, params, params_b02):
+        # x*b^-n passes the float range from n = 1011 at x = 1e4, b = 0.5
+        # (b**-n alone from n = 1024), and from n = 436 at b = 0.2; the
+        # term stays finite and shrinks.
+        for p, n_max in ((params, 1100), (params_b02, 500)):
+            ns = range(n_max - 200, n_max + 1)
+            terms = [per_generation_pred(p, n, 1e4) for n in ns]
+            assert all(math.isfinite(t) and t >= 0.0 for t in terms)
+            assert all(later <= earlier for earlier, later in zip(terms, terms[1:]))
+
+    def test_log_scale_branch_matches_the_direct_formula(self, params):
+        # Past the switch at x*b^-n = exp(690), n = 983 at x = 1e4, the
+        # scale is still a finite float, so the direct formula can check
+        # the log form.
+        n, x = 983, 1e4
+        scale = x * 0.5**-n
+        assert math.exp(690.0) < scale < math.inf
+        direct = truncated_mean_A(scale) * n * 0.5 ** (n - 1) * survival_B(params, x)
+        direct += survival_A(scale)
+        assert per_generation_pred(params, n, x) == pytest.approx(direct, rel=1e-12)
+
 
 class TestATailSums:
     def test_golden_small_x(self, params):
@@ -210,6 +232,13 @@ class TestATailSums:
         with pytest.raises(ValueError):
             a_tail_sums(params, 0.0)
 
+    def test_b_limit(self):
+        # At the limit the sum runs its ~7,400 generations; past it, refused.
+        exact, asym = a_tail_sums(calibrate(_TAIL_SUMS_B_MAX, 1.0), 100.0)
+        assert exact / asym == pytest.approx(1.0, abs=0.05)
+        with pytest.raises(ValueError, match="above 0.995"):
+            a_tail_sums(calibrate(0.999, 1.0), 100.0)
+
 
 class TestCorrectionSum:
     def test_golden(self, params):
@@ -230,41 +259,46 @@ class TestCorrectionSum:
         with pytest.raises(ValueError):
             correction_sum(params, 1.0)
 
+    def test_b_limit(self):
+        assert correction_sum(calibrate(_TAIL_SUMS_B_MAX, 1.0), 1e6) > 0.0
+        with pytest.raises(ValueError, match="above 0.995"):
+            correction_sum(calibrate(0.999, 1.0), 1e6)
+
 
 class TestDecompositionPred:
     def test_agrees_with_two_scale_at_desk_scale(self, params):
-        ratio = decomposition_pred(params, 1e4) / two_scale_total(params, 1e4)
+        ratio = decomposition_pred(params, 1e4, 80) / two_scale_total(params, 1e4)
         assert ratio == pytest.approx(GOLDEN_DECOMP_OVER_TWOSCALE_1E4, rel=1e-12)
         assert 0.95 <= ratio <= 1.05
 
     def test_five_percent_band_above_1e4(self, params):
         for x in (1e4, 1e5, 1e6):
-            ratio = decomposition_pred(params, x) / two_scale_total(params, x)
+            ratio = decomposition_pred(params, x, 80) / two_scale_total(params, x)
             assert abs(ratio - 1.0) <= 0.05
 
     def test_formula_value_at_zero(self, params):
-        assert decomposition_pred(params, 0.0) >= 1.0
+        assert decomposition_pred(params, 0.0, 6) >= 1.0
 
     def test_explicit_depth_cap(self, params):
         shallow = decomposition_pred(params, 1e4, n_max=3)
         deep = decomposition_pred(params, 1e4, n_max=80)
         assert shallow < deep
-        assert deep == pytest.approx(decomposition_pred(params, 1e4), rel=1e-12)
+        # Generations past 80, and past the float range of x*b^-n from
+        # n = 1011, add nothing visible.
+        assert decomposition_pred(params, 1e4, n_max=1100) == deep
 
 
 class TestPredictionTable:
     def test_builds_and_is_consistent(self, params):
         xs = [10.0, 100.0, 1000.0, 1e4]
         table = prediction_table(params, xs, n_max=4)
-        assert table.gen_count == 4
-        assert table.per_gen.shape == (4, 4)
         assert np.array_equal(
             table.two_scale_total, table.leading + table.second_scale
         )
         exact, asym = a_tail_sums(params, 100.0)
         assert table.a_tail_exact[1] == exact
         assert table.a_tail_asym[1] == asym
-        assert per_generation_pred(params, 2, 1000.0) == table.per_gen[2, 1]
+        assert decomposition_pred(params, 1000.0, 4) == table.decomposition[2]
 
     def test_all_entries_nonnegative(self, params):
         table = prediction_table(params, [10.0, 1e3, 1e6], n_max=6)
@@ -272,7 +306,7 @@ class TestPredictionTable:
             table.leading,
             table.second_scale,
             table.two_scale_total,
-            table.per_gen,
+            table.decomposition,
             table.a_tail_exact,
             table.a_tail_asym,
         ):
@@ -280,15 +314,15 @@ class TestPredictionTable:
 
     def test_rejects_grid_below_positivity_threshold(self, params):
         with pytest.raises(ValueError, match="positivity threshold"):
-            prediction_table(params, [5.0, 100.0])
+            prediction_table(params, [5.0, 100.0], 6)
 
     def test_rejects_unsorted_grid(self, params):
         with pytest.raises(ValueError, match="strictly increasing"):
-            prediction_table(params, [100.0, 10.0])
+            prediction_table(params, [100.0, 10.0], 6)
 
     def test_rejects_empty_or_bad_nmax(self, params):
         with pytest.raises(ValueError):
-            prediction_table(params, [])
+            prediction_table(params, [], 6)
         with pytest.raises(ValueError):
             prediction_table(params, [10.0], n_max=0)
 

@@ -412,6 +412,36 @@ class TestExitCodes:
         assert "predict.x_grid" in err and x in err and threshold in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("b, n_max, runs", [("0.5", 1100, 1000), ("0.2", 500, 400)])
+    def test_predict_past_the_float_range_of_the_scale(self, tmp_path, b, n_max, runs):
+        # x*b^-n passed the float range: an OverflowError traceback (exit 1)
+        # at these n_max, inf in predict.csv for n_max 1011..1023 at b = 0.5.
+        # The generations past it add nothing to an n_max that ran before.
+        columns = {}
+        for n in (runs, n_max):
+            out = tmp_path / str(n)
+            argv = ["predict", "--b", b, "--n-max", str(n), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            rows = [line.split(",") for line in read_lines(out / "predict.csv")[2:]]
+            assert all(math.isfinite(float(value)) for row in rows for value in row)
+            columns[n] = [row[4] for row in rows]  # decomposition
+        assert columns[n_max] == columns[runs]
+
+    def test_tail_sums_refuse_b_past_their_limit(self, tmp_path, capsys):
+        # Past b = 0.9926 the sums outran their 5,000-generation cap, a
+        # RuntimeError traceback (exit 1).  0.995 now runs; larger b would
+        # take minutes and are refused by name.
+        args = ["--b", "0.995", "--out", str(tmp_path)]
+        assert main(["predict", *args]) == EXIT_OK
+        assert main(["verify", "--suite", "a_tail", *args]) == EXIT_OK
+        for argv in (["predict"], ["verify", "--suite", "series,a_tail"]):
+            for b in ("0.999", "0.9999"):
+                code = main([*argv, "--b", b, "--out", str(tmp_path / b)])
+                assert code == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"model.b = {b}" in err and "above 0.995" in err
+        assert not (tmp_path / "0.999").exists()
+
     def test_conv_tail_needs_mass_above_2_14(self, tmp_path, capsys):
         # Below the cutoff 2**14 + 1 the offspring law places no mass above
         # x = 2**14, which was a ValueError traceback (exit 1).

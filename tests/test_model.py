@@ -30,7 +30,6 @@ from bigjump.model import (
     phi_deriv,
     phi_tail_bounds,
     pmf_A,
-    pmf_B,
     slowly_varying_part,
     survival_A,
     survival_B,
@@ -251,16 +250,16 @@ class TestLawB:
             assert law.survival(k) == params.theta * phi(float(k), params.epsilon)
 
     def test_pmf_at_zero(self, params):
-        assert pmf_B(params, 0) == pytest.approx(1.0 - params.theta, rel=1e-15)
+        assert law_B(params).pmf(0) == pytest.approx(1.0 - params.theta, rel=1e-15)
 
     def test_pmf_matches_survival_differences(self, params):
         k = np.arange(1, 5000)
         diff = survival_B(params, k - 1) - survival_B(params, k)
-        assert np.allclose(pmf_B(params, k), diff, rtol=1e-12, atol=0)
+        assert np.allclose(law_B(params).pmf(k), diff, rtol=1e-12, atol=0)
 
     def test_pmf_sums_to_one_minus_tail(self, params):
         k_max = 3000
-        total = math.fsum(pmf_B(params, np.arange(0, k_max + 1)).tolist())
+        total = math.fsum(law_B(params).pmf(np.arange(0, k_max + 1)).tolist())
         assert total == pytest.approx(1.0 - survival_B(params, k_max), abs=1e-12)
 
     def test_slow_variation_bound(self, params):
@@ -289,10 +288,10 @@ class TestPgfB:
         assert pgf_B(params, 0.5) == pytest.approx(GOLDEN_PGF_HALF, abs=5e-15)
 
     def test_direct_pmf_crosscheck(self, params):
-        # Independent evaluation: sum pmf_B(k) z^k, remainder below 1e-16.
+        # Independent evaluation: sum P(B = k) z^k, remainder below 1e-16.
         z = 0.5
         k = np.arange(0, 200)
-        direct = math.fsum((pmf_B(params, k) * z**k).tolist())
+        direct = math.fsum((law_B(params).pmf(k) * z**k).tolist())
         assert pgf_B(params, z) == pytest.approx(direct, abs=1e-12)
 
     def test_monotone_and_convex(self, params):

@@ -5,13 +5,14 @@ Statistical checks use fixed seeds and generous confidence bands
 they are deterministic in practice while still failing loudly on a law
 error.  Structural checks (reproducibility, saturation accounting, draw
 bookkeeping) are exact.  The references live here because only these tests
-use them: `chain_step_naive`, the plain-sum reference for `chain_step`;
+use them: `chain_step_naive`, the plain-sum reference for the chain kernel;
 `invert_b_tail_scalar`, the one-uniform-at-a-time tail search; and
 `simulate_trees` / `conditional_dn_rejection`, whole-tree simulation with
 rejection of extinct trees, an independent route to ``(D_n | D_n > 0)``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from scipy import stats as sps
 
 from bigjump import sampler as smp
 from bigjump.model import (
-    calibrate,
     depth_remainder_bound,
     extinction_table,
     law_B,
@@ -36,10 +36,7 @@ from bigjump.sampler import (
     ClusterBatch,
     RngStream,
     attribute,
-    chain_step,
     run_chain,
-    sample_A,
-    sample_B,
     sample_clusters,
 )
 
@@ -68,12 +65,10 @@ def chain_step_naive(
 ) -> int:
     """Reference transition: sum ``x`` unconditional offspring draws directly.
 
-    Same law as `chain_step`; kept as the independent implementation that
-    equivalence tests compare against.  Cost grows linearly in ``x``.
+    Same law as `smp._chain_kernel`; kept as the independent implementation
+    that equivalence tests compare against.  Cost grows linearly in ``x``.
     """
-    if x < 0:
-        raise ValueError("population must be >= 0")
-    total = sample_A(stream)
+    total = int(1.0 / max(stream.generator.random(), 2.0**-62))
     remaining = x
     while remaining > 0:
         chunk = min(remaining, smp._DRAW_CHUNK)
@@ -223,18 +218,20 @@ class TestRngStream:
     def test_same_key_reproduces_bitwise(self, params):
         one = RngStream(seed=42, stream_id=7)
         two = RngStream(seed=42, stream_id=7)
-        assert [sample_A(one) for _ in range(20)] == [
-            sample_A(two) for _ in range(20)
-        ]
         assert np.array_equal(
-            sample_B(params, one, size=64), sample_B(params, two, size=64)
+            smp._sample_a_batch(one, 20), smp._sample_a_batch(two, 20)
+        )
+        assert np.array_equal(
+            smp._invert_b_uniforms(params, one.generator.random(64)),
+            smp._invert_b_uniforms(params, two.generator.random(64)),
         )
 
     def test_distinct_streams_differ(self, params):
         one = RngStream(seed=42, stream_id=0)
         two = RngStream(seed=42, stream_id=1)
         assert not np.array_equal(
-            sample_B(params, one, size=64), sample_B(params, two, size=64)
+            smp._invert_b_uniforms(params, one.generator.random(64)),
+            smp._invert_b_uniforms(params, two.generator.random(64)),
         )
 
     def test_key_range_validated(self):
@@ -249,8 +246,9 @@ class TestRngStream:
         stream_id=st.integers(min_value=0, max_value=(1 << 64) - 1),
     )
     def test_reproducible_for_any_key(self, params, seed, stream_id):
-        one = sample_B(params, RngStream(seed, stream_id), size=16)
-        two = sample_B(params, RngStream(seed, stream_id), size=16)
+        one = RngStream(seed, stream_id).generator.random(16)
+        two = RngStream(seed, stream_id).generator.random(16)
+        one, two = (smp._invert_b_uniforms(params, u) for u in (one, two))
         assert np.array_equal(one, two)
 
     def test_event_merge_is_commutative(self):
@@ -269,12 +267,14 @@ class TestSampleA:
             lo, hi = cp_interval(hits, draws.size, confidence=0.99)
             assert lo <= survival_A(k) <= hi
 
-    def test_tiny_uniform_caps_and_records(self):
+    def test_tiny_uniform_caps_and_records(self, params):
+        # The chain kernel draws its immigration inline: capped at 2**62,
+        # then saturated at the population cap, each with its event.
         stub = _StubStream([2.0**-63])
-        assert sample_A(stub) == A_VALUE_CAP
-        assert stub.events["a_value_cap"] == 1
+        assert smp._chain_kernel(params, stub, 1 << 20)(0) == 1 << 20
+        assert stub.events == {"a_value_cap": 1, "population_cap": 1}
 
-    def test_batch_cap_matches_scalar(self):
+    def test_batch_cap_and_record(self):
         stub = _StubStream([2.0**-63, 0.5, 0.25])
         values = smp._sample_a_batch(stub, 3)
         assert values[0] == A_VALUE_CAP
@@ -286,14 +286,14 @@ class TestSampleA:
 class TestSampleB:
     def test_zero_fraction_matches_theta(self, params):
         stream = RngStream(seed=2)
-        draws = sample_B(params, stream, size=400_000)
+        draws = smp._invert_b_uniforms(params, stream.generator.random(400_000))
         hits = int((draws > 0).sum())
         lo, hi = cp_interval(hits, draws.size, confidence=0.999)
         assert lo <= params.theta <= hi
 
     def test_survival_at_ten_in_band(self, params):
         stream = RngStream(seed=3)
-        draws = sample_B(params, stream, size=400_000)
+        draws = smp._invert_b_uniforms(params, stream.generator.random(400_000))
         hits = int((draws > 10).sum())
         lo, hi = cp_interval(hits, draws.size, confidence=0.99)
         assert lo <= survival_B(params, 10) <= hi
@@ -302,7 +302,8 @@ class TestSampleB:
         # The raw mean has infinite variance; capping at 1000 gives a
         # bounded check against the exact partial survival sum.
         stream = RngStream(seed=4)
-        draws = np.minimum(sample_B(params, stream, size=400_000), 1000)
+        uniforms = stream.generator.random(400_000)
+        draws = np.minimum(smp._invert_b_uniforms(params, uniforms), 1000)
         expected = float(np.sum(survival_B(params, np.arange(1000))))
         halfwidth = 4.0 * draws.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - expected) <= halfwidth
@@ -314,7 +315,7 @@ class TestSampleB:
         # The frozen seed keeps the check deterministic; the truncated-mean
         # test above is the bounded-variance version that actually binds.
         stream = RngStream(seed=24)
-        draws = sample_B(params, stream, size=1_000_000)
+        draws = smp._invert_b_uniforms(params, stream.generator.random(1_000_000))
         halfwidth = 4.0 * draws.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - params.b) <= halfwidth
 
@@ -330,7 +331,7 @@ class TestSampleB:
         # values, so they must not move by a single comparison.  A cutoff
         # that is not a power of two doubles past the cap without landing
         # on it, and u = 0 never stops doubling: both must saturate.
-        odd = calibrate(0.5, 1.0, tail_table_cutoff=3 << 15)
+        odd = replace(params, tail_table_cutoff=3 << 15)
         for law, size in ((params, 10_000), (odd, 2_000)):
             floor = float(law_B(law).survival_table[-1])
             u = floor * 10.0 ** -RngStream(seed=25).generator.uniform(0, 30, size)
@@ -342,9 +343,10 @@ class TestSampleB:
     def test_scripted_inversion_hits_exact_levels(self, params):
         table = law_B(params).survival_table
         # Uniform just above P(B > 0) maps to zero; just below maps to >= 1.
-        stub = _StubStream([float(table[0]) + 1e-12, float(table[0]) - 1e-12])
-        assert sample_B(params, stub) == 0
-        assert sample_B(params, stub) >= 1
+        u = np.array([float(table[0]) + 1e-12, float(table[0]) - 1e-12])
+        above, below = smp._invert_b_uniforms(params, u).tolist()
+        assert above == 0
+        assert below >= 1
 
     def test_conditional_draws_are_positive_with_scaled_law(self, params):
         stream = RngStream(seed=6)
@@ -491,8 +493,9 @@ class TestChain:
         thinned_stream = RngStream(seed=12, stream_id=0)
         naive_stream = RngStream(seed=12, stream_id=1)
         reps = 100_000
+        step = smp._chain_kernel(params, thinned_stream, smp.DEFAULT_MAX_POPULATION)
         thinned = np.fromiter(
-            (chain_step(params, 100, thinned_stream) for _ in range(reps)),
+            (step(100) for _ in range(reps)),
             dtype=np.int64,
             count=reps,
         )
@@ -504,24 +507,21 @@ class TestChain:
         result = sps.ks_2samp(thinned, naive)
         assert result.pvalue > 0.01
 
-    def test_step_rejects_negative_population(self, params):
-        with pytest.raises(ValueError, match="population"):
-            chain_step(params, -1, RngStream(seed=0))
-
     def test_step_saturation_recorded(self, params):
         stub = _StubStream([2.0**-40])  # immigration draw of 2**40
-        value = chain_step(params, 0, stub, max_population=1 << 20)
+        value = smp._chain_kernel(params, stub, 1 << 20)(0)
         assert value == 1 << 20
         assert stub.events["population_cap"] == 1
 
     @staticmethod
     def _manual(params, config, stream):
+        step = smp._chain_kernel(params, stream, config.max_population)
         x = 0
         for _ in range(config.burn_in):
-            x = chain_step(params, x, stream, config.max_population)
+            x = step(x)
         manual = []
         for _ in range(config.n_samples):
-            x = chain_step(params, x, stream, config.max_population)
+            x = step(x)
             manual.append(x)
         return manual
 
