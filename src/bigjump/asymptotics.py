@@ -21,9 +21,9 @@ import numpy as np
 
 from bigjump.model import (
     ModelParams,
+    law_B,
     slowly_varying_part,
     survival_A,
-    survival_B,
     truncated_mean_A,
 )
 
@@ -31,6 +31,7 @@ __all__ = [
     "PredictionTable",
     "leading_tail",
     "series_identities",
+    "series_partial_sums",
     "second_scale",
     "two_scale_total",
     "generation_tail_pred",
@@ -49,7 +50,7 @@ __all__ = [
 # ``b``, 8 s at 0.999 and minutes at 0.9999.
 _TAIL_SUMS_B_MAX = 0.995
 
-# Past ``exp(690)``, about 1e300, `per_generation_pred` carries the
+# Past ``exp(690)``, about 1e300, `_immigration_split` carries the
 # immigration scale ``x*b^-n`` by its log, which stays finite.
 _LOG_SCALE_MAX = 690.0
 
@@ -59,11 +60,12 @@ _LOG_SCALE_MAX = 690.0
 # ---------------------------------------------------------------------------
 
 
-def _series_partial_sums(b: float) -> tuple[float, float]:
+def series_partial_sums(b: float) -> tuple[float, float]:
     """Numeric partial sums of ``sum n b^(n-1)`` and ``sum n^2 b^(n-1)``.
 
     The count adapts until the next term drops below 1e-18, so the partial
-    sums agree with the closed forms to machine level.
+    sums agree with the closed forms of `series_identities` to machine
+    level; the ``series`` check of ``bigjump verify`` compares the two.
     """
     n_terms = 400
     while n_terms**2 * b ** (n_terms - 1) > 1e-18 and n_terms < (1 << 24):
@@ -76,21 +78,12 @@ def _series_partial_sums(b: float) -> tuple[float, float]:
 def series_identities(b: float) -> tuple[float, float]:
     """Closed forms ``s1 = 1/(1-b)^2`` and ``s2 = (1+b)/(1-b)^3``.
 
-    These are ``sum_{n>=1} n b^(n-1)`` and ``sum_{n>=1} n^2 b^(n-1)``.
-    The numeric partial sums are evaluated as a self-test and must agree
-    with the closed forms to 1e-10 relative, else the call fails.
+    These are ``sum_{n>=1} n b^(n-1)`` and ``sum_{n>=1} n^2 b^(n-1)``, the
+    constants of the second-scale tail term.
     """
     if not 0.0 < b < 1.0:
         raise ValueError(f"b out of range: {b!r} (need 0 < b < 1)")
-    s1 = 1.0 / (1.0 - b) ** 2
-    s2 = (1.0 + b) / (1.0 - b) ** 3
-    n1, n2 = _series_partial_sums(b)
-    if abs(n1 - s1) > 1e-10 * s1 or abs(n2 - s2) > 1e-10 * s2:
-        raise RuntimeError(
-            f"series self-test failed at b={b}: partial sums ({n1}, {n2}) "
-            f"vs closed forms ({s1}, {s2})"
-        )
-    return s1, s2
+    return 1.0 / (1.0 - b) ** 2, (1.0 + b) / (1.0 - b) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +120,7 @@ def second_scale(params: ModelParams, x):
     if np.any(x_arr <= 1.0):
         raise ValueError("x must be > 1")
     b = params.b
-    s1 = 1.0 / (1.0 - b) ** 2
-    s2 = (1.0 + b) / (1.0 - b) ** 3
+    s1, s2 = series_identities(b)
     coeff = np.log(x_arr) * s1 - math.log(1.0 / b) * s2
     out = coeff * slowly_varying_part(params, x_arr) / (1.0 + x_arr)
     return float(out) if out.ndim == 0 else out
@@ -160,7 +152,22 @@ def generation_tail_pred(params: ModelParams, n: int, x) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * params.b ** (n - 1) * survival_B(params, x)
+    return n * params.b ** (n - 1) * law_B(params).survival(x)
+
+
+def _immigration_split(x: float, n: int, b: float, mean=True) -> tuple:
+    """``E[A; A <= t]`` (0 if not ``mean``: it sums up to 2**20 terms) and
+    ``P(A > t)`` at the immigration scale ``t = x*b^-n``.  Past
+    ``exp(_LOG_SCALE_MAX)`` they are ``log t + gamma - 1`` and ``1/t``, to
+    within ``1/t``; below, ``t`` comes from its log if ``b^-n`` overflows."""
+    log_scale = math.log(x) - n * math.log(b) if x > 0 else -math.inf
+    if log_scale > _LOG_SCALE_MAX:
+        return log_scale + np.euler_gamma - 1.0, math.exp(-log_scale)
+    try:
+        scale = x * b**-n
+    except OverflowError:
+        scale = math.exp(log_scale)
+    return truncated_mean_A(scale) if mean else 0.0, survival_A(scale)
 
 
 def per_generation_pred(params: ModelParams, n: int, x: float) -> float:
@@ -175,14 +182,8 @@ def per_generation_pred(params: ModelParams, n: int, x: float) -> float:
         raise ValueError("n must be >= 1")
     if x < 0:
         raise ValueError("x must be >= 0")
-    log_scale = math.log(x) - n * math.log(params.b) if x > 0 else -math.inf
-    if log_scale > _LOG_SCALE_MAX:
-        # E[A; A <= t] = log t + gamma - 1 and P(A > t) = 1/t, up to 1/t.
-        mean, tail = log_scale + np.euler_gamma - 1.0, math.exp(-log_scale)
-    else:
-        scale = float(x) * params.b ** (-n)
-        mean, tail = truncated_mean_A(scale), survival_A(scale)
-    return mean * n * params.b ** (n - 1) * survival_B(params, x) + tail
+    mean, tail = _immigration_split(float(x), n, params.b)
+    return mean * n * params.b ** (n - 1) * law_B(params).survival(x) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +218,7 @@ def a_tail_sums(params: ModelParams, x: float) -> tuple[float, float]:
     total = 0.0
     n = 1
     while True:
-        total += survival_A(x * b**-n)
+        total += _immigration_split(x, n, b, mean=False)[1]
         # remaining terms are below sum_{m>n} b^m / x = b^(n+1)/((1-b) x)
         if b ** (n + 1) / ((1.0 - b) * x) < 1e-16 * max(total, 1e-300):
             break
@@ -240,12 +241,12 @@ def correction_sum(params: ModelParams, x: float) -> float:
     weight_sum = 0.0
     n = 1
     while True:
-        term = truncated_mean_A(float(x) * b**-n) * n * b ** (n - 1)
+        term = _immigration_split(float(x), n, b)[0] * n * b ** (n - 1)
         weight_sum += term
         if term < 1e-16 * weight_sum:
             break
         n += 1
-    return weight_sum * survival_B(params, x)
+    return weight_sum * law_B(params).survival(x)
 
 
 def decomposition_pred(params: ModelParams, x: float, n_max: int) -> float:

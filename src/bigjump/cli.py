@@ -637,12 +637,9 @@ def _record(check_id, description, measured, expected, tolerance, passed):
 def _check_series(ctx: VerifyContext) -> dict:
     worst = 0.0
     for b in (0.2, 0.5, 0.8):
-        s1, s2 = asymptotics.series_identities(b)
-        worst = max(
-            worst,
-            abs(s1 - 1.0 / (1.0 - b) ** 2),
-            abs(s2 - (1.0 + b) / (1.0 - b) ** 3),
-        )
+        closed = asymptotics.series_identities(b)
+        partial = asymptotics.series_partial_sums(b)
+        worst = max(worst, *(abs(p - c) for p, c in zip(partial, closed)))
     return _record(
         "series",
         "geometric-series first and second moments match closed forms "

@@ -42,7 +42,6 @@ __all__ = [
     "survival_A",
     "pmf_A",
     "truncated_mean_A",
-    "survival_B",
     "pgf_B",
     "law_B",
     "extinction_table",
@@ -342,7 +341,6 @@ class LawA:
 
     survival = staticmethod(survival_A)
     pmf = staticmethod(pmf_A)
-    truncated_mean = staticmethod(truncated_mean_A)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +391,6 @@ class LawB:
 def law_B(params: ModelParams) -> LawB:
     """Cached offspring-law object (tables are immutable and shareable)."""
     return LawB(params)
-
-
-def survival_B(params: ModelParams, k):
-    """``P(B > k) = theta * phi(k)`` under the calibrated parameters."""
-    return law_B(params).survival(k)
 
 
 def slowly_varying_part(params: ModelParams, x):

@@ -307,32 +307,30 @@ def _conv_full(
     return np.maximum(out[: a.size + b.size - 1], 0.0)
 
 
-def _conv_truncate(
-    a: np.ndarray, b: np.ndarray, n: int, b_spectrum: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Convolve and split at the grid edge: (known part on {0..n}, spill)."""
-    full = _conv_full(a, b, b_spectrum)
+def _product(a: tuple, b: tuple, n: int, b_spectrum=None) -> tuple:
+    """Law of the sum of independent draws from two laws given as ``(mass,
+    overflow, placed total)``, in that form on {0..n}: the one statement of
+    the overflow rule.  Mass landing above ``n``, and every term touching
+    either overflow bucket, moves to the result's overflow."""
+    a_mass, a_over, a_total = a
+    b_mass, b_over, b_total = b
+    full = _conv_full(a_mass, b_mass, b_spectrum)
     known = full[: n + 1]
     spill = float(np.sum(full[n + 1 :]))
-    return known, spill
+    overflow = spill + a_over * (b_total + b_over) + b_over * a_total
+    return known, overflow, float(np.sum(known))
 
 
 def convolve(p: Pmf, q: Pmf) -> Pmf:
-    """Distribution of the sum of independent draws from ``p`` and ``q``.
-
-    Product mass landing above the grid, and every term touching either
-    overflow bucket, moves to the result's overflow.
-    """
+    """Distribution of the sum of independent draws from ``p`` and ``q``."""
     if p.cutoff != q.cutoff:
         raise ValueError(
             f"cutoff mismatch: {p.cutoff} vs {q.cutoff} — operands must share a grid"
         )
-    n = p.cutoff
-    known, spill = _conv_truncate(p.mass, q.mass, n)
-    overflow = (
-        spill
-        + p.overflow * (q.known_total + q.overflow)
-        + q.overflow * p.known_total
+    known, overflow, _ = _product(
+        (p.mass, p.overflow, p.known_total),
+        (q.mass, q.overflow, q.known_total),
+        p.cutoff,
     )
     return Pmf(
         mass=known,
@@ -402,19 +400,15 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     pow_overflow = np.zeros(rows)
     pow_total = np.zeros(rows)
     pow_total[0] = 1.0
-    s_total = summand.known_total
+    summand_law = (summand.mass, summand.overflow, summand.known_total)
     s_spectrum = _spectrum(summand.mass, n + 1)
+
+    def next_power(j: int) -> tuple:  # summand^{*j} from summand^{*(j-1)}
+        previous = (powers[j - 1], pow_overflow[j - 1], pow_total[j - 1])
+        return _product(previous, summand_law, n, s_spectrum)
+
     for j in range(1, rows):
-        known, spill = _conv_truncate(
-            powers[j - 1], summand.mass, n, s_spectrum
-        )
-        powers[j] = known
-        pow_overflow[j] = (
-            spill
-            + pow_overflow[j - 1] * (s_total + summand.overflow)
-            + summand.overflow * pow_total[j - 1]
-        )
-        pow_total[j] = float(np.sum(known))
+        powers[j], pow_overflow[j], pow_total[j] = next_power(j)
 
     # Collapse count coefficients through the power table, block by block.
     padded = np.zeros(n_blocks * width)
@@ -430,25 +424,18 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
         acc, acc_over = next(block_mass), float(block_overflow[0])
     else:
         # Giant step: summand^{*width}, then Horner from the top block down.
-        giant, g_spill = _conv_truncate(
-            powers[rows - 1], summand.mass, n, s_spectrum
-        )
-        g_over = (
-            g_spill
-            + pow_overflow[rows - 1] * (s_total + summand.overflow)
-            + summand.overflow * pow_total[rows - 1]
-        )
-        g_total = float(np.sum(giant))
+        giant = next_power(rows)
         acc = next(block_mass)
         acc_over = float(block_overflow[n_blocks - 1])
         acc_total = float(block_total[n_blocks - 1])
-        g_spectrum = _spectrum(giant, n + 1)
+        g_spectrum = _spectrum(giant[0], n + 1)
         for g in range(n_blocks - 2, -1, -1):
-            known, spill = _conv_truncate(acc, giant, n, g_spectrum)
-            acc_over = spill + acc_over * (g_total + g_over) + g_over * acc_total
+            known, acc_over, known_total = _product(
+                (acc, acc_over, acc_total), giant, n, g_spectrum
+            )
             acc = known + next(block_mass)
             acc_over += float(block_overflow[g])
-            acc_total = float(np.sum(known)) + float(block_total[g])
+            acc_total = known_total + float(block_total[g])
 
     return Pmf(
         mass=acc,

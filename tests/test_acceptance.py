@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -157,10 +156,10 @@ def test_criterion_10_chain_matches_oracle(ctx, stationary16, chain_million):
     )
 
 
-def test_criterion_11_reproducible_verify(tmp_path):
+def test_criterion_11_reproducible_verify(tmp_path, src_env):
     """Running the full verification suite twice with the same seed yields
     byte-identical reports."""
-    env = {k: v for k, v in os.environ.items() if k != "BIGJUMP_SEED"}
+    env = {k: v for k, v in src_env.items() if k != "BIGJUMP_SEED"}
     reports = []
     codes = []
     for name in ("first", "second"):

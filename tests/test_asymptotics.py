@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bigjump.asymptotics import (
     _TAIL_SUMS_B_MAX,
-    _series_partial_sums,
     a_tail_sums,
     correction_sum,
     decomposition_pred,
@@ -25,13 +24,14 @@ from bigjump.asymptotics import (
     second_scale,
     second_scale_positivity_threshold,
     series_identities,
+    series_partial_sums,
     two_scale_total,
 )
 from bigjump.model import (
     calibrate,
+    law_B,
     slowly_varying_part,
     survival_A,
-    survival_B,
     truncated_mean_A,
 )
 
@@ -92,7 +92,7 @@ class TestSeriesIdentities:
 
     def test_partial_sums_match_closed_forms(self):
         for b in (0.2, 0.5, 0.8):
-            n1, n2 = _series_partial_sums(b)
+            n1, n2 = series_partial_sums(b)
             assert n1 == pytest.approx(1.0 / (1.0 - b) ** 2, rel=1e-10)
             assert n2 == pytest.approx((1.0 + b) / (1.0 - b) ** 3, rel=1e-10)
 
@@ -155,12 +155,12 @@ class TestSecondScale:
 class TestGenerationTailPred:
     def test_first_generation_is_offspring_tail(self, params):
         for x in (10, 100, 2**13):
-            assert generation_tail_pred(params, 1, x) == survival_B(params, x)
+            assert generation_tail_pred(params, 1, x) == law_B(params).survival(x)
 
     def test_second_generation_at_half(self, params):
         # 2 * b = 1 at b = 0.5
         assert generation_tail_pred(params, 2, 100) == pytest.approx(
-            survival_B(params, 100), rel=1e-15
+            law_B(params).survival(100), rel=1e-15
         )
 
     def test_rejects_bad_n(self, params):
@@ -177,7 +177,7 @@ class TestPerGenerationPred:
     def test_structural_decomposition(self, params):
         # the prediction is (truncated mean) * (jump tail) + (batch tail)
         x = 50.0
-        expected = truncated_mean_A(2 * x) * survival_B(params, x) + survival_A(2 * x)
+        expected = truncated_mean_A(2 * x) * law_B(params).survival(x) + survival_A(2 * x)
         assert per_generation_pred(params, 1, x) == pytest.approx(expected, rel=1e-14)
 
     def test_at_zero_threshold(self, params):
@@ -206,9 +206,18 @@ class TestPerGenerationPred:
         n, x = 983, 1e4
         scale = x * 0.5**-n
         assert math.exp(690.0) < scale < math.inf
-        direct = truncated_mean_A(scale) * n * 0.5 ** (n - 1) * survival_B(params, x)
+        direct = truncated_mean_A(scale) * n * 0.5 ** (n - 1) * law_B(params).survival(x)
         direct += survival_A(scale)
         assert per_generation_pred(params, n, x) == pytest.approx(direct, rel=1e-12)
+
+    def test_small_x_where_only_b_power_overflows(self, params):
+        # At x = 1e-12, b = 0.5, b**-n alone overflows from n = 1024 while
+        # x*b^-n stays below the log switch up to n = 1035; the scale then
+        # comes from its log.
+        for n in (1023, 1024, 1030, 1036):
+            term = per_generation_pred(params, n, 1e-12)
+            assert math.isfinite(term) and 0.0 < term < 1.0
+        assert math.isfinite(decomposition_pred(params, 1e-12, 1100))
 
 
 class TestATailSums:
@@ -227,6 +236,12 @@ class TestATailSums:
         for x in (0.5, 3.0, 17.0, 1e4):
             exact, asym = a_tail_sums(params, x)
             assert exact <= asym
+
+    def test_terms_past_the_float_range_count(self, params):
+        # From x = 1e294 on at b = 0.5, x*b^-n overflows inside the sum;
+        # those terms take the log form 1/t instead of reading 0.
+        exact, asym = a_tail_sums(params, 1e300)
+        assert exact == pytest.approx(asym, rel=1e-12)
 
     def test_rejects_nonpositive(self, params):
         with pytest.raises(ValueError):
@@ -252,12 +267,26 @@ class TestCorrectionSum:
 
     def test_first_term_dominates_from_below(self, params):
         x = 100.0
-        first = truncated_mean_A(2 * x) * survival_B(params, x)
+        first = truncated_mean_A(2 * x) * law_B(params).survival(x)
         assert correction_sum(params, x) >= first
 
     def test_rejects_small_x(self, params):
         with pytest.raises(ValueError):
             correction_sum(params, 1.0)
+
+    def test_log_scale_past_the_float_range(self, params):
+        # From x = 1e300 on, x*b^-n leaves the float range within the sum
+        # and every term takes the log form E[A; A <= t] = log t + gamma - 1,
+        # whose sum over n is (log x + gamma - 1)*s1 + log(1/b)*s2.
+        s1, s2 = series_identities(0.5)
+        x = 1e300
+        mean = (math.log(x) + np.euler_gamma - 1.0) * s1 + math.log(2.0) * s2
+        expected = mean * law_B(params).survival(x)
+        assert correction_sum(params, x) == pytest.approx(expected, rel=1e-12)
+        # At 1e306 phi's denominator overflows, so P(B > x) reads 0 (its
+        # true value, about 1e-312, is subnormal); the sum stays finite.
+        with np.errstate(over="ignore"):
+            assert math.isfinite(correction_sum(params, 1e306))
 
     def test_b_limit(self):
         assert correction_sum(calibrate(_TAIL_SUMS_B_MAX, 1.0), 1e6) > 0.0

@@ -813,6 +813,24 @@ class TestVerifyReportShape:
         ids = [c["id"] for c in report["checks"]]
         assert ids == ["calibration", "series"]
 
+    def test_series_check_compares_partial_sums_with_closed_forms(
+        self, monkeypatch
+    ):
+        # Partial sums that drift from the closed forms by 1e-6 relative
+        # make a FAIL record naming the deviation, not a traceback.
+        partial_sums = cli.asymptotics.series_partial_sums
+
+        def drifted(b):
+            n1, n2 = partial_sums(b)
+            return n1 * (1.0 + 1e-6), n2
+
+        record = cli._check_series(None)
+        assert 0.0 < record["measured"] <= 1e-10 and record["pass"] is True
+        monkeypatch.setattr(cli.asymptotics, "series_partial_sums", drifted)
+        record = cli._check_series(None)
+        assert record["pass"] is False
+        assert record["measured"] == pytest.approx(25.0 * 1e-6, rel=1e-6)
+
     def test_all_expands_to_full_registry(self):
         assert cli._suite_tokens("all") == list(cli.CHECK_IDS)
         assert len(cli.CHECK_IDS) == 11

@@ -1,12 +1,12 @@
-"""The package surface: no scipy submodule loads until it is used, and no
-public name exists only for tests."""
+"""The package surface: importing the package loads no module of it, no
+scipy submodule loads until it is used, and no public name exists only for
+tests."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import json
-import os
 import pkgutil
 import subprocess
 import sys
@@ -14,39 +14,48 @@ from pathlib import Path
 
 import bigjump
 
-SRC = Path(bigjump.__file__).resolve().parents[1]
-ROOT = SRC.parent
+ROOT = Path(bigjump.__file__).resolve().parents[2]
 
 # Each costs 0.3 s or more at import (scipy.integrate alone 0.55 s, through
 # scipy.special, scipy.optimize and numpy.f2py).
 HEAVY = ("scipy.integrate", "scipy.fft", "scipy.special", "scipy.stats", "scipy.signal")
 
 
-def _loaded_after(code: str) -> list:
-    """The `HEAVY` modules loaded once a fresh interpreter has run ``code``."""
-    probe = (
-        f"{code}\nimport json, sys\n"
-        f"print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)))"
-    )
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+def _loaded_after(code: str, env: dict) -> set:
+    """Every module loaded once a fresh interpreter has run ``code``."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return json.loads(out.stdout)
+    return set(json.loads(out.stdout))
 
 
-def test_import_loads_no_heavy_scipy_submodule():
-    assert _loaded_after("import bigjump, bigjump.cli") == []
+def test_import_loads_no_heavy_scipy_submodule(src_env):
+    assert _loaded_after("import bigjump, bigjump.cli", src_env) & set(HEAVY) == set()
 
 
-def test_clopper_pearson_leaves_scipy_stats_unloaded():
+def test_clopper_pearson_leaves_scipy_stats_unloaded(src_env):
     # The interval needs only scipy.special's beta quantile.
     code = "from bigjump.stats import clopper_pearson\nclopper_pearson(3, 10, 0.95)"
-    assert _loaded_after(code) == ["scipy.special"]
+    assert _loaded_after(code, src_env) & set(HEAVY) == {"scipy.special"}
+
+
+def _package_modules_after(code: str, env: dict) -> set:
+    return {m for m in _loaded_after(code, env) if m.startswith("bigjump.")}
+
+
+def test_package_import_loads_only_what_is_asked_for(src_env):
+    # The public surface is the modules; the package re-exports nothing, so
+    # importing it, or one module, loads no other module of it.
+    assert _package_modules_after("import bigjump", src_env) == set()
+    assert _package_modules_after("from bigjump import model", src_env) == {
+        "bigjump._native",
+        "bigjump.model",
+    }
 
 
 def _used_names() -> set:
@@ -65,9 +74,10 @@ def _used_names() -> set:
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    # A public name that only tests read is a second API to keep working;
-    # the test goes through a private helper instead.
-    modules = [bigjump] + [
+    """Every name in a module's ``__all__`` is read somewhere in src/,
+    scripts/ or bench/.  A public name that only tests read is a second API
+    to keep working; the test goes through a private helper instead."""
+    modules = [
         importlib.import_module(f"bigjump.{info.name}")
         for info in pkgutil.iter_modules(bigjump.__path__)
     ]

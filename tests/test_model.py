@@ -32,7 +32,6 @@ from bigjump.model import (
     pmf_A,
     slowly_varying_part,
     survival_A,
-    survival_B,
     truncated_mean_A,
 )
 
@@ -233,14 +232,14 @@ class TestTruncatedMeanA:
 
 class TestLawB:
     def test_survival_at_zero_is_theta(self, params):
-        assert survival_B(params, 0) == pytest.approx(params.theta, rel=1e-15)
+        assert law_B(params).survival(0) == pytest.approx(params.theta, rel=1e-15)
 
     def test_survival_golden(self, params):
-        assert survival_B(params, 1) == pytest.approx(GOLDEN_SURVIVAL_B_1, abs=2e-15)
+        assert law_B(params).survival(1) == pytest.approx(GOLDEN_SURVIVAL_B_1, abs=2e-15)
 
     def test_survival_strictly_decreasing_sweep(self, params):
         k = np.arange(0, 10**6 + 1)
-        values = survival_B(params, k)
+        values = law_B(params).survival(k)
         assert np.all(np.diff(values) < 0)
 
     def test_table_matches_formula_at_seam(self, params):
@@ -254,13 +253,13 @@ class TestLawB:
 
     def test_pmf_matches_survival_differences(self, params):
         k = np.arange(1, 5000)
-        diff = survival_B(params, k - 1) - survival_B(params, k)
+        diff = law_B(params).survival(k - 1) - law_B(params).survival(k)
         assert np.allclose(law_B(params).pmf(k), diff, rtol=1e-12, atol=0)
 
     def test_pmf_sums_to_one_minus_tail(self, params):
         k_max = 3000
         total = math.fsum(law_B(params).pmf(np.arange(0, k_max + 1)).tolist())
-        assert total == pytest.approx(1.0 - survival_B(params, k_max), abs=1e-12)
+        assert total == pytest.approx(1.0 - law_B(params).survival(k_max), abs=1e-12)
 
     def test_slow_variation_bound(self, params):
         # |L(2x)/L(x) - 1| <= 3(1+eps)/log(x) for x >= e^2

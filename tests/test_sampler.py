@@ -27,7 +27,6 @@ from bigjump.model import (
     law_B,
     phi_tail_bounds,
     survival_A,
-    survival_B,
 )
 from bigjump.oracle import conditional_nonzero, dn_pmf
 from bigjump.sampler import (
@@ -89,14 +88,14 @@ def invert_b_tail_scalar(params, u: float) -> int:
     search then bisection on the analytic survival function."""
     lo = params.tail_table_cutoff
     hi = 2 * lo
-    while survival_B(params, hi) >= u:
+    while law_B(params).survival(hi) >= u:
         lo = hi
         hi *= 2
         if hi >= A_VALUE_CAP:
             return A_VALUE_CAP
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if survival_B(params, mid) >= u:
+        if law_B(params).survival(mid) >= u:
             lo = mid
         else:
             hi = mid
@@ -296,7 +295,7 @@ class TestSampleB:
         draws = smp._invert_b_uniforms(params, stream.generator.random(400_000))
         hits = int((draws > 10).sum())
         lo, hi = cp_interval(hits, draws.size, confidence=0.99)
-        assert lo <= survival_B(params, 10) <= hi
+        assert lo <= law_B(params).survival(10) <= hi
 
     def test_truncated_mean_within_four_sigma(self, params):
         # The raw mean has infinite variance; capping at 1000 gives a
@@ -304,7 +303,7 @@ class TestSampleB:
         stream = RngStream(seed=4)
         uniforms = stream.generator.random(400_000)
         draws = np.minimum(smp._invert_b_uniforms(params, uniforms), 1000)
-        expected = float(np.sum(survival_B(params, np.arange(1000))))
+        expected = float(np.sum(law_B(params).survival(np.arange(1000))))
         halfwidth = 4.0 * draws.std() / np.sqrt(draws.size)
         assert abs(draws.mean() - expected) <= halfwidth
 
@@ -323,7 +322,7 @@ class TestSampleB:
         ks = smp._invert_b_tail(params, np.array([1e-9, 1e-12, 2e-8]))
         for u, k in zip((1e-9, 1e-12, 2e-8), ks.tolist()):
             assert k > params.tail_table_cutoff
-            assert survival_B(params, k) < u <= survival_B(params, k - 1)
+            assert law_B(params).survival(k) < u <= law_B(params).survival(k - 1)
 
     def test_vector_tail_inversion_equals_scalar_search(self, params):
         # 10**4 uniforms spread over 30 decades below the table floor, so
@@ -354,7 +353,7 @@ class TestSampleB:
         assert int(draws.min()) >= 1
         hits = int((draws > 5).sum())
         lo, hi = cp_interval(hits, draws.size, confidence=0.99)
-        conditional = survival_B(params, 5) / params.theta
+        conditional = law_B(params).survival(5) / params.theta
         assert lo <= conditional <= hi
 
 
@@ -417,7 +416,7 @@ class TestGenerationTrees:
         assert int(values.min()) >= 1
         hits = int((values > 5).sum())
         lo, hi = cp_interval(hits, values.size, confidence=0.99)
-        assert lo <= survival_B(params, 5) / params.theta <= hi
+        assert lo <= law_B(params).survival(5) / params.theta <= hi
 
     def test_beyond_table_share_of_spine_proposals(self, params):
         # Proposals K follow P(K = k) = P(B > k) / b, all accepted when the

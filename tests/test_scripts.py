@@ -6,7 +6,6 @@ change that breaks a script fails here rather than silently.
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,11 +38,10 @@ SCRIPTS = SRC.parent / "scripts"
         ),
     ],
 )
-def test_script_runs(script, args, expected):
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+def test_script_runs(script, args, expected, src_env):
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env,
         capture_output=True,
         text=True,
         timeout=120,
