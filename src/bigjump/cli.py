@@ -407,9 +407,9 @@ def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
 def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
     """The oracle's stationary law under the configured truncation.
 
-    The thinned immigrant count of generation 1 has thinning probability
-    ``theta = P(B >= 1)``, and its recurrence is stable only below 1/2, so
-    larger ``theta`` is refused as a config error rather than a traceback,
+    Generation 1's term takes the series reciprocal 1/(1 + r C), stable only
+    for ``r = theta/(1-theta) < 1``, ``theta = P(B >= 1)``, so larger
+    ``theta`` is refused as a config error rather than a traceback,
     as are an iteration that does not converge and a depth remainder too
     large for the stationary law's mass conservation.
     """

@@ -102,10 +102,16 @@ def phi(t, epsilon):
     """Tail shape ``1/((1+t) * log(e+t)**(1+epsilon))`` with ``phi(0) == 1``.
 
     Positive, strictly decreasing, and convex on ``t >= 0`` (each factor is
-    log-convex).  Accepts scalars or arrays.
+    log-convex).  Accepts scalars or arrays.  Where the denominator
+    overflows (t past about 1e303 at epsilon = 1; only there does 1/x read
+    0), phi is 1/(1+t) divided by the log power instead.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    out = 1.0 / ((1.0 + t_arr) * np.log(_E + t_arr) ** (1.0 + epsilon))
+    with np.errstate(over="ignore"):
+        out = 1.0 / ((1.0 + t_arr) * np.log(_E + t_arr) ** (1.0 + epsilon))
+        if np.any(out == 0.0):
+            split = (1.0 / (1.0 + t_arr)) / np.log(_E + t_arr) ** (1.0 + epsilon)
+            out = np.where(out == 0.0, split, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -48,19 +48,22 @@ Design notes
   FFT residue from a full-support count.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
-  generation expansion).  Each term compounds the *conditional* nonzero
-  aggregate against a Bernoulli-thinned immigration count, evaluated through
-  the immigration pgf in closed form.  This keeps the per-generation overflow
-  near the genuinely-above-N mass instead of re-dumping the whole immigration
-  tail every generation, which is what makes desk-scale brackets at
+  generation expansion).  Each term is the immigration pgf composed with the
+  generation law, in closed form over the *conditional* nonzero aggregate:
+  a power-series logarithm and a reciprocal, both by Newton iterations of a
+  few FFT products each (Brent & Kung, "Fast algorithms for manipulating
+  formal power series", J. ACM 25, 1978).  Coefficients 0..N depend only
+  on the aggregate's coefficients 0..N, so every immigration count is
+  included and the term's overflow is exactly its mass above N rather than
+  the whole immigration tail, which is what makes desk-scale brackets at
   x ~ N/16 usable at all.
 * The generation terms are independent, so ``stationary_pmf`` keeps up to
   one per available core, and at most `_MAX_TERMS_IN_FLIGHT`, in flight on
-  a thread pool (the FFTs and the collapse release the GIL) while the
-  calling thread builds the chain and folds finished terms in generation
-  order.  The fold, the stopping rule and the errors are those of the
-  serial loop; terms computed past the stopping depth are discarded, and
-  their errors never surface.
+  a thread pool (numpy's FFTs release the GIL) while the calling thread
+  builds the chain, the larger share of the work, and folds finished terms
+  in generation order.  The fold, the stopping rule and the errors are those
+  of the serial loop; terms computed past the stopping depth are discarded,
+  and their errors never surface.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ __all__ = [
     "convolve",
     "compound",
     "conditional_nonzero",
-    "thinned_immigrant_count",
     "dn_pmf",
     "generation_term",
     "stationary_pmf",
@@ -127,9 +129,9 @@ _CHAIN_CACHE_SIZE = 8
 # next to the 128-row power table; 12 would repack that table twice as often.
 _COLLAPSE_CHUNK = 24
 # Generation terms `stationary_pmf` keeps in flight at most, whatever the
-# core count.  Each holds its compound's power table (134 MB at N = 2^16),
-# terms past the stopping depth are computed and discarded, and the affinity
-# mask ignores CPU quotas; the speed-up was measured on two cores only.
+# core count: terms past the stopping depth are wasted, and the affinity mask
+# ignores CPU quotas.  Each holds 6.4 MB of series at N = 2^16.  On two cores
+# stationary_pmf(2^14) took 1.6-1.9 s with two in flight, 2.0-2.2 s with one.
 _MAX_TERMS_IN_FLIGHT = 2
 
 
@@ -473,49 +475,6 @@ def conditional_nonzero(p: Pmf) -> Pmf:
     )
 
 
-def thinned_immigrant_count(p: float, k_max: int, cutoff: int) -> Pmf:
-    """Law of Binomial(A, p) where A is the immigration count.
-
-    Underneath: the immigration pgf G(s) = 1 + (1-s)ln(1-s)/s composed at
-    s = 1 - p(1-z) is a rational-log series whose coefficients satisfy the
-    two-term recurrence (1-p) w[k] + p w[k-1] = numerator[k], stable for
-    p < 1/2.  Coefficients are produced for k <= k_max; the (analytically
-    exact) remainder P(count > k_max) goes to overflow.  Because every
-    aggregate attached to such a count is >= 1, callers that keep
-    k_max above their largest report threshold lose nothing below it.
-    """
-    if not 0.0 < p < 0.5:
-        raise ValueError(
-            f"thinning probability out of supported range (0, 0.5): {p}"
-        )
-    if not 1 <= k_max <= cutoff:
-        raise ValueError("need 1 <= k_max <= cutoff")
-    k = np.arange(k_max + 1, dtype=np.float64)
-    numerator = np.empty(k_max + 1)
-    log_p = math.log(p)
-    numerator[0] = p * log_p
-    numerator[1] = p * (-1.0 - log_p)
-    if k_max >= 2:
-        numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
-    # (1-p) w[k] + p w[k-1] = numerator[k], run forward in the operation
-    # order of the equivalent order-1 IIR filter (scipy's ``lfilter``).
-    b0, a1 = 1.0 / (1.0 - p), p / (1.0 - p)
-    w = np.empty(k_max + 1)
-    y = 0.0
-    for i, x in enumerate(numerator.tolist()):
-        y = b0 * x - a1 * y
-        w[i] = y
-    mass = np.zeros(cutoff + 1)
-    mass[: k_max + 1] = w
-    mass[0] = 1.0 + w[0]
-    overflow = 1.0 - float(np.sum(mass[: k_max + 1]))
-    return Pmf(
-        mass=mass,
-        overflow=max(overflow, 0.0),
-        meta=f"thinned-count(p={p:.3g})@{k_max}",
-    )
-
-
 def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
     """Law of Binomial(B, alive) over the in-grid offspring counts k <= N.
 
@@ -659,17 +618,52 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     return laws[n - 1]
 
 
+def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of the power-series product ``a * b``, signed:
+    unlike `_conv_full`, nothing is clipped at zero.  Direct or FFT at the
+    sizes and transform lengths of `_conv_full`."""
+    a, b = a[:n], b[:n]
+    fshape = _fft_length(a.size, b.size)
+    if not fshape:
+        return np.convolve(a, b)[:n]
+    spectrum = np.fft.rfft(a, fshape) * np.fft.rfft(b, fshape)
+    return np.fft.irfft(spectrum, fshape)[:n]
+
+
+def _series_reciprocal(f: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of ``1/f`` for ``f[0] == 1``, by Newton's
+    iteration g <- g + g (1 - f g), which doubles the correct coefficients
+    of g; only the error terms of f g past them are multiplied back."""
+    g = np.ones(1)
+    while g.size < n:
+        m = min(2 * g.size, n)
+        error = _series_product(f[:m], g, m)[g.size :]
+        g = np.concatenate([g, -_series_product(g, error, m - g.size)])
+    return g
+
+
+def _series_log(f: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of ``ln f`` for ``f[0] == 1``: the integral of
+    f'/f."""
+    k = np.arange(1, n, dtype=np.float64)
+    quotient = _series_product(f[1:n] * k, _series_reciprocal(f, n - 1), n - 1)
+    return np.concatenate([[0.0], quotient / k])
+
+
 def generation_term(aggregate: Pmf) -> Pmf:
     """Law of one generation's total contribution to the stationary value.
 
     The contribution is a sum of generation-n aggregates (law ``aggregate``,
     from `dn_pmf`) over an immigration-count number of independent trees.
-    Zero aggregates are removed by Bernoulli thinning of the count (through
-    the immigration pgf, so no immigration truncation error enters), and the
-    survivors compound against the conditional nonzero aggregate law.  A
-    pure function of ``aggregate``, safe to run on any thread.
+    With p = P(D_n > 0), r = p/(1-p) and C the pgf of the conditional
+    nonzero aggregate, the immigration pgf G(s) = 1 + (1-s) ln(1-s)/s at
+    s = 1 - p(1 - C) is 1 + r (1 - C)(ln p + ln(1 - C)) / (1 + r C), here
+    on power series cut after coefficient N.  Those coefficients depend only
+    on C's first N + 1, so no count is dropped and the overflow is the mass
+    above N.  The series of 1/(1 + r C) is stable only for r < 1, so
+    p >= 1/2 raises ValueError.  A pure function of ``aggregate``, safe to
+    run on any thread.
     """
-    cutoff = aggregate.cutoff
     alive = 1.0 - float(aggregate.mass[0])
     if alive <= 0.0:
         # Survival has rounded to zero (beyond generation ~55 at b = 0.5);
@@ -678,25 +672,23 @@ def generation_term(aggregate: Pmf) -> Pmf:
             f"{aggregate.meta or 'generation'} aggregate extinguished below "
             "float resolution"
         )
-    # Keep the count support above any usable report threshold (conditional
-    # summands are >= 1 each, so dropped counts produce sums above k_max)
-    # while shrinking with the survival probability to keep the recurrence
-    # cheap for deep generations.
-    k_max = min(cutoff, max(4097, int(2e8 * alive)))
-    count = thinned_immigrant_count(alive, k_max, cutoff)
-    term = compound(count, conditional_nonzero(aggregate))
-    return Pmf(
-        mass=term.mass, overflow=term.overflow, meta=f"term({aggregate.meta})"
-    )
-
-
-def _pooled_term(aggregate: Pmf) -> Pmf:
-    """`generation_term` as run on the pool's threads, whose allocator
-    arenas would otherwise each keep their largest term's tables."""
-    try:
-        return generation_term(aggregate)
-    finally:
-        release_freed_memory()
+    if alive >= 0.5:
+        raise ValueError(
+            f"{aggregate.meta or 'generation'} term needs P(aggregate > 0) < 0.5 "
+            f"for a stable series reciprocal 1/(1 + r C), got {alive}"
+        )
+    n, c = aggregate.cutoff + 1, conditional_nonzero(aggregate).mass
+    r, log_p = alive / (1.0 - alive), math.log(alive)
+    one_minus_c = np.concatenate([[1.0], -c[1:]])
+    log_w = _series_log(one_minus_c, n)  # ln(1 - C), then ln p + ln(1 - C)
+    log_w[0] = log_p
+    inverse = _series_reciprocal(np.concatenate([[1.0], r * c[1:]]), n)
+    mass = r * _series_product(_series_product(one_minus_c, log_w, n), inverse, n)
+    mass[0] = 1.0 + alive * log_p / (1.0 - alive)
+    # Pmf clips FFT residue (refusing any below -_NEGATIVE_TOLERANCE); the
+    # overflow is what the clipped masses leave unplaced.
+    unplaced = 1.0 - float(np.sum(np.maximum(mass, 0.0)))
+    return Pmf(mass=mass, overflow=max(0.0, unplaced), meta=f"term({aggregate.meta})")
 
 
 def _terms_in_flight() -> int:
@@ -734,7 +726,7 @@ def _generation_terms(
             break
         finally:
             release_freed_memory()
-        pending.append(pool.submit(_pooled_term, law))
+        pending.append(pool.submit(generation_term, law))
         if len(pending) == in_flight:
             yield pending.popleft().result()
     while pending:

@@ -6,6 +6,7 @@ probabilities via direct high-precision series evaluation) and frozen here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,21 @@ class TestDepthRemainderBound:
 
 
 class TestPhiProperties:
+    def test_finite_where_the_denominator_overflows(self):
+        # (1+t) * log(e+t)**2 overflows past t ~ 1e303; phi is then a
+        # positive subnormal, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = phi(1e306, 1.0)
+        assert 0.0 < value < math.inf
+        assert value == pytest.approx(1e-306 / math.log(1e306) ** 2, rel=1e-9)
+
+    def test_bits_kept_where_the_denominator_is_finite(self):
+        ts = np.array([0.0, 1.0, 7.5, 1e6, 1e300])
+        np.testing.assert_array_equal(
+            phi(ts, 1.0), 1.0 / ((1.0 + ts) * np.log(math.e + ts) ** 2.0)
+        )
+
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
     def test_decreasing_at_integers(self, k):

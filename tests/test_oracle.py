@@ -1,7 +1,8 @@
 """Tests for the truncated-pmf arithmetic and its sound survival brackets.
 
-`DiracLaw` and `tail_additivity_check` live here, not in the package: only
-these tests use them.
+`DiracLaw`, `tail_additivity_check` and the reference generation term
+(`thinned_immigrant_count` compounded by `reference_term`) live here, not in
+the package: only these tests use them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import fftconvolve
 from scipy.stats import binom
 
 from bigjump import oracle
@@ -53,7 +54,6 @@ from bigjump.oracle import (
     pmf_of,
     random_sum_check,
     stationary_pmf,
-    thinned_immigrant_count,
 )
 
 
@@ -114,6 +114,50 @@ def tail_additivity_check(terms: Sequence[Pmf], x: float) -> TailAdditivityCheck
         additive_hi=additive_hi,
         ratio=sum_hi / additive_hi,
     )
+
+
+def thinned_immigrant_count(p: float, cutoff: int) -> Pmf:
+    """Law of Binomial(A, p) on {0..cutoff}, A the immigration count.
+
+    The immigration pgf G(s) = 1 + (1-s)ln(1-s)/s composed at
+    s = 1 - p(1-z) is a rational-log series whose coefficients satisfy the
+    two-term recurrence (1-p) w[k] + p w[k-1] = numerator[k], stable for
+    p < 1/2.  The remainder P(count > cutoff) goes to overflow.
+    """
+    k = np.arange(cutoff + 1, dtype=np.float64)
+    numerator = np.empty(cutoff + 1)
+    log_p = math.log(p)
+    numerator[0] = p * log_p
+    numerator[1] = p * (-1.0 - log_p)
+    numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
+    b0, a1 = 1.0 / (1.0 - p), p / (1.0 - p)
+    w = np.empty(cutoff + 1)
+    y = 0.0
+    for i, x in enumerate(numerator.tolist()):
+        y = b0 * x - a1 * y
+        w[i] = y
+    w[0] += 1.0
+    return Pmf(mass=w, overflow=max(1.0 - float(np.sum(w)), 0.0))
+
+
+def reference_term(aggregate: Pmf) -> Pmf:
+    """A generation term by the route `generation_term` replaced: the
+    thinned immigration count, every count up to the cutoff, compounded
+    against the conditional nonzero aggregate."""
+    alive = 1.0 - float(aggregate.mass[0])
+    count = thinned_immigrant_count(alive, aggregate.cutoff)
+    return compound(count, conditional_nonzero(aggregate))
+
+
+def assert_tails_close(term: Pmf, reference: Pmf, rtol: float) -> None:
+    """Placed tail sums at x = 0, 10, 100, N/4 and N/2 within ``rtol``, and
+    the overflows within ``rtol`` or 1e-15."""
+    n = term.cutoff
+    for x in (0, 10, 100, n // 4, n // 2):
+        assert term.survival_known(x) == pytest.approx(
+            reference.survival_known(x), rel=rtol
+        ), x
+    assert term.overflow == pytest.approx(reference.overflow, rel=rtol, abs=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -349,21 +393,22 @@ class TestConditionalAndThinnedCount:
 
     def test_thinned_count_zero_mass_closed_form(self):
         p = 0.3
-        out = thinned_immigrant_count(p, 60, 64)
+        out = thinned_immigrant_count(p, 64)
         # G_A(1 - p) = 1 + p ln(p) / (1 - p).
         assert out.mass[0] == pytest.approx(
             1.0 + p * math.log(p) / (1.0 - p), abs=1e-12
         )
 
     def test_thinned_count_matches_brute_force(self):
-        p, k_max = 0.3, 60
-        out = thinned_immigrant_count(p, k_max, 64)
+        p = 0.3
+        out = thinned_immigrant_count(p, 64)
         a = np.arange(1, 20001)
         weights = pmf_A(a)
-        ks = np.arange(k_max + 1)
+        ks = np.arange(65)
         table = binom.pmf(ks[None, :], a[:, None], p)
         brute = weights @ table
-        np.testing.assert_allclose(out.mass[: k_max + 1], brute, atol=5e-6)
+        np.testing.assert_allclose(out.mass, brute, atol=5e-6)
+        assert out.overflow < 0.01
 
     def test_thinned_offspring_count_matches_brute_force(self, params):
         # beta[m] = sum_{k <= N} b_k P(Binomial(k, p) = m); the count cap
@@ -378,33 +423,6 @@ class TestConditionalAndThinnedCount:
             1.0 - float(np.sum(brute)), abs=1e-15
         )
         assert out.overflow >= offspring.overflow - 1e-15
-
-    @pytest.mark.parametrize("p", [1e-12, 1e-5, 0.01, 0.2, 0.3, 0.4999])
-    @pytest.mark.parametrize("k_max", [1, 2, 3, 64, 4097])
-    def test_thinned_count_recurrence_matches_lfilter(self, p, k_max):
-        # The explicit recurrence replaced scipy.signal.lfilter bit for bit.
-        k = np.arange(k_max + 1, dtype=np.float64)
-        numerator = np.empty(k_max + 1)
-        numerator[0] = p * math.log(p)
-        numerator[1] = p * (-1.0 - math.log(p))
-        numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
-        w = lfilter([1.0 / (1.0 - p)], [1.0, p / (1.0 - p)], numerator)
-        out = thinned_immigrant_count(p, k_max, k_max + 7)
-        np.testing.assert_array_equal(out.mass[1 : k_max + 1], w[1:])
-        assert out.mass[0] == 1.0 + w[0]
-
-    def test_thinned_count_conservation(self):
-        out = thinned_immigrant_count(0.3, 60, 64)
-        assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
-        assert out.overflow < 0.01
-
-    def test_thinned_count_rejects_bad_args(self):
-        with pytest.raises(ValueError, match="thinning probability"):
-            thinned_immigrant_count(0.5, 10, 16)
-        with pytest.raises(ValueError, match="thinning probability"):
-            thinned_immigrant_count(0.0, 10, 16)
-        with pytest.raises(ValueError, match="k_max"):
-            thinned_immigrant_count(0.3, 32, 16)
 
 
 class TestGenerationChain:
@@ -506,6 +524,41 @@ class TestGenerationChain:
         assert term.known_total + term.overflow == pytest.approx(
             1.0, abs=1e-9
         )
+
+    @pytest.mark.parametrize("cutoff", [512, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 36])
+    def test_generation_term_matches_thinned_count_reference(
+        self, params, cutoff, n
+    ):
+        aggregate = dn_pmf(params, n, cutoff)
+        assert_tails_close(
+            generation_term(aggregate), reference_term(aggregate), rtol=1e-9
+        )
+
+    def test_generation_term_series_fft_path(self, params, monkeypatch):
+        # At 512 the series products are direct; with the direct limit at 64
+        # they go through the FFT and must agree with the direct ones.
+        aggregate = dn_pmf(params, 5, 512)
+        direct = generation_term(aggregate)
+        monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 64)
+        assert oracle._fft_length(513, 513)
+        assert_tails_close(generation_term(aggregate), direct, rtol=1e-9)
+
+    def test_generation_term_near_the_theta_limit(self):
+        # b = 0.7, epsilon = 2 calibrates to theta = 0.4575, so generation
+        # 1's term divides by 1 + r C with r = 0.843.
+        params = calibrate(0.7, 2.0, tolerance=1e-10)
+        assert 0.45 < params.theta < 0.5
+        aggregate = dn_pmf(params, 1, 512)
+        assert_tails_close(
+            generation_term(aggregate), reference_term(aggregate), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("zero_mass", [0.5, 0.2, 0.0])
+    def test_generation_term_refuses_p_at_least_half(self, zero_mass):
+        aggregate = Pmf(mass=np.array([zero_mass, 1.0 - zero_mass]), overflow=0.0)
+        with pytest.raises(ValueError, match=r"< 0\.5"):
+            generation_term(aggregate)
 
 
 class TestStationary:
