@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 from scipy.stats import binom
 
 from bigjump import oracle
@@ -138,6 +138,16 @@ def thinned_immigrant_count(p: float, cutoff: int) -> Pmf:
         w[i] = y
     w[0] += 1.0
     return Pmf(mass=w, overflow=max(1.0 - float(np.sum(w)), 0.0))
+
+
+def bernoulli_aggregate(p: float, cutoff: int) -> Pmf:
+    """Mass 1 - p at 0 and the rest at 1, stored so that 1 - mass[0] is
+    exactly mass[1]: the conditional nonzero law is then the point 1, and
+    the generation term of this aggregate is Binomial(A, p) itself."""
+    mass = np.zeros(cutoff + 1)
+    mass[0] = 1.0 - p
+    mass[1] = 1.0 - mass[0]
+    return Pmf(mass=mass, overflow=0.0)
 
 
 def reference_term(aggregate: Pmf) -> Pmf:
@@ -423,6 +433,38 @@ class TestConditionalAndThinnedCount:
             1.0 - float(np.sum(brute)), abs=1e-15
         )
         assert out.overflow >= offspring.overflow - 1e-15
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-5, 0.01, 0.2, 0.3, 0.4999])
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 64, 4097])
+    def test_thinned_count_recurrence_matches_lfilter(self, p, k_max):
+        # The term of a Bernoulli(p) aggregate is the thinned immigration
+        # count itself; its series coefficients must match the two-term
+        # recurrence run by scipy.signal.lfilter (k_max 4097 takes the FFT
+        # path, whose residue is absolute, of order 1e-16 of the unit mass).
+        aggregate = bernoulli_aggregate(p, k_max + 7)
+        out = generation_term(aggregate)
+        p = float(aggregate.mass[1])  # P(aggregate > 0) as stored
+        k =np.arange(k_max + 1, dtype=np.float64)
+        numerator = np.empty(k_max + 1)
+        numerator[0] = p * math.log(p)
+        numerator[1] = p * (-1.0 - math.log(p))
+        numerator[2:] = p / (k[2:] * (k[2:] - 1.0))
+        w = lfilter([1.0 / (1.0 - p)], [1.0, p / (1.0 - p)], numerator)
+        np.testing.assert_allclose(
+            out.mass[1 : k_max + 1], w[1:], rtol=1e-9, atol=1e-14 * p
+        )
+        assert out.mass[0] == 1.0 + w[0]
+
+    def test_thinned_count_conservation(self):
+        out = generation_term(bernoulli_aggregate(0.3, 64))
+        assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
+        assert out.overflow < 0.01
+
+    def test_thinned_count_rejects_bad_args(self):
+        with pytest.raises(ValueError, match=r"< 0\.5"):
+            generation_term(bernoulli_aggregate(0.5, 16))
+        with pytest.raises(RuntimeError, match="extinguished"):
+            generation_term(bernoulli_aggregate(0.0, 16))
 
 
 class TestGenerationChain:
