@@ -668,13 +668,23 @@ def _check_calibration(ctx: VerifyContext) -> dict:
     )
 
 
-_CONV_TAIL_X = 1 << 14  # needs placed mass above it: oracle.cutoff > 2**14
+# The x at which each check reads an oracle law.  At x >= oracle.cutoff the
+# law places no mass above x and its bracket is [0, overflow], so a verdict
+# there would be made up: `run_verify` needs oracle.cutoff > max(grid).
+_ORACLE_XS = {
+    "conv_tail": (1 << 14,),
+    "generation_tail": (1 << 12, 1 << 13, 1 << 14),
+    "random_sum": (1 << 13,),
+    "two_scale": (1024, 4096),
+    "mc_oracle": (10, 100, 1000),
+}
 
 
 def _check_conv_tail(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
     heavy = oracle.pmf_of(law_B(ctx.params), cutoff)
-    ratio = oracle.conv_tail_ratio(heavy, float(_CONV_TAIL_X))
+    (x,) = _ORACLE_XS["conv_tail"]
+    ratio = oracle.conv_tail_ratio(heavy, float(x))
     light = oracle.pmf_of(oracle.GeometricLaw(0.5), 256)
     control = oracle.conv_tail_ratio(light, 60.0)
     passed = 1.8 <= ratio.point <= 2.2 and control.point > 2.5
@@ -691,18 +701,19 @@ def _check_conv_tail(ctx: VerifyContext) -> dict:
 
 def _check_generation_tail(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
+    xs = _ORACLE_XS["generation_tail"]
     measured = {}
     passed = True
     for n in (2, 3):
         law = oracle.dn_pmf(ctx.params, n, cutoff)
         ratios = {}
-        for x in (1 << 12, 1 << 13, 1 << 14):
+        for x in xs:
             exact = law.survival_bracket(x)[1]
             pred = asymptotics.generation_tail_pred(ctx.params, n, float(x))
             ratios[x] = exact / pred
         for r in ratios.values():
             passed = passed and 0.7 <= r <= 1.3
-        passed = passed and abs(ratios[1 << 14] - 1) < abs(ratios[1 << 12] - 1)
+        passed = passed and abs(ratios[xs[-1]] - 1) < abs(ratios[xs[0]] - 1)
         measured[f"n={n}"] = {str(x): r for x, r in ratios.items()}
     return _record(
         "generation_tail",
@@ -718,7 +729,8 @@ def _check_generation_tail(ctx: VerifyContext) -> dict:
 def _check_random_sum(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
     summand = oracle.dn_pmf(ctx.params, 1, cutoff)
-    check = oracle.random_sum_check(LawA, summand, float(1 << 13))
+    (x,) = _ORACLE_XS["random_sum"]
+    check = oracle.random_sum_check(LawA, summand, float(x))
     passed = 0.7 <= check.ratio <= 1.3
     return _record(
         "random_sum",
@@ -792,7 +804,7 @@ def _check_two_scale(ctx: VerifyContext) -> dict:
     pi = ctx.stationary
     measured = {}
     passed = True
-    for x in (1024, 4096):
+    for x in _ORACLE_XS["two_scale"]:
         lo, hi = pi.survival_bracket(x)
         lead = float(asymptotics.leading_tail(ctx.params, float(x)))
         two = float(asymptotics.two_scale_total(ctx.params, float(x)))
@@ -841,11 +853,12 @@ def _check_second_scale_decay(ctx: VerifyContext) -> dict:
 def _check_mc_oracle(ctx: VerifyContext) -> dict:
     samples = ctx.chain_samples
     level = ctx.config.verify.confidence
-    curve = stats.empirical_survival(samples, [10, 100, 1000], level=level)
+    xs = _ORACLE_XS["mc_oracle"]
+    curve = stats.empirical_survival(samples, xs, level=level)
     pi = ctx.stationary
     measured = {}
     passed = not ctx.chain_events
-    for i, x in enumerate((10, 100, 1000)):
+    for i, x in enumerate(xs):
         lo, hi = pi.survival_bracket(x)
         ci_lo, ci_hi = float(curve.ci_lo[i]), float(curve.ci_hi[i])
         ok = ci_hi >= lo and ci_lo <= hi  # CP interval intersects the bracket
@@ -914,11 +927,13 @@ def _suite_tokens(suite: str) -> list:
 def run_verify(config: RunConfig) -> dict:
     """Run the selected checks and assemble the machine-readable report."""
     selected = _suite_tokens(config.verify.suite)
-    if "conv_tail" in selected and config.oracle.cutoff <= _CONV_TAIL_X:
-        raise ConfigError(
-            f"the conv_tail check needs oracle.cutoff > {_CONV_TAIL_X} to place "
-            f"mass above x = {_CONV_TAIL_X}, got {config.oracle.cutoff}"
-        )
+    for check_id in (c for c in selected if c in _ORACLE_XS):
+        x = max(_ORACLE_XS[check_id])
+        if config.oracle.cutoff <= x:
+            raise ConfigError(
+                f"the {check_id} check needs oracle.cutoff > {x} to place "
+                f"mass above x = {x}, got {config.oracle.cutoff}"
+            )
     ctx = VerifyContext(config)
     checks = [CHECKS[check_id](ctx) for check_id in selected]
     return {

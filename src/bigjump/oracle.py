@@ -16,8 +16,10 @@ that drive the asymptotics.
 Design notes
 ------------
 * Convolution is exact discrete convolution: direct summation for short
-  vectors and zero-padded FFT (no wrap-around) for long ones, with any tiny
-  negative FFT residue (below 1e-12) clipped.  The FFT is ``numpy.fft``, at
+  vectors and zero-padded FFT (no wrap-around) for long ones, in the one
+  kernel `_conv_full`.  It returns the signed product, as the power series
+  of the generation terms need; `_product`, the overflow rule for laws,
+  clips the tiny negative FFT residue at zero.  The FFT is ``numpy.fft``, at
   scipy's real transform lengths (`_next_fast_len`).  From numpy 2.0 on it
   is the C++ pocketfft that ``scipy.fft`` also wraps, so the products keep
   the bits of ``scipy.signal.fftconvolve`` without importing scipy.
@@ -57,21 +59,19 @@ Design notes
   included and the term's overflow is exactly its mass above N rather than
   the whole immigration tail, which is what makes desk-scale brackets at
   x ~ N/16 usable at all.
-* The generation terms are independent, so ``stationary_pmf`` keeps up to
-  one per available core, and at most `_MAX_TERMS_IN_FLIGHT`, in flight on
-  a thread pool (numpy's FFTs release the GIL) while the calling thread
-  builds the chain, the larger share of the work, and folds finished terms
-  in generation order.  The fold, the stopping rule and the errors are those
-  of the serial loop; terms computed past the stopping depth are discarded,
-  and their errors never surface.
+* The generation terms are independent, so ``stationary_pmf`` runs term n
+  on one worker thread (numpy's FFTs release the GIL) while the calling
+  thread builds D_{n+1}, the larger share of the work, and folds finished
+  terms in generation order.  The fold, the stopping rule and the errors
+  are those of the serial loop; the one chain step and term computed past
+  the stopping depth are discarded, and their errors never surface.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -128,11 +128,6 @@ _CHAIN_CACHE_SIZE = 8
 # product in the last bits.  24 rows (3 MB at N = 2^14) keep the chunk small
 # next to the 128-row power table; 12 would repack that table twice as often.
 _COLLAPSE_CHUNK = 24
-# Generation terms `stationary_pmf` keeps in flight at most, whatever the
-# core count: terms past the stopping depth are wasted, and the affinity mask
-# ignores CPU quotas.  Each holds 6.4 MB of series at N = 2^16.  On two cores
-# stationary_pmf(2^14) took 1.6-1.9 s with two in flight, 2.0-2.2 s with one.
-_MAX_TERMS_IN_FLIGHT = 2
 
 
 class NotConverged(RuntimeError):
@@ -292,11 +287,12 @@ def _spectrum(b: np.ndarray, a_size: int) -> np.ndarray | None:
 def _conv_full(
     a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact full linear convolution; FFT with zero padding for long inputs.
+    """Exact full linear convolution, signed; FFT with zero padding for long
+    inputs.
 
     The FFT path computes what ``scipy.signal.fftconvolve(a, b)`` computes
     (same transform length, transforms and product order), bit for bit on
-    numpy 2.x.
+    numpy 2.x, residue below zero included.
     Passing ``b_spectrum = _spectrum(b, a.size)`` skips ``b``'s transform,
     one of the three, when ``b`` is convolved many times.
     """
@@ -306,17 +302,18 @@ def _conv_full(
     if b_spectrum is None:
         b_spectrum = np.fft.rfft(b, fshape)
     out = np.fft.irfft(np.fft.rfft(a, fshape) * b_spectrum, fshape)
-    return np.maximum(out[: a.size + b.size - 1], 0.0)
+    return out[: a.size + b.size - 1]
 
 
 def _product(a: tuple, b: tuple, n: int, b_spectrum=None) -> tuple:
     """Law of the sum of independent draws from two laws given as ``(mass,
     overflow, placed total)``, in that form on {0..n}: the one statement of
     the overflow rule.  Mass landing above ``n``, and every term touching
-    either overflow bucket, moves to the result's overflow."""
+    either overflow bucket, moves to the result's overflow.  FFT residue
+    below zero is clipped."""
     a_mass, a_over, a_total = a
     b_mass, b_over, b_total = b
-    full = _conv_full(a_mass, b_mass, b_spectrum)
+    full = np.maximum(_conv_full(a_mass, b_mass, b_spectrum), 0.0)
     known = full[: n + 1]
     spill = float(np.sum(full[n + 1 :]))
     overflow = spill + a_over * (b_total + b_over) + b_over * a_total
@@ -619,15 +616,8 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients 0..n-1 of the power-series product ``a * b``, signed:
-    unlike `_conv_full`, nothing is clipped at zero.  Direct or FFT at the
-    sizes and transform lengths of `_conv_full`."""
-    a, b = a[:n], b[:n]
-    fshape = _fft_length(a.size, b.size)
-    if not fshape:
-        return np.convolve(a, b)[:n]
-    spectrum = np.fft.rfft(a, fshape) * np.fft.rfft(b, fshape)
-    return np.fft.irfft(spectrum, fshape)[:n]
+    """Coefficients 0..n-1 of the power-series product ``a * b``."""
+    return _conv_full(a[:n], b[:n])[:n]
 
 
 def _series_reciprocal(f: np.ndarray, n: int) -> np.ndarray:
@@ -691,46 +681,30 @@ def generation_term(aggregate: Pmf) -> Pmf:
     return Pmf(mass=mass, overflow=max(0.0, unplaced), meta=f"term({aggregate.meta})")
 
 
-def _terms_in_flight() -> int:
-    """One generation term per available core, at most
-    `_MAX_TERMS_IN_FLIGHT`."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(cores, _MAX_TERMS_IN_FLIGHT)
-
-
 def _generation_terms(
-    pool: ThreadPoolExecutor,
-    in_flight: int,
-    params: ModelParams,
-    cutoff: int,
-    max_iter: int,
+    pool: ThreadPoolExecutor, params: ModelParams, cutoff: int, max_iter: int
 ) -> Iterator[Pmf]:
     """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order.
 
-    The chain D_n is built on the calling thread; up to ``in_flight`` terms
-    run on ``pool`` ahead of the one being yielded.  An error of generation
-    n, in its chain step or its term, is raised only when n is reached, so
-    a consumer that stops earlier never sees it.
+    The chain D_{n+1} is built on the calling thread while term n runs on
+    ``pool``, one term ahead of the one being yielded.  An error of chain
+    step n + 1, or of term n + 1, is raised only after term n is yielded, so
+    a consumer that stops at n never sees it.
     """
-    pending: deque[Future] = deque()
+    ahead = None  # the term submitted last and not yet yielded
     for n in range(1, max_iter + 1):
         try:
             law = dn_pmf(params, n, cutoff)
-        except Exception as exc:  # raised below only if n is reached
-            failed: Future = Future()
-            failed.set_exception(exc)
-            pending.append(failed)
-            break
+        except Exception:
+            if ahead is not None:
+                yield ahead.result()
+            raise
         finally:
             release_freed_memory()
-        pending.append(pool.submit(generation_term, law))
-        if len(pending) == in_flight:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+        previous, ahead = ahead, pool.submit(generation_term, law)
+        if previous is not None:
+            yield previous.result()
+    yield ahead.result()
 
 
 def stationary_pmf(
@@ -748,9 +722,9 @@ def stationary_pmf(
     sup-norm between successive survival curves drops below ``tol``; the
     analytic bound on everything beyond the last included generation is
     folded into the overflow, keeping the final bracket sound for the true
-    stationary law.  The generation terms are computed concurrently, one per
-    available core up to `_MAX_TERMS_IN_FLIGHT`, and folded in generation
-    order, so the result is that of the serial fold.
+    stationary law.  Each generation term runs on a worker thread while the
+    calling thread builds the next generation law, and the terms are folded
+    in generation order, so the result is that of the serial fold.
 
     Raises:
         NotConverged: if ``max_iter`` iterations leave the gap above ``tol``.
@@ -765,9 +739,8 @@ def stationary_pmf(
     curve = current.survival_curve()
     gap = math.inf
     depth = 0
-    in_flight = _terms_in_flight()
-    with ThreadPoolExecutor(max_workers=in_flight) as pool:
-        terms = _generation_terms(pool, in_flight, params, cutoff, max_iter)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        terms = _generation_terms(pool, params, cutoff, max_iter)
         for n, term in enumerate(terms, start=1):
             nxt = convolve(current, term)
             nxt_curve = nxt.survival_curve()

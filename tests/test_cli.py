@@ -456,6 +456,29 @@ class TestExitCodes:
         args[1] = "16385"
         assert main(["verify", "--suite", "conv_tail", *args]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "check, x",
+        [
+            ("conv_tail", 16384),
+            ("generation_tail", 16384),
+            ("random_sum", 8192),
+            ("two_scale", 4096),
+            ("mc_oracle", 1000),
+        ],
+    )
+    def test_oracle_checks_refuse_a_cutoff_at_their_x(
+        self, tmp_path, capsys, check, x
+    ):
+        # At x >= cutoff the oracle places no mass above x, and the bracket
+        # [0, overflow] gave made-up verdicts (random_sum read a ratio of
+        # 3.92 at cutoff 4096, with exit 1).
+        args = ["--suite", check, "--cutoff", str(x), "--out", str(tmp_path)]
+        assert main(["verify", *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the {check} check" in err
+        assert f"oracle.cutoff > {x}" in err and f"got {x}" in err
+        assert not any(tmp_path.iterdir())
+
     def test_success_exits_0(self, tmp_path):
         assert main(["model", "--out", str(tmp_path)]) == EXIT_OK
 

@@ -1,6 +1,6 @@
 """The package surface: importing the package loads no module of it, no
 scipy submodule loads until it is used, and no public name exists only for
-tests."""
+tests.  The oracle keeps one FFT convolution kernel."""
 
 from __future__ import annotations
 
@@ -88,3 +88,32 @@ def test_every_public_name_has_a_caller_outside_tests():
     }
     used = _used_names()
     assert sorted(f"{m}.{name}" for m, name in exported if name not in used) == []
+
+
+def test_oracle_has_one_fft_kernel():
+    """numpy's FFT appears in the oracle only in the convolution kernel
+    `_conv_full` and the spectrum it reuses, `_spectrum`: a second FFT
+    product would be a second kernel to keep bit for bit in step, and one
+    the benchmark's tracer does not see."""
+    path = ROOT / "src" / "bigjump" / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    kernel = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_conv_full", "_spectrum")
+        for inner in ast.walk(node)
+    }
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            dotted = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [getattr(node, "module", None) or ""]
+            dotted += [alias.name for alias in node.names]
+        else:
+            continue
+        parts = {part for name in dotted for part in name.split(".")}
+        if "fft" in parts and id(node) not in kernel:
+            outside.append(node.lineno)
+    assert outside == []

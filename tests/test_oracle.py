@@ -292,7 +292,8 @@ class TestConvolve:
     def test_fft_kernel_with_reused_spectrum_is_bit_identical(self):
         # Past the direct limit the kernel runs on real FFTs.  `compound`
         # passes the fixed operand's precomputed spectrum; that must change
-        # no bit, and the kernel must match scipy's fftconvolve exactly.
+        # no bit, and the kernel must match scipy's fftconvolve exactly,
+        # signed: the series products need the residue below zero.
         rng = np.random.default_rng(5)
         a = rng.random(5000) ** 4
         b = rng.random(5000) ** 4
@@ -300,7 +301,7 @@ class TestConvolve:
         np.testing.assert_array_equal(
             _conv_full(a, b, _spectrum(b, a.size)), plain
         )
-        np.testing.assert_array_equal(plain, np.maximum(fftconvolve(a, b), 0.0))
+        np.testing.assert_array_equal(plain, fftconvolve(a, b))
         np.testing.assert_allclose(
             plain, np.convolve(a, b), rtol=1e-9, atol=1e-12
         )
@@ -680,23 +681,8 @@ def _serial_fold(params, cutoff: int, depth: int) -> Pmf:
     return serial
 
 
-@pytest.fixture
-def four_cores(monkeypatch):
-    """Four available cores whatever the machine."""
-    monkeypatch.setattr(
-        os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
-    )
-
-
-@pytest.fixture
-def four_in_flight(monkeypatch, four_cores):
-    """Four terms in flight whatever the machine, so terms past the
-    stopping depth are computed on any runner."""
-    monkeypatch.setattr(oracle, "_MAX_TERMS_IN_FLIGHT", 4)
-
-
 class TestConcurrentStationary:
-    def test_bit_identical_to_serial_fold(self, params, four_in_flight):
+    def test_bit_identical_to_serial_fold(self, params):
         st_pmf = stationary_pmf(params, 4096)
         depth = _depth(st_pmf)
         serial = _serial_fold(params, 4096, depth)
@@ -705,37 +691,37 @@ class TestConcurrentStationary:
             params, depth
         )
 
+    @pytest.mark.parametrize("failing", ["chain step", "term"])
     def test_errors_past_the_stopping_depth_stay_hidden(
-        self, params, monkeypatch, four_in_flight
+        self, params, monkeypatch, failing
     ):
         reference = stationary_pmf(params, 512)
         depth = _depth(reference)
         real_dn_pmf, real_term = oracle.dn_pmf, oracle.generation_term
-        chain_steps = []
+        reached = []
 
         def failing_dn_pmf(p, n, cutoff):
-            chain_steps.append(n)
-            if n > depth + 1:
+            if failing == "chain step" and n == depth + 1:
+                reached.append(n)
                 raise RuntimeError(f"chain step {n} past the stopping depth")
             return real_dn_pmf(p, n, cutoff)
 
         def failing_term(law):
-            if _generation(law) > depth:
+            if failing == "term" and _generation(law) == depth + 1:
+                reached.append(_generation(law))
                 raise RuntimeError(f"term of {law.meta} past the stopping depth")
             return real_term(law)
 
         monkeypatch.setattr(oracle, "dn_pmf", failing_dn_pmf)
         monkeypatch.setattr(oracle, "generation_term", failing_term)
         result = stationary_pmf(params, 512)
-        # The speculation reached the failing chain step.
-        assert max(chain_steps) == depth + 2
+        # The lookahead reached the failing generation.
+        assert reached == [depth + 1]
         np.testing.assert_array_equal(result.mass, reference.mass)
         assert result.overflow == reference.overflow
         assert result.meta == reference.meta
 
-    def test_error_of_a_reached_generation_surfaces(
-        self, params, monkeypatch, four_in_flight
-    ):
+    def test_error_of_a_reached_generation_surfaces(self, params, monkeypatch):
         real_term = oracle.generation_term
 
         def failing_term(law):
@@ -747,7 +733,7 @@ class TestConcurrentStationary:
         with pytest.raises(ArithmeticError, match="term 3"):
             stationary_pmf(params, 256)
 
-    def test_refusals_raise_and_leave_no_threads(self, params, four_in_flight):
+    def test_refusals_raise_and_leave_no_threads(self, params):
         before = threading.active_count()
         with pytest.raises(NotConverged):
             stationary_pmf(params, 64, tol=1e-30, max_iter=2)
@@ -757,9 +743,7 @@ class TestConcurrentStationary:
             stationary_pmf(calibrate(0.5, 0.1), 256)
         assert threading.active_count() == before
 
-    def test_builds_nothing_past_max_iter(
-        self, params, monkeypatch, four_in_flight
-    ):
+    def test_builds_nothing_past_max_iter(self, params, monkeypatch):
         depth = _depth(stationary_pmf(params, 320))
         real_term = oracle.generation_term
         terms = []
@@ -781,7 +765,12 @@ class TestConcurrentStationary:
         assert max(terms) == 3
         assert len(_chain_cache[(params, 320)].laws) == 3
 
-    def test_terms_in_flight_are_capped(self, params, monkeypatch, four_cores):
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_one_term_past_the_stopping_depth(self, params, monkeypatch, cores):
+        # The lookahead is one term whatever the core count.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
         depth = _depth(stationary_pmf(params, 320))
         real_term = oracle.generation_term
         terms = []
@@ -791,20 +780,9 @@ class TestConcurrentStationary:
             return real_term(law)
 
         monkeypatch.setattr(oracle, "generation_term", counted_term)
-        stationary_pmf(params, 320)
-        # Each term in flight past the one at the stopping depth is wasted.
-        in_flight = min(4, oracle._MAX_TERMS_IN_FLIGHT)
-        assert max(terms) == depth + in_flight - 1
-
-    @pytest.mark.parametrize("cpu_count, in_flight", [(None, 1), (4, 2)])
-    def test_without_sched_getaffinity(
-        self, params, monkeypatch, cpu_count, in_flight
-    ):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert oracle._terms_in_flight() == in_flight
-        st_pmf = stationary_pmf(params, 512)
-        serial = _serial_fold(params, 512, _depth(st_pmf))
+        st_pmf = stationary_pmf(params, 320)
+        assert max(terms) == depth + 1
+        serial = _serial_fold(params, 320, depth)
         np.testing.assert_array_equal(st_pmf.mass, serial.mass)
 
 
