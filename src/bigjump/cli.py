@@ -409,9 +409,10 @@ def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
 
     Generation 1's term takes the series reciprocal 1/(1 + r C), stable only
     for ``r = theta/(1-theta) < 1``, ``theta = P(B >= 1)``, so larger
-    ``theta`` is refused as a config error rather than a traceback,
-    as are an iteration that does not converge and a depth remainder too
-    large for the stationary law's mass conservation.
+    ``theta`` is refused as a config error rather than a traceback, as is an
+    iteration that does not converge within ``oracle.max_iter``.  A large
+    depth remainder is not refused: it widens the law's brackets, up to
+    [0, 1] where it reaches 1.
     """
     where = f"b = {params.b}, epsilon = {params.epsilon}"
     if params.theta >= 0.5:
@@ -431,12 +432,6 @@ def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
             f"the oracle did not converge at {where}: sup-norm gap "
             f"{exc.gap:.3e} still above oracle.tol = {exc.tol:g} after "
             f"oracle.max_iter = {exc.max_iter} iterations"
-        ) from exc
-    except oracle.RemainderTooLarge as exc:
-        raise ConfigError(
-            f"the oracle cannot certify {where}: the depth remainder "
-            f"{exc.remainder:.3e} beyond generation {exc.depth} exceeds the "
-            f"mass conservation tolerance {exc.tolerance:g}"
         ) from exc
 
 

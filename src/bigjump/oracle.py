@@ -3,8 +3,8 @@
 Every distribution here is a vector of point masses on {0..N} plus a single
 scalar "overflow" bucket holding all probability the computation could not
 place on the grid.  The known vector is maintained pointwise *below* the true
-pmf at every step (mass is only ever dropped into overflow, never invented),
-which makes the survival bracket
+pmf at every step, the stationary law's included (mass is only ever dropped
+into overflow, never invented), which makes the survival bracket
 
     sum_{k > x} mass[k]  <=  P(> x)  <=  sum_{k > x} mass[k] + overflow
 
@@ -58,7 +58,11 @@ Design notes
   on the aggregate's coefficients 0..N, so every immigration count is
   included and the term's overflow is exactly its mass above N rather than
   the whole immigration tail, which is what makes desk-scale brackets at
-  x ~ N/16 usable at all.
+  x ~ N/16 usable at all.  The generations past the stopping depth d are
+  covered by R = `depth_remainder_bound`, at least the probability that any
+  of them contributes: they are independent of the fold and add zero with
+  probability at least 1 - R, so the fold's masses times (1 - R) stay below
+  the stationary pmf and the removed share goes to the overflow.
 * The generation terms are independent, so ``stationary_pmf`` runs term n
   on one worker thread (numpy's FFTs release the GIL) while the calling
   thread builds D_{n+1}, the larger share of the work, and folds finished
@@ -94,7 +98,6 @@ __all__ = [
     "TailRatioBracket",
     "RandomSumCheck",
     "NotConverged",
-    "RemainderTooLarge",
     "pmf_of",
     "convolve",
     "compound",
@@ -139,20 +142,6 @@ class NotConverged(RuntimeError):
             f"after {max_iter} iterations (tol {tol:g})"
         )
         self.gap, self.tol, self.max_iter = gap, tol, max_iter
-
-
-class RemainderTooLarge(ValueError):
-    """The depth-truncation remainder breaks the stationary law's mass
-    conservation: it is added to the overflow without removing placed mass."""
-
-    def __init__(self, remainder: float, deficit: float, depth: int) -> None:
-        super().__init__(
-            f"depth remainder {remainder:.3e} beyond generation {depth} puts "
-            f"mass + overflow {deficit:.3e} off 1, past the conservation "
-            f"tolerance {_CONSERVATION_TOLERANCE:g}"
-        )
-        self.remainder, self.depth = remainder, depth
-        self.tolerance = _CONSERVATION_TOLERANCE
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,7 +673,9 @@ def generation_term(aggregate: Pmf) -> Pmf:
 def _generation_terms(
     pool: ThreadPoolExecutor, params: ModelParams, cutoff: int, max_iter: int
 ) -> Iterator[Pmf]:
-    """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order.
+    """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order,
+    stopping before the first D_n whose zero mass rounds to 1 (every later
+    generation's does too, and its term has nothing to place).
 
     The chain D_{n+1} is built on the calling thread while term n runs on
     ``pool``, one term ahead of the one being yielded.  An error of chain
@@ -701,10 +692,13 @@ def _generation_terms(
             raise
         finally:
             release_freed_memory()
+        if float(law.mass[0]) >= 1.0:
+            break
         previous, ahead = ahead, pool.submit(generation_term, law)
         if previous is not None:
             yield previous.result()
-    yield ahead.result()
+    if ahead is not None:
+        yield ahead.result()
 
 
 def stationary_pmf(
@@ -719,17 +713,21 @@ def stationary_pmf(
     generation's contribution, so the iterates increase stochastically and
     their survival functions converge upward to the stationary one.  The
     first iterate is exactly the immigration law.  Iteration stops when the
-    sup-norm between successive survival curves drops below ``tol``; the
-    analytic bound on everything beyond the last included generation is
-    folded into the overflow, keeping the final bracket sound for the true
-    stationary law.  Each generation term runs on a worker thread while the
-    calling thread builds the next generation law, and the terms are folded
-    in generation order, so the result is that of the serial fold.
+    sup-norm between successive survival curves drops below ``tol``, or
+    before the first generation whose survival P(D_n > 0) is below float
+    resolution.  The generations past the last included one, depth d, add
+    a value Y independent of the fold X_d, nonzero with probability at most
+    R = min(`depth_remainder_bound`, 1).  So P(X = k) >= (1 - R) P(X_d = k):
+    the placed masses are scaled by 1 - R and the removed R times the placed
+    total joins the overflow, which keeps both the pointwise lower bound and
+    the conservation of the fold.  Each generation term runs on a worker
+    thread while the calling thread builds the next generation law, and the
+    terms are folded in generation order, so the result is that of the
+    serial fold.
 
     Raises:
-        NotConverged: if ``max_iter`` iterations leave the gap above ``tol``.
-        RemainderTooLarge: if the depth remainder, which is added to the
-            overflow without removing placed mass, breaks conservation.
+        NotConverged: if all ``max_iter`` iterations leave the gap above
+            ``tol``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
@@ -755,15 +753,12 @@ def stationary_pmf(
             current, curve, depth = nxt, nxt_curve, n
             if gap < tol:
                 break
-        else:
-            raise NotConverged(gap, tol, max_iter)
-    remainder = depth_remainder_bound(params, depth)
-    deficit = abs(1.0 - current.known_total - current.overflow - remainder)
-    if deficit > _CONSERVATION_TOLERANCE:
-        raise RemainderTooLarge(remainder, deficit, depth)
+    if depth == max_iter and gap >= tol:
+        raise NotConverged(gap, tol, max_iter)
+    remainder = min(depth_remainder_bound(params, depth), 1.0)
     return Pmf(
-        mass=current.mass,
-        overflow=current.overflow + remainder,
+        mass=(1.0 - remainder) * current.mass,
+        overflow=current.overflow + remainder * current.known_total,
         meta=f"stationary@{cutoff}(depth={depth}, gap={gap:.2e})",
     )
 

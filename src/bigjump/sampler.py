@@ -273,8 +273,7 @@ def _conditional_b_batch(
 ) -> np.ndarray:
     """Exact draws from ``(B | B >= 1)``: uniforms scaled into ``(0, P(B > 0))``
     by the unconditional inversion, one table search per draw."""
-    theta = float(law_B(params).survival_table[0])
-    return _invert_b_uniforms(params, stream.generator.random(size) * theta)
+    return _invert_b_uniforms(params, stream.generator.random(size) * params.theta)
 
 
 def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
@@ -287,7 +286,7 @@ def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
     never silently.  ``theta`` and the generator's methods are looked up
     once per kernel.
     """
-    theta = float(law_B(params).survival_table[0])
+    theta = params.theta
     random, binomial = stream.generator.random, stream.generator.binomial
     events = stream.events
 

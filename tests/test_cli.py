@@ -31,6 +31,7 @@ from bigjump.cli import (
     load_config,
     main,
 )
+from bigjump.model import calibrate, depth_remainder_bound
 
 FAST_SUITE = "series,calibration,a_tail,second_scale_decay"
 
@@ -300,32 +301,78 @@ class TestExitCodes:
         # The artifact is still written before the saturation exit.
         assert (tmp_path / "simulate.csv").exists()
 
-    def test_oracle_refuses_theta_at_least_half(self, tmp_path, capsys):
-        # b = 0.8, epsilon = 3 calibrates to theta = 0.607.
-        args = ["--b", "0.8", "--epsilon", "3", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("b, epsilon", [("0.8", "3"), ("0.9", "5")])
+    def test_oracle_refuses_theta_at_least_half(
+        self, tmp_path, capsys, b, epsilon
+    ):
+        # b = 0.8, epsilon = 3 calibrates to theta = 0.607; 0.9, 5 to 0.79.
+        args = ["--b", b, "--epsilon", epsilon, "--out", str(tmp_path)]
         assert main(["oracle", "--cutoff", "256", *args]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "theta" in err and "0.5" in err
         assert main(["verify", "--suite", "series", *args]) == EXIT_OK
 
-    def test_oracle_refuses_no_convergence(self, tmp_path, capsys):
-        # b = 0.9 leaves a sup-norm gap of 2.3e-5 after 60 iterations.
-        args = ["--b", "0.9", "--epsilon", "1", "--cutoff", "256"]
+    @pytest.mark.parametrize(
+        "b, gap", [("0.8", "e-07"), ("0.9", "e-05"), ("0.95", "e-04")]
+    )
+    def test_oracle_refuses_no_convergence(self, tmp_path, capsys, b, gap):
+        # 60 iterations leave sup-norm gaps of 1.1e-7, 2.3e-5 and 1.9e-4.
+        args = ["--b", b, "--epsilon", "1", "--cutoff", "256"]
         assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "oracle.max_iter = 60" in err and "oracle.tol = 1e-11" in err
-        assert re.search(r"gap \d\.\d{3}e-05", err)
+        assert re.search(rf"gap \d\.\d{{3}}{gap}", err)
         assert not (tmp_path / "oracle.csv").exists()
 
-    def test_oracle_refuses_large_depth_remainder(self, tmp_path, capsys):
-        # epsilon = 0.1 converges at depth 15 with a remainder of 4.1e-4,
-        # which the stationary law cannot hold within mass conservation.
-        args = ["--b", "0.5", "--epsilon", "0.1", "--cutoff", "256"]
-        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "depth remainder 4.077e-04" in err
-        assert "conservation tolerance 1e-09" in err
-        assert not (tmp_path / "oracle.csv").exists()
+    @pytest.mark.parametrize(
+        "b, epsilon, extra",
+        [
+            ("0.5", "0.1", []),
+            ("0.2", "0.2", []),
+            ("0.8", "1", ["--max-iter", "200"]),
+            ("0.9", "1", ["--max-iter", "400"]),
+            ("0.95", "1", ["--max-iter", "800"]),
+            # Stops at depth 1, where the remainder bound reads 262.7.
+            ("0.99", "1", ["--tol", "0.5"]),
+        ],
+        ids=[
+            "0.5-0.1",
+            "0.2-0.2",
+            "0.8-iter200",
+            "0.9-iter400",
+            "0.95-iter800",
+            "0.99-tol0.5",
+        ],
+    )
+    def test_oracle_folds_the_depth_remainder(self, tmp_path, b, epsilon, extra):
+        # The first five were refused with exit 2: the remainder past the
+        # stopping depth broke the stationary law's mass conservation.  It
+        # now comes off the placed masses and widens the brackets.
+        args = ["--b", b, "--epsilon", epsilon, "--cutoff", "256", *extra]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "oracle.csv"
+        header = re.search(r"depth=(\d+),.* overflow=(\S+)", path.read_text())
+        params = calibrate(float(b), float(epsilon))
+        remainder = depth_remainder_bound(params, int(header.group(1)))
+        if remainder < 1.0:
+            assert float(header.group(2)) >= remainder
+        else:  # every mass unplaced: the bracket is [0, 1] at each k
+            lines = [line for line in read_lines(path) if not line.startswith("#")]
+            rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+            assert not rows[:, 1].any() and not rows[:, 2].any()
+            assert rows[:, 3] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("b", ["0.5", "0.2"])
+    def test_oracle_stops_where_survival_leaves_float_range(self, tmp_path, b):
+        # tol = 1e-30 is out of reach, and the fold ran on until P(D_n > 0)
+        # rounded to 0 and that generation's term raised (exit 1); it now
+        # stops there (depth 47 at b = 0.5, 21 at b = 0.2).
+        args = ["--b", b, "--cutoff", "256", "--tol", "1e-30"]
+        args += ["--out", str(tmp_path)]
+        assert main(["oracle", *args, "--max-iter", "100"]) == EXIT_OK
+        depth = re.search(r"depth=(\d+)", (tmp_path / "oracle.csv").read_text())
+        assert int(depth.group(1)) < 100
+        assert main(["oracle", *args, "--max-iter", "2"]) == EXIT_CONFIG
 
     def test_cluster_simulate_at_depth_200(self, tmp_path):
         # The depth remainder evaluates the immigration truncated mean at

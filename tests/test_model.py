@@ -234,6 +234,8 @@ class TestTruncatedMeanA:
 class TestLawB:
     def test_survival_at_zero_is_theta(self, params):
         assert law_B(params).survival(0) == pytest.approx(params.theta, rel=1e-15)
+        # phi(0) = 1 exactly, so the samplers read P(B >= 1) as params.theta.
+        assert float(law_B(params).survival_table[0]) == params.theta
 
     def test_survival_golden(self, params):
         assert law_B(params).survival(1) == pytest.approx(GOLDEN_SURVIVAL_B_1, abs=2e-15)
