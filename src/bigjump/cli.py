@@ -24,7 +24,8 @@ round-trip float formatting, fixed column orders (documented per subcommand
 in ``--help``).  Every artifact embeds the hash of the effective config and
 the seed — CSV files in a leading ``#`` comment, JSON files in a
 ``provenance`` block.  Files are written to a temporary sibling and
-atomically renamed, so readers never observe a partial artifact.
+atomically renamed, so readers never observe a partial artifact.  The
+timings side file ``verify_timings.json`` is not an artifact.
 
 Exit codes: 0 success (for ``verify``: every selected check passed);
 1 ``verify`` ran but a check failed; 2 config parse or validation error;
@@ -40,8 +41,10 @@ import math
 import operator
 import os
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -587,35 +590,21 @@ class VerifyContext:
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.params()
-        self._stationary = None
-        self._chain = None
 
-    @property
+    @cached_property
     def stationary(self) -> oracle.Pmf:
-        if self._stationary is None:
-            self._stationary = _stationary_pmf(self.params, self.config)
-        return self._stationary
+        return _stationary_pmf(self.params, self.config)
+
+    @cached_property
+    def chain(self) -> sampler.ChainResult:
+        """One long chain run (10^6 samples, burn-in 10^3, stream 0)."""
+        stream = sampler.RngStream(seed=self.config.seed, stream_id=0)
+        chain = sampler.ChainConfig(1_000_000, 1_000, self.config.simulate.max_population)
+        return sampler.run_chain(self.params, chain, stream)
 
     @property
     def chain_samples(self) -> np.ndarray:
-        """One long chain run (10^6 samples, burn-in 10^3, stream 0)."""
-        if self._chain is None:
-            stream = sampler.RngStream(seed=self.config.seed, stream_id=0)
-            self._chain = sampler.run_chain(
-                self.params,
-                sampler.ChainConfig(
-                    n_samples=1_000_000,
-                    burn_in=1_000,
-                    max_population=self.config.simulate.max_population,
-                ),
-                stream,
-            )
-        return self._chain.samples
-
-    @property
-    def chain_events(self) -> dict:
-        _ = self.chain_samples
-        return self._chain.events
+        return self.chain.samples
 
 
 def _record(check_id, description, measured, expected, tolerance, passed):
@@ -852,7 +841,7 @@ def _check_mc_oracle(ctx: VerifyContext) -> dict:
     curve = stats.empirical_survival(samples, xs, level=level)
     pi = ctx.stationary
     measured = {}
-    passed = not ctx.chain_events
+    passed = not ctx.chain.events
     for i, x in enumerate(xs):
         lo, hi = pi.survival_bracket(x)
         ci_lo, ci_hi = float(curve.ci_lo[i]), float(curve.ci_hi[i])
@@ -919,8 +908,10 @@ def _suite_tokens(suite: str) -> list:
     return [token.strip() for token in suite.split(",") if token.strip()]
 
 
-def run_verify(config: RunConfig) -> dict:
-    """Run the selected checks and assemble the machine-readable report."""
+def run_verify(config: RunConfig, seconds: Optional[dict] = None) -> dict:
+    """Run the selected checks and assemble the machine-readable report;
+    each check's wall seconds go into ``seconds``, never into the report (a
+    check that first reads a shared input is charged for building it)."""
     selected = _suite_tokens(config.verify.suite)
     for check_id in (c for c in selected if c in _ORACLE_XS):
         x = max(_ORACLE_XS[check_id])
@@ -930,7 +921,12 @@ def run_verify(config: RunConfig) -> dict:
                 f"mass above x = {x}, got {config.oracle.cutoff}"
             )
     ctx = VerifyContext(config)
-    checks = [CHECKS[check_id](ctx) for check_id in selected]
+    seconds = {} if seconds is None else seconds
+    checks = []
+    for check_id in selected:
+        start = time.perf_counter()
+        checks.append(CHECKS[check_id](ctx))
+        seconds[check_id] = time.perf_counter() - start
     return {
         "checks": checks,
         "overall": all(c["pass"] for c in checks),
@@ -938,9 +934,12 @@ def run_verify(config: RunConfig) -> dict:
 
 
 def _cmd_verify(config: RunConfig, out_dir: Path) -> int:
-    report = run_verify(config)
+    seconds = {}
+    report = run_verify(config, seconds)
     path = out_dir / "verify_report.json"
     _json_artifact(path, report, config)
+    timings = json.dumps(seconds, indent=2) + "\n"
+    _atomic_write(out_dir / "verify_timings.json", timings)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status} {check['id']}: {check['description']}")
@@ -971,6 +970,7 @@ artifact formats (fixed column orders; all files start with
   attribution.csv label, count, share
   verify_report.json  checks[{id, description, measured, expected,
                  tolerance, pass}], overall, provenance
+  verify_timings.json  {check id: wall seconds} (not deterministic)
 
 exit codes: 0 ok / all checks pass; 1 verify check failed;
 2 config or validation error; 3 sampler saturation (events recorded).
@@ -1041,19 +1041,11 @@ def main(argv=None) -> int:
         config.validate()
         _ = config.seed  # force env-var validation before any work
         out_dir = Path(args.out)
-        if args.command == "model":
-            return _cmd_model(config, out_dir)
-        if args.command == "predict":
-            return _cmd_predict(config, out_dir)
-        if args.command == "oracle":
-            return _cmd_oracle(config, out_dir)
-        if args.command == "simulate":
-            return _cmd_simulate(config, out_dir)
-        if args.command == "verify":
-            return _cmd_verify(config, out_dir)
         if args.command == "attribute":
             return _cmd_attribute(config, out_dir, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        run = {"model": _cmd_model, "predict": _cmd_predict, "oracle": _cmd_oracle,
+               "simulate": _cmd_simulate, "verify": _cmd_verify}[args.command]
+        return run(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

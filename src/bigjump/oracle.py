@@ -120,6 +120,11 @@ _DIRECT_CONV_LIMIT = 4096
 # The thinned offspring count starts its recurrence from b_k * q**k, so it is
 # used only while q**N >= exp(-this) stays a normal float at the cutoff N.
 _THINNED_MAX_NEG_LOG = 600.0
+# Outward margin on the stationary law's overflow per folded product: the
+# fold's placed total plus overflow lands a few ulps either side of 1 (up to
+# 2.5 ulps short at depths 1-37, cutoffs 256-16384), and an upper bracket
+# must not read below a survival that is exactly 1.
+_FOLD_MARGIN = 4 * np.finfo(np.float64).eps
 # Generation chains kept, least recently used dropped first (`law_B`'s bound).
 _CHAIN_CACHE_SIZE = 8
 # Block rows per collapse product in `compound`.  A row's bits depend on
@@ -720,10 +725,11 @@ def stationary_pmf(
     R = min(`depth_remainder_bound`, 1).  So P(X = k) >= (1 - R) P(X_d = k):
     the placed masses are scaled by 1 - R and the removed R times the placed
     total joins the overflow, which keeps both the pointwise lower bound and
-    the conservation of the fold.  Each generation term runs on a worker
-    thread while the calling thread builds the next generation law, and the
-    terms are folded in generation order, so the result is that of the
-    serial fold.
+    the conservation of the fold.  The overflow also carries `_FOLD_MARGIN`
+    per folded product, against rounding.  Each generation term runs on a
+    worker thread while the calling thread builds the next generation law,
+    and the terms are folded in generation order, so the result is that of
+    the serial fold.
 
     Raises:
         NotConverged: if all ``max_iter`` iterations leave the gap above
@@ -758,7 +764,8 @@ def stationary_pmf(
     remainder = min(depth_remainder_bound(params, depth), 1.0)
     return Pmf(
         mass=(1.0 - remainder) * current.mass,
-        overflow=current.overflow + remainder * current.known_total,
+        overflow=current.overflow + remainder * current.known_total
+        + depth * _FOLD_MARGIN,
         meta=f"stationary@{cutoff}(depth={depth}, gap={gap:.2e})",
     )
 

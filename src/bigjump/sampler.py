@@ -4,10 +4,10 @@ Two independent sampling routes to the stationary law:
 
 * **Markov chain** (`run_chain`): iterate the recursion
   ``X' = A + sum_{i <= X} B_i`` from zero.  Each step draws the offspring
-  sum by thinning — a Binomial count of nonzero children followed by
-  conditional draws from ``(B | B >= 1)`` — which is identical in law to
-  summing ``X`` independent copies of ``B`` but costs ``O(theta * X)``
-  conditional draws instead of ``X``.
+  sum by thinning — a Binomial count of nonzero children, then conditional
+  draws from ``(B | B >= 1)``, identical in law to summing ``X`` copies of
+  ``B`` — and reads its immigration and conditional draws from blocks, so
+  it costs one scalar binomial call.
 
 * **Cluster sampling** (`sample_clusters`): resolve the stationary value
   into its per-generation contributions — immigration plus, for each
@@ -34,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -65,6 +66,9 @@ DEFAULT_MAX_POPULATION = 1 << 26
 
 #: Largest number of individuals whose draws are requested at once.
 _DRAW_CHUNK = 1 << 22
+
+#: Steps per immigration block, and draws per offspring pool, of `run_chain`.
+_CHAIN_BLOCK = 4096
 
 
 @dataclass
@@ -276,41 +280,38 @@ def _conditional_b_batch(
     return _invert_b_uniforms(params, stream.generator.random(size) * params.theta)
 
 
-def _chain_kernel(params: ModelParams, stream: RngStream, max_population: int):
-    """One chain transition ``x -> A + sum_{i <= x} B_i`` as ``step(x)``.
-
-    The number of nonzero children is ``Binomial(x, P(B > 0))``; each is
-    then drawn from ``(B | B >= 1)``.  This is identical in law to summing
-    ``x`` independent offspring draws at a fraction of the cost.  Totals
-    beyond ``max_population`` saturate with a ``population_cap`` event,
-    never silently.  ``theta`` and the generator's methods are looked up
-    once per kernel.
-    """
-    theta = params.theta
-    random, binomial = stream.generator.random, stream.generator.binomial
-    events = stream.events
-
-    def step(x: int) -> int:
-        u = random()
-        if u < 2.0**-62:
-            events["a_value_cap"] += 1
-        total = int(1.0 / max(u, 2.0**-62))
-        if x > 0:
-            k = int(binomial(x, theta))
-            if k > 0:
-                draws = _invert_b_uniforms(params, random(k) * theta)
-                # Float guard first: the exact int64 sum is only formed once
-                # the total is known to be small enough to be exact.
-                if float(draws.sum(dtype=np.float64)) + total > max_population:
-                    events["population_cap"] += 1
-                    return max_population
-                total += int(draws.sum())
-        if total > max_population:
-            events["population_cap"] += 1
-            return max_population
-        return total
-
-    return step
+def _chain_path(
+    params: ModelParams, stream: RngStream, x: int, steps: int, max_population: int
+) -> np.ndarray:
+    """The chain's next ``steps`` states from state ``x``, drawn as
+    `run_chain`'s stream contract says.  ``k ~ Binomial(x, P(B > 0))``
+    nonzero children, each from ``(B | B >= 1)``, are identical in law to
+    ``x`` offspring draws; up to a block of them cost one subtraction of
+    the pool's exact prefix sums.  Totals beyond ``max_population``
+    saturate with a ``population_cap`` event, never silently."""
+    block, theta = _CHAIN_BLOCK, params.theta
+    binomial, events = stream.generator.binomial, stream.events
+    path = np.empty(steps, dtype=np.int64)
+    prefix, used = [0], 0  # the pool's prefix sums; its draws read so far
+    for start in range(0, steps, block):
+        immigration = _sample_a_batch(stream, min(block, steps - start)).tolist()
+        for i, total in enumerate(immigration, start):
+            k = binomial(x, theta)
+            if k > block:  # a float guard before the exact int64 sum
+                draws = _conditional_b_batch(params, stream, k)
+                big = float(draws.sum(dtype=np.float64)) + total > max_population
+                total = max_population + 1 if big else total + int(draws.sum())
+            elif k:
+                if used + k >= len(prefix):
+                    draws = _conditional_b_batch(params, stream, block).tolist()
+                    prefix, used = list(accumulate(draws, initial=0)), 0
+                total += prefix[used + k] - prefix[used]
+                used += k
+            if total > max_population:
+                events["population_cap"] += 1
+                total = max_population
+            path[i] = x = total
+    return path
 
 
 def run_chain(
@@ -320,24 +321,24 @@ def run_chain(
 
     The start at zero makes the marginal law stochastically increasing in
     time, so any residual burn-in bias underestimates tails (one-sided).
-    Emits every step after discarding ``burn_in`` steps of `_chain_kernel`;
+    Emits every step after discarding ``burn_in`` steps of `_chain_path`;
     the result carries the cap events recorded during this run.
+
+    Stream contract, with ``S = burn_in + n_samples`` steps and ``N =
+    _CHAIN_BLOCK``: before steps ``0, N, 2N, ...`` come the immigration
+    uniforms of the next ``min(N, S - step)`` steps; each step then makes
+    one scalar ``binomial(x, theta)`` call (which draws nothing at ``x =
+    0``); a step with ``k <= N`` children that the pool cannot serve first
+    draws ``N`` uniforms for a new pool, dropping the old one's unread
+    draws; a step with ``k > N`` draws ``k`` uniforms of its own.  Burn-in
+    steps draw exactly as emitted ones do, so ``burn_in = b, n_samples = n``
+    emits the last ``n`` samples of ``burn_in = 0, n_samples = b + n``.
     """
-    before = dict(stream.events)
-    step = _chain_kernel(params, stream, config.max_population)
-    samples = np.empty(config.n_samples, dtype=np.int64)
-    x = 0
-    for _ in range(config.burn_in):
-        x = step(x)
-    for i in range(config.n_samples):
-        x = step(x)
-        samples[i] = x
-    delta = {
-        key: count - before.get(key, 0)
-        for key, count in stream.events.items()
-        if count - before.get(key, 0)
-    }
-    return ChainResult(samples=samples, events=delta)
+    before = stream.events.copy()
+    steps = config.burn_in + config.n_samples
+    path = _chain_path(params, stream, 0, steps, config.max_population)
+    events = dict(stream.events - before)  # counts only grow
+    return ChainResult(samples=path[config.burn_in :], events=events)
 
 
 @lru_cache(maxsize=8)

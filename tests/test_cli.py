@@ -362,6 +362,22 @@ class TestExitCodes:
             assert not rows[:, 1].any() and not rows[:, 2].any()
             assert rows[:, 3] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--b", "0.2", "--epsilon", "0.2"], ["--b", "0.99", "--tol", "0.5"]],
+        ids=["0.2-0.2", "0.99-tol0.5"],
+    )
+    def test_oracle_upper_bracket_at_zero_is_one(self, tmp_path, args):
+        # A >= 1 makes P(X > 0) = 1.  Without a rounding margin on the
+        # overflow the fold's placed total plus overflow read 1 - 3.3e-16
+        # and 1 - 1.1e-16 here, and so did survival_hi at k = 0.
+        args += ["--cutoff", "256", "--out", str(tmp_path)]
+        assert main(["oracle", *args]) == EXIT_OK
+        lines = read_lines(tmp_path / "oracle.csv")
+        first_row = next(line for line in lines if line[0].isdigit())
+        k, _, _, survival_hi = first_row.split(",")
+        assert k == "0" and float(survival_hi) >= 1.0
+
     @pytest.mark.parametrize("b", ["0.5", "0.2"])
     def test_oracle_stops_where_survival_leaves_float_range(self, tmp_path, b):
         # tol = 1e-30 is out of reach, and the fold ran on until P(D_n > 0)
@@ -837,6 +853,19 @@ class TestDeterminism:
             (a / "verify_report.json").read_bytes()
             == (b / "verify_report.json").read_bytes()
         )
+
+    def test_verify_timings_stay_beside_the_report(self, tmp_path):
+        # Two runs into one directory: the second starts with the first's
+        # timings file in place, and the report does not move a byte.
+        reports = []
+        for _ in range(2):
+            argv = ["verify", "--out", str(tmp_path), "--suite", FAST_SUITE]
+            assert main(argv) == EXIT_OK
+            reports.append((tmp_path / "verify_report.json").read_bytes())
+            timings = json.loads((tmp_path / "verify_timings.json").read_text())
+            assert list(timings) == FAST_SUITE.split(",")
+            assert all(seconds >= 0.0 for seconds in timings.values())
+        assert reports[0] == reports[1]
 
 
 class TestVerifyReportShape:

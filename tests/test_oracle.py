@@ -679,10 +679,12 @@ def _generation(law: Pmf) -> int:
 
 def _assert_remainder_folded(law: Pmf, fold: Pmf, params, depth: int) -> None:
     """``law`` is ``fold`` with the depth remainder R folded in, bit for bit:
-    masses times 1 - R, and R times the placed total added to the overflow."""
+    masses times 1 - R, and R times the placed total added to the overflow,
+    with the rounding margin of ``depth`` folded products."""
     remainder = min(depth_remainder_bound(params, depth), 1.0)
     np.testing.assert_array_equal(law.mass, (1.0 - remainder) * fold.mass)
-    assert law.overflow == fold.overflow + remainder * fold.known_total
+    margin = depth * oracle._FOLD_MARGIN
+    assert law.overflow == fold.overflow + remainder * fold.known_total + margin
 
 
 def _serial_fold(params, cutoff: int, depth: int) -> Pmf:

@@ -5,7 +5,8 @@ Statistical checks use fixed seeds and generous confidence bands
 they are deterministic in practice while still failing loudly on a law
 error.  Structural checks (reproducibility, saturation accounting, draw
 bookkeeping) are exact.  The references live here because only these tests
-use them: `chain_step_naive`, the plain-sum reference for the chain kernel;
+use them: `chain_step_naive`, the plain-sum reference for a chain step;
+`chain_by_contract`, the chain's stream contract drawn one step at a time;
 `invert_b_tail_scalar`, the one-uniform-at-a-time tail search; and
 `simulate_trees` / `conditional_dn_rejection`, whole-tree simulation with
 rejection of extinct trees, an independent route to ``(D_n | D_n > 0)``.
@@ -64,8 +65,9 @@ def chain_step_naive(
 ) -> int:
     """Reference transition: sum ``x`` unconditional offspring draws directly.
 
-    Same law as `smp._chain_kernel`; kept as the independent implementation
-    that equivalence tests compare against.  Cost grows linearly in ``x``.
+    Same law as a step of `smp._chain_path`; kept as the independent
+    implementation that equivalence tests compare against.  Cost grows
+    linearly in ``x``.
     """
     total = int(1.0 / max(stream.generator.random(), 2.0**-62))
     remaining = x
@@ -81,6 +83,28 @@ def chain_step_naive(
         stream.events["population_cap"] += 1
         return max_population
     return total
+
+
+def chain_by_contract(params, config: ChainConfig, stream) -> list:
+    """Reference for `run_chain`'s stream contract, one step at a time:
+    immigration a block of steps ahead, one binomial per step, children
+    from a list of pooled draws, replaced by a fresh block when it runs
+    short, or drawn for the step alone when there are more than a block."""
+    block, steps = smp._CHAIN_BLOCK, config.burn_in + config.n_samples
+    x, pool, states = 0, [], []
+    for i in range(steps):
+        if i % block == 0:
+            immigration = smp._sample_a_batch(stream, min(block, steps - i)).tolist()
+        k = int(stream.generator.binomial(x, params.theta))
+        if k > block:
+            children = smp._conditional_b_batch(params, stream, k).tolist()
+        else:
+            if k > len(pool):
+                pool = smp._conditional_b_batch(params, stream, block).tolist()
+            children, pool = pool[:k], pool[k:]
+        x = min(immigration[i % block] + sum(children), config.max_population)
+        states.append(x)
+    return states[config.burn_in :]
 
 
 def invert_b_tail_scalar(params, u: float) -> int:
@@ -267,11 +291,14 @@ class TestSampleA:
             assert lo <= survival_A(k) <= hi
 
     def test_tiny_uniform_caps_and_records(self, params):
-        # The chain kernel draws its immigration inline: capped at 2**62,
-        # then saturated at the population cap, each with its event.
+        # The chain's first immigration draw: capped at 2**62, then
+        # saturated at the population cap, each with its event.
         stub = _StubStream([2.0**-63])
-        assert smp._chain_kernel(params, stub, 1 << 20)(0) == 1 << 20
+        config = ChainConfig(n_samples=1, burn_in=0, max_population=1 << 20)
+        result = run_chain(params, config, stub)
+        assert result.samples.tolist() == [1 << 20]
         assert stub.events == {"a_value_cap": 1, "population_cap": 1}
+        assert result.events == {"a_value_cap": 1, "population_cap": 1}
 
     def test_batch_cap_and_record(self):
         stub = _StubStream([2.0**-63, 0.5, 0.25])
@@ -485,14 +512,20 @@ class TestGenerationTrees:
 
 
 class TestChain:
-    def test_step_matches_naive_sum_in_law(self, params):
-        # Same kernel two ways: Binomial thinning plus conditional draws
+    @pytest.mark.parametrize("block", [64, 16])
+    def test_step_matches_naive_sum_in_law(self, params, monkeypatch, block):
+        # Same step two ways: Binomial thinning plus conditional draws
         # versus a plain sum of offspring draws.  At x = 100 the two sample
-        # sets must be statistically indistinguishable.
+        # sets must be statistically indistinguishable.  With k ~
+        # Binomial(100, 0.237) nonzero children, a block of 64 serves every
+        # step from a pool refill and a block of 16 sends ~96% of the steps
+        # to the direct draw past a block.
+        monkeypatch.setattr(smp, "_CHAIN_BLOCK", block)
         thinned_stream = RngStream(seed=12, stream_id=0)
         naive_stream = RngStream(seed=12, stream_id=1)
         reps = 100_000
-        step = smp._chain_kernel(params, thinned_stream, smp.DEFAULT_MAX_POPULATION)
+        cap = smp.DEFAULT_MAX_POPULATION
+        step = lambda x: smp._chain_path(params, thinned_stream, x, 1, cap)[0]
         thinned = np.fromiter(
             (step(100) for _ in range(reps)),
             dtype=np.int64,
@@ -508,35 +541,38 @@ class TestChain:
 
     def test_step_saturation_recorded(self, params):
         stub = _StubStream([2.0**-40])  # immigration draw of 2**40
-        value = smp._chain_kernel(params, stub, 1 << 20)(0)
-        assert value == 1 << 20
+        config = ChainConfig(n_samples=1, burn_in=0, max_population=1 << 20)
+        result = run_chain(params, config, stub)
+        assert result.samples.tolist() == [1 << 20]
         assert stub.events["population_cap"] == 1
 
-    @staticmethod
-    def _manual(params, config, stream):
-        step = smp._chain_kernel(params, stream, config.max_population)
-        x = 0
-        for _ in range(config.burn_in):
-            x = step(x)
-        manual = []
-        for _ in range(config.n_samples):
-            x = step(x)
-            manual.append(x)
-        return manual
-
-    def test_run_matches_manual_stepping(self, params):
+    @pytest.mark.parametrize("block", [smp._CHAIN_BLOCK, 16])
+    def test_run_matches_manual_stepping(self, params, monkeypatch, block):
+        # 5,000 steps cross an immigration block at either size; a block of
+        # 16 also takes the direct draw past a block.
+        monkeypatch.setattr(smp, "_CHAIN_BLOCK", block)
         config = ChainConfig(n_samples=4_000, burn_in=1_000)
         auto = run_chain(params, config, RngStream(seed=13))
-        assert auto.samples.tolist() == self._manual(params, config, RngStream(13))
+        assert auto.samples.tolist() == chain_by_contract(params, config, RngStream(13))
         assert auto.events == {}
-        # Immigration 100 on the first step; the first nonzero child of the
-        # second draws the uniform 1e-7, whose conditional level lies below
-        # the survival table, so the tail search runs inside the loop.
+        # Immigration 100 on the first step and 2 on the rest of the block;
+        # the first child of the second step draws the uniform 1e-7, whose
+        # conditional level lies below the survival table, so the tail
+        # search runs inside the loop.
         config = ChainConfig(n_samples=50, burn_in=1)
-        script = [0.01, 0.5, 1e-7]
+        script = [0.01] + [0.5] * (min(block, 51) - 1) + [1e-7]
         auto = run_chain(params, config, _StubStream(script))
-        assert auto.samples.tolist() == self._manual(params, config, _StubStream(script))
+        manual = chain_by_contract(params, config, _StubStream(script))
+        assert auto.samples.tolist() == manual
         assert max(auto.samples) > params.tail_table_cutoff
+
+    def test_burn_in_draws_like_emitted_steps(self, params):
+        # 5,000 steps either way, across an immigration block and several
+        # pool refills.
+        whole = ChainConfig(n_samples=5_000, burn_in=0)
+        split = ChainConfig(n_samples=2_000, burn_in=3_000)
+        whole, split = (run_chain(params, c, RngStream(21)) for c in (whole, split))
+        assert split.samples.tolist() == whole.samples[3_000:].tolist()
 
     def test_run_output_is_frozen(self, params):
         result = run_chain(params, ChainConfig(n_samples=3, burn_in=0), RngStream(0))
