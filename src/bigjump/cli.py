@@ -599,12 +599,15 @@ class VerifyContext:
     def chain(self) -> sampler.ChainResult:
         """One long chain run (10^6 samples, burn-in 10^3, stream 0)."""
         stream = sampler.RngStream(seed=self.config.seed, stream_id=0)
-        chain = sampler.ChainConfig(1_000_000, 1_000, self.config.simulate.max_population)
-        return sampler.run_chain(self.params, chain, stream)
-
-    @property
-    def chain_samples(self) -> np.ndarray:
-        return self.chain.samples
+        return sampler.run_chain(
+            self.params,
+            sampler.ChainConfig(
+                n_samples=1_000_000,
+                burn_in=1_000,
+                max_population=self.config.simulate.max_population,
+            ),
+            stream,
+        )
 
 
 def _record(check_id, description, measured, expected, tolerance, passed):
@@ -757,7 +760,7 @@ def _check_a_tail(ctx: VerifyContext) -> dict:
 
 
 def _check_ks_consistency(ctx: VerifyContext) -> dict:
-    chain = ctx.chain_samples[:100_000]
+    chain = ctx.chain.samples[:100_000]
     stream = sampler.RngStream(seed=ctx.config.seed, stream_id=1)
     depth = 40
     clusters = sampler.sample_clusters(
@@ -835,10 +838,10 @@ def _check_second_scale_decay(ctx: VerifyContext) -> dict:
 
 
 def _check_mc_oracle(ctx: VerifyContext) -> dict:
-    samples = ctx.chain_samples
+    samples = ctx.chain.samples
     level = ctx.config.verify.confidence
     xs = _ORACLE_XS["mc_oracle"]
-    curve = stats.empirical_survival(samples, xs, level=level)
+    curve = stats.empirical_survival(samples, xs, level=level, chain=True)
     pi = ctx.stationary
     measured = {}
     passed = not ctx.chain.events
@@ -848,6 +851,7 @@ def _check_mc_oracle(ctx: VerifyContext) -> dict:
         ok = ci_hi >= lo and ci_lo <= hi  # CP interval intersects the bracket
         measured[f"x={x}"] = {
             "estimate": float(curve.estimate[i]),
+            "autocorrelation_time": float(curve.tau[i]),
             "cp_interval": [ci_lo, ci_hi],
             "oracle_bracket": [lo, hi],
         }
@@ -857,7 +861,9 @@ def _check_mc_oracle(ctx: VerifyContext) -> dict:
         "empirical chain survival (1e6 samples) is consistent with the "
         "oracle bracket at x in {10, 100, 1000} at the configured confidence",
         measured,
-        "Clopper-Pearson interval intersects the oracle bracket at each x",
+        "Clopper-Pearson interval at the effective sample size 1e6 / "
+        "autocorrelation_time (batch means, batch length 1000) intersects "
+        "the oracle bracket at each x",
         None,
         passed,
     )
@@ -1041,11 +1047,19 @@ def main(argv=None) -> int:
         config.validate()
         _ = config.seed  # force env-var validation before any work
         out_dir = Path(args.out)
+        if args.command == "model":
+            return _cmd_model(config, out_dir)
+        if args.command == "predict":
+            return _cmd_predict(config, out_dir)
+        if args.command == "oracle":
+            return _cmd_oracle(config, out_dir)
+        if args.command == "simulate":
+            return _cmd_simulate(config, out_dir)
+        if args.command == "verify":
+            return _cmd_verify(config, out_dir)
         if args.command == "attribute":
             return _cmd_attribute(config, out_dir, args)
-        run = {"model": _cmd_model, "predict": _cmd_predict, "oracle": _cmd_oracle,
-               "simulate": _cmd_simulate, "verify": _cmd_verify}[args.command]
-        return run(config, out_dir)
+        raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

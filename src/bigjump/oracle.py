@@ -122,8 +122,9 @@ _DIRECT_CONV_LIMIT = 4096
 _THINNED_MAX_NEG_LOG = 600.0
 # Outward margin on the stationary law's overflow per folded product: the
 # fold's placed total plus overflow lands a few ulps either side of 1 (up to
-# 2.5 ulps short at depths 1-37, cutoffs 256-16384), and an upper bracket
-# must not read below a survival that is exactly 1.
+# 2.5 ulps short at depths 1-37, cutoffs 256-16384; 1 ulp short to 604 over
+# at 2^16), and an upper bracket must not read below a survival that is
+# exactly 1.
 _FOLD_MARGIN = 4 * np.finfo(np.float64).eps
 # Generation chains kept, least recently used dropped first (`law_B`'s bound).
 _CHAIN_CACHE_SIZE = 8

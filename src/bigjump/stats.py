@@ -3,9 +3,10 @@
 Empirical survival curves carry exact (Clopper–Pearson) binomial confidence
 intervals rather than normal approximations: tail exceedance counts are tiny
 by design, and exactness at small counts is what makes the diagnostics
-trustworthy.  Cross-method agreement is checked with a two-sample
-Kolmogorov–Smirnov test (no binning decisions), and exceedance attributions
-are reduced to per-label counts.
+trustworthy.  Consecutive states of a Markov chain are not independent, so a
+chain's intervals are taken at its effective sample size.  Cross-method
+agreement is checked with a two-sample Kolmogorov–Smirnov test (no binning
+decisions), and exceedance attributions are reduced to per-label counts.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ __all__ = [
 ]
 
 
-def clopper_pearson(k: int, n: int, level: float) -> tuple[float, float]:
+def clopper_pearson(k: float, n: float, level: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials.
 
     Returns (lo, hi) such that the interval covers the true success
     probability with probability at least ``level``.  The endpoints are the
     usual beta quantiles, with the k=0 and k=n edges closed in the standard
-    one-sided way (lo=0 and hi=1 respectively).
+    one-sided way (lo=0 and hi=1 respectively).  ``k`` and ``n`` may be
+    effective counts, which are real: the beta quantiles take real
+    parameters.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level out of range (0, 1): {level}")
@@ -59,7 +62,10 @@ class TailCurve:
 
     ``count_exceed[i]`` counts samples strictly above ``xs[i]``; the point
     estimate is ``count_exceed / n_total``.  Intervals are exact
-    Clopper–Pearson at confidence ``level``.
+    Clopper–Pearson at confidence ``level`` on ``count_exceed / tau``
+    successes in ``n_total / tau`` trials, where ``tau[i]`` is the
+    autocorrelation time of the exceedance indicator (1 for independent
+    samples).
     """
 
     xs: np.ndarray
@@ -68,6 +74,7 @@ class TailCurve:
     level: float
     ci_lo: np.ndarray
     ci_hi: np.ndarray
+    tau: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n_total < 1:
@@ -83,13 +90,36 @@ class TailCurve:
         return self.count_exceed / self.n_total
 
 
+def _autocorrelation_time(series: np.ndarray) -> float:
+    """Integrated autocorrelation time of one run of a stationary series:
+    the batch length L = floor(sqrt(n)) times the variance of the means of
+    the n // L nonoverlapping batches, over the variance of the series
+    (batch means; Flegal & Jones, Ann. Statist. 38, 2010).  Floored at 1, so
+    an interval is never narrower than for independent draws; 1 when fewer
+    than two batches or a constant series leave nothing to estimate."""
+    length = math.isqrt(series.size)
+    batches = series.size // length
+    spread = float(np.var(series))
+    if batches < 2 or spread == 0.0:
+        return 1.0
+    means = series[: batches * length].reshape(batches, length).mean(axis=1)
+    return max(1.0, length * float(np.var(means, ddof=1)) / spread)
+
+
 def empirical_survival(
     samples: Sequence[float] | np.ndarray,
     xs: Sequence[float] | np.ndarray,
     level: float = 0.99,
+    chain: bool = False,
 ) -> TailCurve:
-    """Estimate P(sample > x) on a sorted grid in one pass over sorted data."""
-    values = np.sort(np.asarray(samples, dtype=float))
+    """Estimate P(sample > x) on a sorted grid in one pass over sorted data.
+
+    With ``chain``, ``samples`` are one Markov chain run in step order, and
+    each interval is taken at the effective sample size n / tau, with tau
+    the autocorrelation time of that x's exceedance indicator.
+    """
+    ordered = np.asarray(samples, dtype=float)
+    values = np.sort(ordered)
     n = values.size
     if n < 1:
         raise ValueError("empty sample set")
@@ -99,13 +129,19 @@ def empirical_survival(
     if np.any(np.diff(grid) < 0):
         raise ValueError("threshold grid must be sorted ascending")
     counts = n - np.searchsorted(values, grid, side="right")
-    bounds = [clopper_pearson(int(k), n, level) for k in counts]
+    tau = np.ones(grid.size)
+    if chain:
+        tau = np.array([_autocorrelation_time(1.0 * (ordered > x)) for x in grid])
+    bounds = [
+        clopper_pearson(k / t, n / t, level) for k, t in zip(counts.tolist(), tau)
+    ]
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    for arr in (grid, counts, lo, hi):
+    for arr in (grid, counts, lo, hi, tau):
         arr.setflags(write=False)
     return TailCurve(
-        xs=grid, count_exceed=counts, n_total=n, level=level, ci_lo=lo, ci_hi=hi
+        xs=grid, count_exceed=counts, n_total=n, level=level,
+        ci_lo=lo, ci_hi=hi, tau=tau,
     )
 
 

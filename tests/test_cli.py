@@ -362,16 +362,19 @@ class TestExitCodes:
             assert not rows[:, 1].any() and not rows[:, 2].any()
             assert rows[:, 3] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("cutoff", ["256", "4096"])
     @pytest.mark.parametrize(
         "args",
         [["--b", "0.2", "--epsilon", "0.2"], ["--b", "0.99", "--tol", "0.5"]],
         ids=["0.2-0.2", "0.99-tol0.5"],
     )
-    def test_oracle_upper_bracket_at_zero_is_one(self, tmp_path, args):
+    def test_oracle_upper_bracket_at_zero_is_one(self, tmp_path, args, cutoff):
         # A >= 1 makes P(X > 0) = 1.  Without a rounding margin on the
         # overflow the fold's placed total plus overflow read 1 - 3.3e-16
-        # and 1 - 1.1e-16 here, and so did survival_hi at k = 0.
-        args += ["--cutoff", "256", "--out", str(tmp_path)]
+        # and 1 - 1.1e-16 at cutoff 256, and so did survival_hi at k = 0.
+        # At 4096 and 2^16 the unmargined total reads above 1 (by 45 and
+        # 286 ulps at b = 0.2).
+        args += ["--cutoff", cutoff, "--out", str(tmp_path)]
         assert main(["oracle", *args]) == EXIT_OK
         lines = read_lines(tmp_path / "oracle.csv")
         first_row = next(line for line in lines if line[0].isdigit())

@@ -539,6 +539,25 @@ class TestChain:
         result = sps.ks_2samp(thinned, naive)
         assert result.pvalue > 0.01
 
+    def test_long_run_matches_naive_chain_in_law(self, params, monkeypatch):
+        # A chain of plain-sum steps against the pooled chain, across pool
+        # refills, dropped pool tails and, at a block of 64, direct draws
+        # past a block.  E[X' | X] = E[A] + b X, so a state's pull on the
+        # chain decays as b^t = 0.5^t; every 10th state is kept, which
+        # leaves under 1e-3 of it and lets the KS test treat them as
+        # independent.
+        steps, burn_in, thin = 100_000, 1_000, 10
+        naive_stream, x, naive = RngStream(seed=31), 0, []
+        for _ in range(burn_in + steps):
+            x = chain_step_naive(params, x, naive_stream)
+            naive.append(x)
+        naive = np.array(naive[burn_in::thin])
+        for seed, block in ((32, smp._CHAIN_BLOCK), (33, 64)):
+            monkeypatch.setattr(smp, "_CHAIN_BLOCK", block)
+            pooled = run_chain(params, ChainConfig(steps, burn_in), RngStream(seed))
+            result = sps.ks_2samp(pooled.samples[::thin], naive)
+            assert result.pvalue > 0.01, (block, result.pvalue)
+
     def test_step_saturation_recorded(self, params):
         stub = _StubStream([2.0**-40])  # immigration draw of 2**40
         config = ChainConfig(n_samples=1, burn_in=0, max_population=1 << 20)

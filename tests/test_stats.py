@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import beta, ks_2samp
 
+from bigjump.oracle import stationary_pmf
+from bigjump.sampler import ChainConfig, RngStream, run_chain
 from bigjump.stats import (
     attribution_summary,
     clopper_pearson,
@@ -113,6 +115,48 @@ class TestEmpiricalSurvival:
             empirical_survival([1, 2], [2.0, 1.0])
         with pytest.raises(ValueError, match="empty threshold grid"):
             empirical_survival([1, 2], [])
+
+
+class TestChainSurvival:
+    def test_independent_samples_keep_the_plain_interval(self):
+        rng = np.random.default_rng(17)
+        draws = rng.integers(0, 10, size=10_000)
+        plain = empirical_survival(draws, [4.0, 8.0], level=0.99)
+        chain = empirical_survival(draws, [4.0, 8.0], level=0.99, chain=True)
+        assert np.all(plain.tau == 1.0)
+        assert np.all(chain.tau >= 1.0) and np.all(chain.tau < 1.2)
+
+    def test_repeated_draws_count_once(self):
+        # Each draw held for 4 steps: the autocorrelation time is 4, and the
+        # interval is about that of the draws counted once.
+        rng = np.random.default_rng(19)
+        draws = rng.integers(0, 10, size=40_000)
+        once = empirical_survival(draws, [4.0], level=0.99)
+        held = empirical_survival(np.repeat(draws, 4), [4.0], level=0.99, chain=True)
+        assert held.tau[0] == pytest.approx(4.0, rel=0.1)
+        width = once.ci_hi[0] - once.ci_lo[0]
+        assert held.ci_hi[0] - held.ci_lo[0] == pytest.approx(width, rel=0.05)
+
+    def test_correct_chain_misses_at_the_stated_rate(self, params):
+        # 200 chains of the default model, 1e4 samples each, at level 0.8:
+        # each x's interval should miss the oracle bracket in about 20% of
+        # them (40, sd 5.7).  Plain Clopper-Pearson intervals, which treat
+        # the chain's samples as independent, miss in about 45%.
+        pi = stationary_pmf(params, 2**14)
+        xs = (10, 100)
+        brackets = [pi.survival_bracket(x) for x in xs]
+        misses = {True: [0, 0], False: [0, 0]}
+        for stream_id in range(200):
+            run = run_chain(
+                params, ChainConfig(10_000, burn_in=1_000), RngStream(7, stream_id)
+            )
+            for chain in (True, False):
+                curve = empirical_survival(run.samples, xs, level=0.8, chain=chain)
+                for i, (lo, hi) in enumerate(brackets):
+                    missed = curve.ci_hi[i] < lo or curve.ci_lo[i] > hi
+                    misses[chain][i] += missed
+        assert all(20 <= m <= 60 for m in misses[True]), misses
+        assert all(m > 60 for m in misses[False]), misses
 
 
 class TestKsTwoSample:
