@@ -13,6 +13,8 @@ Example:
 
 import argparse
 
+import numpy as np
+
 from bigjump import sampler, stats
 from bigjump.model import calibrate, survival_A
 
@@ -41,13 +43,13 @@ def main() -> None:
         return
     print(f"  {attribution.index.size} exceedances above x={args.x}\n")
 
-    summary = stats.attribution_summary(zip(attribution.labels, attribution.dominant))
-    width = max(len(label) for label in summary.counts)
-    for label, count in sorted(
-        summary.counts.items(), key=lambda kv: -kv[1]
-    ):
-        share = count / summary.total
-        print(f"  {label:<{width}}  {count:>7}  {share:>7.3%}")
+    summary = stats.attribution_summary(attribution.component, attribution.dominant)
+    labels = ["immigration", *(f"gen {n}" for n in range(1, summary.counts.size))]
+    width = max(map(len, labels))
+    for c in np.argsort(-summary.counts, kind="stable"):
+        count = int(summary.counts[c])
+        if count:
+            print(f"  {labels[c]:<{width}}  {count:>7}  {count / summary.total:>7.3%}")
 
     # Crude single-cause benchmark: the chance that one immigration draw
     # (or one generation, scaled by its typical size) alone clears x.

@@ -56,6 +56,7 @@ from .model import (
     LawA,
     ModelParams,
     calibrate,
+    depth_remainder_bound,
     extinction_table,
     law_B,
     offspring_mean_bracket,
@@ -434,8 +435,25 @@ def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
         raise ConfigError(
             f"the oracle did not converge at {where}: sup-norm gap "
             f"{exc.gap:.3e} still above oracle.tol = {exc.tol:g} after "
-            f"oracle.max_iter = {exc.max_iter} iterations"
+            f"oracle.max_iter = {exc.max_iter} iterations; "
+            + _sufficient_max_iter(params, exc.tol, exc.max_iter)
         ) from exc
+
+
+def _sufficient_max_iter(params: ModelParams, tol: float, max_iter: int) -> str:
+    """``oracle.max_iter = m + 1`` for the first ``m >= max_iter`` with a
+    depth remainder below ``tol``: the generations past ``m`` add less than
+    ``tol`` to any survival, so the gap is below it by iteration ``m + 1``.
+    The search gives up where ``P(D_m > 0)`` leaves float resolution."""
+    m = max_iter
+    while depth_remainder_bound(params, m) >= tol:
+        if extinction_table(params, m).q[m] == 1.0:
+            return (
+                "no oracle.max_iter brings the depth remainder below it "
+                "before P(D_n > 0) leaves float resolution"
+            )
+        m += 1
+    return f"oracle.max_iter = {m + 1} suffices"
 
 
 def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
@@ -552,12 +570,11 @@ def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
         raise ConfigError(
             f"no samples exceed x={threshold}; increase samples or lower x"
         )
-    summary = stats.attribution_summary(zip(attribution.labels, attribution.dominant))
+    summary = stats.attribution_summary(attribution.component, attribution.dominant)
     rows = [
-        (label, summary.counts[label], summary.counts[label] / summary.total)
-        for label in sorted(
-            summary.counts, key=lambda s: (s != "immigration", len(s), s)
-        )
+        (f"gen {c}" if c else "immigration", count, count / summary.total)
+        for c, count in enumerate(summary.counts.tolist())
+        if count
     ]
     path = out_dir / "attribution.csv"
     _csv_artifact(

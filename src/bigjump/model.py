@@ -24,6 +24,8 @@ integral brackets rather than bare iteration caps.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -321,8 +323,8 @@ def truncated_mean_A(t: float) -> float:
     expansion ``log n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)`` takes over.
     The two branches agree to well below 1e-12 at the switch point.  The
     quartic term is taken as ``(1/n)**4``, which underflows to 0 for huge
-    ``n`` (deep generations of `depth_remainder_bound` reach n = 2**1000),
-    where ``n**4`` would overflow.
+    ``n`` (the immigration scales of `asymptotics._immigration_split` reach
+    ``exp(690)``), where ``n**4`` would overflow.
     """
     if t < 1.0:
         return 0.0
@@ -465,7 +467,11 @@ def _survival_series_tail(
 
     def integrand(r: np.ndarray) -> np.ndarray:
         t = cutoff + base * np.expm1(r)
-        return (t + _E) / ((1.0 + t) * (u0 + r) ** (1.0 + epsilon)) * np.exp(-lam * t)
+        # The denominator overflows once (1+eps) ln(u) nears 709 (epsilon
+        # near EPSILON_MAX); such a node reads 0, its correctly rounded value.
+        with np.errstate(over="ignore"):
+            denominator = (1.0 + t) * (u0 + r) ** (1.0 + epsilon)
+            return (t + _E) / denominator * np.exp(-lam * t)
 
     slow = np.linspace(0.0, r1, math.ceil(r1 / 8.0) + 1)
     fast = np.log1p(_WEIGHT_FALLS / (lam * base))
@@ -531,52 +537,52 @@ class ExtinctionTable:
     q: np.ndarray
     p: np.ndarray
 
-    @property
-    def n_max(self) -> int:
-        return len(self.q) - 1
+
+# Guards the growth of the extinction tables: any thread may ask for one.
+_EXTINCTION_LOCK = threading.Lock()
 
 
-def extinction_table(
-    params: ModelParams, n_max: int, head: ExtinctionTable | None = None
-) -> ExtinctionTable:
-    """Iterate the offspring pgf to the generation-``n_max`` extinction table.
+@lru_cache(maxsize=8)
+def _survival_rows(params: ModelParams) -> list:
+    """``P(D_n > 0)`` for the generations computed so far, from ``p[0] =
+    1``: the one table of a model, grown in place by `extinction_table`."""
+    return [1.0]
+
+
+def extinction_table(params: ModelParams, n_max: int) -> ExtinctionTable:
+    """Generations ``0 .. n_max`` of the model's extinction table.
 
     The recursion is kept in survival form, ``p[n+1] = p[n] * theta * Phi``
     with ``Phi = sum_k phi(k) * q[n]**k`` clamped at the series constant, so
     no precision is lost as ``q[n] -> 1`` and the mean bound ``p[n] <= b**n``
     holds structurally.
 
-    ``head``, an earlier table of the same ``params``, is extended rather
-    than recomputed; the recursion is deterministic, so the result is bit
-    for bit the table built from generation 1.
+    Each model (the 8 most recently used) has one table, grown under a lock
+    when a caller asks past its last generation; the recursion is
+    deterministic, so every reader on any thread sees the bits of a table
+    built at once.  The oracle's generation check, the cluster sampler and
+    `depth_remainder_bound` all read it.
 
     Raises:
         RuntimeError: if the mean bound fails (a pgf evaluation bug).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    start = 0 if head is None else head.n_max
-    if start > n_max:
-        raise ValueError(f"head reaches generation {start}, past n_max = {n_max}")
-    p = np.empty(n_max + 1)
-    q = np.empty(n_max + 1)
-    if head is None:
-        p[0], q[0] = 1.0, 0.0
-    else:
-        p[: start + 1], q[: start + 1] = head.p, head.q
-    survive = float(p[start])
-    for n in range(start + 1, n_max + 1):
-        series = min(
-            _offspring_survival_series(params, survive), params.series_const
-        )
-        survive = survive * params.theta * series
-        if survive > params.b**n * (1.0 + 1e-12):
-            raise RuntimeError(
-                f"generation survival p[{n}] = {survive:g} exceeds the mean "
-                f"bound b**n = {params.b ** n:g}: pgf evaluation inconsistent"
+    with _EXTINCTION_LOCK:
+        rows = _survival_rows(params)
+        for n in range(len(rows), n_max + 1):
+            series = min(
+                _offspring_survival_series(params, rows[-1]), params.series_const
             )
-        p[n] = survive
-        q[n] = 1.0 - survive
+            survive = rows[-1] * params.theta * series
+            if survive > params.b**n * (1.0 + 1e-12):
+                raise RuntimeError(
+                    f"generation survival p[{n}] = {survive:g} exceeds the mean "
+                    f"bound b**n = {params.b ** n:g}: pgf evaluation inconsistent"
+                )
+            rows.append(survive)
+        p = np.array(rows[: n_max + 1])
+    q = 1.0 - p
     p.setflags(write=False)
     q.setflags(write=False)
     return ExtinctionTable(q=q, p=p)
@@ -586,26 +592,27 @@ def depth_remainder_bound(params: ModelParams, depth: int) -> float:
     """Upper bound on the probability that any generation beyond ``depth``
     contributes to the stationary value.
 
-    Generation ``n`` contributes iff at least one of its (immigration-count
-    many) aggregates is nonzero.  Conditioning on the count being at most
-    ``b**-n`` or not, and using ``P(aggregate > 0) <= E[aggregate] = b**n``:
+    Generation ``m`` contributes iff one of its immigration-count many
+    aggregates is nonzero.  With ``p_m = P(D_m > 0)`` that has probability
+    ``f(p_m) = -p_m ln p_m / (1 - p_m)``, one minus the immigration pgf at
+    ``1 - p_m``, which increases in ``p_m``.  The pgf is convex with slope
+    ``b`` at 1, so ``p_{m+1} <= b p_m``, and with ``p = p_depth``:
 
-        P(contribution) <= b**n * (1 + E[A * 1{A <= b**-n}]) + P(A > b**-n)
+        R <= sum_{j >= 1} f(p b**j)
+          <= p b (-ln p / (1 - b) - ln b / (1 - b)**2) / (1 - b p),
 
-    summed over ``n > depth``.  Both truncated-pmf assembly and cluster
-    sampling use this to certify their finite-depth truncations.
+    from ``-ln(p b**j) = -ln p - j ln b`` and ``1 - p b**j >= 1 - b p``.
+    That holds for any ``p`` in (0, 1] at least the true one, so ``p`` is
+    read from `extinction_table` and raised by 1e-12 relative per generation
+    (each pgf step is good to about 1e-13 of a series at least 1, plus a few
+    ulps), then floored at the smallest normal float.  Depth 0 takes ``p_0
+    = 1``.  Both truncated-pmf assembly and cluster sampling use this to
+    certify their finite-depth truncations.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    total = 0.0
-    for n in range(depth + 1, depth + 400):
-        mean_n = params.b**n
-        # Below this 1/mean_n nears overflow; the terms left sum to ~1e-300.
-        if mean_n < 1e-305:
-            break
-        inv = 1.0 / mean_n
-        term = mean_n * (1.0 + truncated_mean_A(inv)) + survival_A(inv)
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
+    p = 1.0 if depth == 0 else float(extinction_table(params, depth).p[depth])
+    p = min(max(p * (1.0 + 1e-12 * depth), sys.float_info.min), 1.0)
+    b = params.b
+    spread = -math.log(p) / (1.0 - b) - math.log(b) / (1.0 - b) ** 2
+    return p * b * spread / (1.0 - b * p)

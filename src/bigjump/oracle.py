@@ -62,7 +62,9 @@ Design notes
   covered by R = `depth_remainder_bound`, at least the probability that any
   of them contributes: they are independent of the fold and add zero with
   probability at least 1 - R, so the fold's masses times (1 - R) stay below
-  the stationary pmf and the removed share goes to the overflow.
+  the stationary pmf and the removed share goes to the overflow.  R is
+  pgf-exact over the model's one extinction table, which each generation's
+  zero mass is also checked against: 2.1e-11 at the default depth 36.
 * The generation terms are independent, so ``stationary_pmf`` runs term n
   on one worker thread (numpy's FFTs release the GIL) while the calling
   thread builds D_{n+1}, the larger share of the work, and folds finished
@@ -83,7 +85,6 @@ import numpy as np
 
 from ._native import one_blas_thread, release_freed_memory
 from .model import (
-    ExtinctionTable,
     LawA,
     ModelParams,
     depth_remainder_bound,
@@ -497,19 +498,10 @@ def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
     )
 
 
-@dataclass(eq=False)
-class _Chain:
-    """Generation laws D_1, D_2, ... of one (params, cutoff), and the pgf
-    extinction table their zero masses have been checked against."""
-
-    laws: list[Pmf]
-    table: ExtinctionTable | None = None
-
-
-# Generation-aggregate chains keyed by (params, cutoff): building generation
+# Generation laws D_1, D_2, ... keyed by (params, cutoff): building generation
 # n requires every earlier generation, and the stationary assembly, the
 # prediction checks, and the acceptance suite all share them.
-_chain_cache: OrderedDict[tuple[ModelParams, int], _Chain] = OrderedDict()
+_chain_cache: OrderedDict[tuple[ModelParams, int], list[Pmf]] = OrderedDict()
 
 
 def _extinct_brood_mass(
@@ -573,40 +565,32 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     support near pN in place of N, so deep generations cost a few
     convolutions and carry no FFT residue from the full-support count.  The
     fully-extinct portion of the truncated offspring counts is resolved
-    analytically back to the zero bin.  The mass at zero of each new
-    generation is cross-checked against the pgf extinction recursion, which
-    is extended as the chain grows.  The chains of the 8 most recently used
-    (params, cutoff) pairs are cached.
+    analytically back to the zero bin.  The mass at zero of each generation
+    built is checked against the model's extinction table before it joins
+    the chain.  The chains of the 8 most recently used (params, cutoff)
+    pairs are cached.
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
     key = (params, cutoff)
-    chain = _chain_cache.get(key)
-    if chain is None:
-        chain = _chain_cache[key] = _Chain(
-            laws=[pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")]
-        )
+    laws = _chain_cache.get(key)
+    if laws is None:
+        laws = _chain_cache[key] = [
+            pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")
+        ]
         if len(_chain_cache) > _CHAIN_CACHE_SIZE:
             _chain_cache.popitem(last=False)
     _chain_cache.move_to_end(key)
-    laws = chain.laws
     while len(laws) < n:
-        laws.append(
-            _next_generation(
-                params, laws[0], laws[-1], meta=f"gen{len(laws) + 1}@{cutoff}"
+        m = len(laws) + 1
+        law = _next_generation(params, laws[0], laws[-1], meta=f"gen{m}@{cutoff}")
+        gap = abs(float(law.mass[0]) - extinction_table(params, m).q[m])
+        if gap > 1e-9 + law.overflow:
+            raise RuntimeError(
+                f"generation {m} extinction mass off by {gap:.3e} "
+                "from the pgf recursion"
             )
-        )
-    checked = 0 if chain.table is None else chain.table.n_max
-    if len(laws) > checked:
-        table = extinction_table(params, len(laws), chain.table)
-        for idx in range(checked, len(laws)):
-            gap = abs(float(laws[idx].mass[0]) - table.q[idx + 1])
-            if gap > 1e-9 + laws[idx].overflow:
-                raise RuntimeError(
-                    f"generation {idx + 1} extinction mass off by {gap:.3e} "
-                    "from the pgf recursion"
-                )
-        chain.table = table
+        laws.append(law)
     return laws[n - 1]
 
 

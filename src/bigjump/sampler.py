@@ -205,12 +205,6 @@ class Attribution:
     value: np.ndarray
     dominant: np.ndarray
 
-    @property
-    def labels(self) -> list:
-        return [
-            "immigration" if c == 0 else f"gen {c}" for c in self.component.tolist()
-        ]
-
 
 def _sample_a_batch(stream: RngStream, size: int) -> np.ndarray:
     """Immigration draws ``floor(1/U)``, so ``P(A > k) = 1/(1 + k)``.
@@ -339,13 +333,6 @@ def run_chain(
     path = _chain_path(params, stream, 0, steps, config.max_population)
     events = dict(stream.events - before)  # counts only grow
     return ChainResult(samples=path[config.burn_in :], events=events)
-
-
-@lru_cache(maxsize=8)
-def _generation_tables(params: ModelParams, depth: int) -> tuple:
-    """``p[n] = P(D_n > 0)`` for ``n <= depth`` and `depth_remainder_bound`,
-    cached per ``(params, depth)``."""
-    return extinction_table(params, depth).p, depth_remainder_bound(params, depth)
 
 
 @lru_cache(maxsize=8)
@@ -498,9 +485,10 @@ def sample_clusters(
     ``n = 1 .. depth`` an independent immigration count whose nonzero
     depth-``n`` aggregates are selected by Binomial thinning at the
     survival probability ``p[n]``; every generation's aggregates are then
-    drawn together by `_surviving_sums`.  Draw order is deterministic, so a
-    fixed ``(seed, stream_id)`` reproduces the batch bit-for-bit; the
-    cached tables never change a draw.
+    drawn together by `_surviving_sums`.  ``p`` and the batch's
+    ``remainder_bound`` come from the model's one extinction table.  Draw
+    order is deterministic, so a fixed ``(seed, stream_id)`` reproduces the
+    batch bit-for-bit; the cached tables never change a draw.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -508,7 +496,7 @@ def sample_clusters(
         raise ValueError("count must be >= 1")
     if max_population > DEFAULT_MAX_POPULATION:
         raise ValueError("cluster sampling needs max_population <= 2**26 (exact sums)")
-    p, remainder = _generation_tables(params, depth)
+    p = extinction_table(params, depth).p
     immigration = _sample_a_batch(stream, count)
     contrib = np.empty((count, depth), dtype=np.int64)
     for n in range(1, depth + 1):
@@ -519,7 +507,7 @@ def sample_clusters(
     flat[owners] = _surviving_sums(
         params, flat[owners], owners % depth + 1, p, stream, max_population
     )
-    return ClusterBatch(immigration, contrib, remainder)
+    return ClusterBatch(immigration, contrib, depth_remainder_bound(params, depth))
 
 
 def attribute(clusters: ClusterBatch, x: int) -> Attribution:

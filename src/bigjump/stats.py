@@ -6,15 +6,14 @@ by design, and exactness at small counts is what makes the diagnostics
 trustworthy.  Consecutive states of a Markov chain are not independent, so a
 chain's intervals are taken at its effective sample size.  Cross-method
 agreement is checked with a two-sample Kolmogorov–Smirnov test (no binning
-decisions), and exceedance attributions are reduced to per-label counts.
+decisions), and exceedance attributions are counted by component.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -172,27 +171,26 @@ def ks_two_sample(
     return statistic, critical, statistic > critical
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributionSummary:
-    """Per-label exceedance counts, their total and the single-component
+    """Exceedance counts by component (``counts[0]`` immigration,
+    ``counts[n]`` generation ``n``), their total and the single-component
     dominance rate."""
 
-    counts: dict[str, int]
+    counts: np.ndarray
     total: int
     dominant_share: float
 
 
-def attribution_summary(attributions: Iterable[tuple]) -> AttributionSummary:
-    """Aggregate ``(label, dominant)`` pairs into per-label counts."""
-    counts: Counter[str] = Counter()
-    dominant = 0
-    total = 0
-    for label, is_dominant in attributions:
-        counts[str(label)] += 1
-        dominant += bool(is_dominant)
-        total += 1
-    if total == 0:
+def attribution_summary(
+    component: np.ndarray, dominant: np.ndarray
+) -> AttributionSummary:
+    """Count the winning components of an `Attribution` (its ``component``
+    and ``dominant`` columns)."""
+    if not len(component):
         raise ValueError("no attributions to summarize")
     return AttributionSummary(
-        counts=dict(counts), total=total, dominant_share=dominant / total
+        counts=np.bincount(component),
+        total=len(component),
+        dominant_share=int(np.count_nonzero(dominant)) / len(component),
     )

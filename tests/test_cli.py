@@ -313,16 +313,37 @@ class TestExitCodes:
         assert main(["verify", "--suite", "series", *args]) == EXIT_OK
 
     @pytest.mark.parametrize(
-        "b, gap", [("0.8", "e-07"), ("0.9", "e-05"), ("0.95", "e-04")]
+        "b, gap, depth",
+        [("0.8", "e-07", 100), ("0.9", "e-05", 180), ("0.95", "e-04", 290)],
+        ids=["0.8-e-07", "0.9-e-05", "0.95-e-04"],
     )
-    def test_oracle_refuses_no_convergence(self, tmp_path, capsys, b, gap):
+    def test_oracle_refuses_no_convergence(self, tmp_path, capsys, b, gap, depth):
         # 60 iterations leave sup-norm gaps of 1.1e-7, 2.3e-5 and 1.9e-4.
+        # The refusal names an oracle.max_iter that suffices (108, 200 and
+        # 338), and with it the oracle converges (at depths 100, 180, 290).
         args = ["--b", b, "--epsilon", "1", "--cutoff", "256"]
         assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "oracle.max_iter = 60" in err and "oracle.tol = 1e-11" in err
         assert re.search(rf"gap \d\.\d{{3}}{gap}", err)
         assert not (tmp_path / "oracle.csv").exists()
+        suggested = re.search(r"oracle\.max_iter = (\d+) suffices", err)
+        assert suggested, err
+        rerun = ["oracle", *args, "--max-iter", suggested.group(1)]
+        assert main([*rerun, "--out", str(tmp_path)]) == EXIT_OK
+        header = (tmp_path / "oracle.csv").read_text()
+        assert f"depth={depth}," in header
+
+    def test_oracle_refusal_names_no_max_iter_past_float_resolution(
+        self, tmp_path, capsys
+    ):
+        # Below a remainder of 1e-30 P(D_n > 0) is past float resolution
+        # (from generation 50 at b = 0.5), so no iteration cap would do.
+        args = ["--cutoff", "64", "--tol", "1e-30", "--max-iter", "5"]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no oracle.max_iter brings the depth remainder below it" in err
+        assert "suffices" not in err
 
     @pytest.mark.parametrize(
         "b, epsilon, extra",
@@ -332,7 +353,7 @@ class TestExitCodes:
             ("0.8", "1", ["--max-iter", "200"]),
             ("0.9", "1", ["--max-iter", "400"]),
             ("0.95", "1", ["--max-iter", "800"]),
-            # Stops at depth 1, where the remainder bound reads 262.7.
+            # Stops at depth 1, where the remainder bound reads 152.7.
             ("0.99", "1", ["--tol", "0.5"]),
         ],
         ids=[
@@ -394,8 +415,9 @@ class TestExitCodes:
         assert main(["oracle", *args, "--max-iter", "2"]) == EXIT_CONFIG
 
     def test_cluster_simulate_at_depth_200(self, tmp_path):
-        # The depth remainder evaluates the immigration truncated mean at
-        # 2**200 and beyond; its quartic term overflowed (exit 1).
+        # The depth remainder once summed the immigration truncated mean at
+        # scales 2**200 and beyond, and its quartic term overflowed (exit
+        # 1); it now reads P(D_200 > 0) from the extinction table.
         args = ["--method", "cluster", "--depth", "200", "--samples", "10"]
         assert main(["simulate", *args, "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "simulate.csv").exists()

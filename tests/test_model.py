@@ -5,7 +5,10 @@ Golden values were computed independently with mpmath at 50 digits
 probabilities via direct high-precision series evaluation) and frozen here.
 """
 
+import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bigjump import model
 from bigjump.model import (
     _PGF_HEAD_TERMS,
     ExtinctionTable,
@@ -342,21 +346,77 @@ class TestExtinctionTable:
         table = extinction_table(params, 1)
         assert table.p[0] == 1.0
         assert table.q[0] == 0.0
-        assert table.n_max == 1
+        assert table.p.size == table.q.size == 2
 
     def test_rejects_bad_n(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max"):
             extinction_table(params, 0)
-        with pytest.raises(ValueError, match="past n_max"):
-            extinction_table(params, 2, extinction_table(params, 3))
+        with pytest.raises(ValueError, match="n_max"):
+            extinction_table(params, -3)
 
-    def test_extending_a_head_is_bit_identical(self, params):
+    def test_growing_is_bit_identical(self, params):
+        model._survival_rows.cache_clear()
         full = extinction_table(params, 12)
-        table = extinction_table(params, 1)
+        model._survival_rows.cache_clear()
         for n_max in (1, 5, 12):
-            table = extinction_table(params, n_max, table)
+            table = extinction_table(params, n_max)
+            assert table.p.size == n_max + 1
         np.testing.assert_array_equal(table.p, full.p)
         np.testing.assert_array_equal(table.q, full.q)
+        # A shallower read of the grown table is its head.
+        np.testing.assert_array_equal(extinction_table(params, 5).p, full.p[:6])
+
+    @pytest.mark.parametrize(
+        "b, epsilon, n_max, digest",
+        [
+            (0.5, 1.0, 300, "ccd70d6f27fd1e9c6384825ce4153ddf"),
+            (0.5, 176.0, 400, "7700b022efbce75b717e2c024feb5a60"),
+            (0.01, 176.0, 400, "5ff50b1e428f17a6e61a919caa4a8429"),
+        ],
+    )
+    def test_bits_frozen_without_warnings(self, b, epsilon, n_max, digest):
+        # md5 of the p then q bytes, as the table read before it was shared
+        # and before the pgf tail's overflowing nodes were silenced: at
+        # epsilon = 176 the integrand's denominator overflowed with 677 (b =
+        # 0.5) and 305 (b = 0.01) RuntimeWarnings, at nodes that read 0
+        # either way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = extinction_table(calibrate(b, epsilon), n_max)
+        assert hashlib.md5(table.p.tobytes() + table.q.tobytes()).hexdigest() == digest
+
+    def test_threads_growing_a_fresh_table_match_the_serial_one(self, params):
+        # Four threads on a 2-core box, switching every microsecond: a row
+        # grown twice or out of order would break the bits or the length.
+        model._survival_rows.cache_clear()
+        serial = extinction_table(params, 80)
+        model._survival_rows.cache_clear()
+        tables, start = [], threading.Barrier(4)
+
+        def grow(depths: tuple) -> None:
+            start.wait()
+            tables.extend(extinction_table(params, depth) for depth in depths)
+
+        threads = [
+            threading.Thread(target=grow, args=(depths,))
+            for depths in ((10, 40, 80), (25, 60, 80), (80,), (5, 79, 80))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tables) == 10
+        assert len(model._survival_rows(params)) == 81
+        for table in tables:
+            n = table.p.size
+            np.testing.assert_array_equal(table.p, serial.p[:n])
+            np.testing.assert_array_equal(table.q, serial.q[:n])
 
     def test_type_roundtrip(self, params):
         table = extinction_table(params, 3)
@@ -364,12 +424,57 @@ class TestExtinctionTable:
         assert np.allclose(table.p + table.q, 1.0, rtol=0, atol=1e-15)
 
 
+def _contribution(p: np.ndarray) -> np.ndarray:
+    """``-p ln p / (1 - p)``: the chance that a generation with ``P(D_n > 0)
+    = p`` contributes, one minus the immigration pgf at ``1 - p``."""
+    out = np.ones_like(p)  # f(1) = 1, its limit
+    out[p == 0.0] = 0.0
+    alive = (p > 0.0) & (p < 1.0)
+    out[alive] = -p[alive] * np.log(p[alive]) / (1.0 - p[alive])
+    return out
+
+
 class TestDepthRemainderBound:
     def test_golden(self, params):
-        # mpmath-independent arithmetic check, frozen
+        # Frozen arithmetic check (the mean bound b**n read 2.79e-11).
         assert depth_remainder_bound(params, 40) == pytest.approx(
-            2.7911844198042115e-11, rel=1e-12
+            1.3319886490114134e-12, rel=1e-12
         )
+
+    def test_depth_zero_reads_the_root(self, params):
+        b = params.b
+        expected = -b * math.log(b) / (1.0 - b) ** 3  # p_0 = 1
+        assert depth_remainder_bound(params, 0) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "b, epsilon",
+        [(0.5, 1.0), (0.5, 0.1), (0.2, 0.2), (0.8, 1.0), (0.9, 1.0), (0.95, 1.0)],
+    )
+    def test_covers_the_exact_sum(self, b, epsilon):
+        # R(d) >= sum_{m = d+1}^{d+400} f(p_m) with p_m from the table, at
+        # every depth 1..300; past d + 400 the terms are below 1e-18 of the
+        # sum at every one of these configurations.
+        params = calibrate(b, epsilon)
+        terms = _contribution(extinction_table(params, 700).p)
+        for depth in range(1, 301):
+            exact = math.fsum(terms[depth + 1 : depth + 401].tolist())
+            assert depth_remainder_bound(params, depth) >= exact, depth
+
+    def test_within_reach_of_the_exact_sum(self, params):
+        # At the default model's stopping depths (36 at cutoff 2**16, 40
+        # for the cluster sampler) the closed form is 1.03x the sum it
+        # bounds; the mean bound b**n read 20x.
+        terms = _contribution(extinction_table(params, 440).p)
+        for depth in (36, 40):
+            exact = math.fsum(terms[depth + 1 :].tolist())
+            assert depth_remainder_bound(params, depth) <= 1.1 * exact
+
+    def test_underflowed_survival_is_floored(self):
+        # p_n underflows to 0 at b = 0.2 long before generation 600; the
+        # bound then reads the smallest normal float, still positive.
+        params = calibrate(0.2, 1.0)
+        assert extinction_table(params, 600).p[600] == 0.0
+        assert 0.0 < depth_remainder_bound(params, 600) < 1e-300
 
     def test_decreasing_roughly_geometric(self, params):
         values = [depth_remainder_bound(params, m) for m in (10, 20, 30, 40)]

@@ -7,6 +7,7 @@ the package: only these tests use them.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import re
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve, lfilter
 from scipy.stats import binom
 
-from bigjump import oracle
+from bigjump import model, oracle
 from bigjump.model import (
+    ExtinctionTable,
     LawA,
     calibrate,
     depth_remainder_bound,
@@ -54,6 +56,7 @@ from bigjump.oracle import (
     random_sum_check,
     stationary_pmf,
 )
+from bigjump.sampler import RngStream, sample_clusters
 
 
 class DiracLaw:
@@ -526,6 +529,46 @@ class TestGenerationChain:
             gap = float(np.max(np.abs(lo_fft - lo_ref)))
             assert gap <= 1e-14 * lo_ref[0], (a.meta, gap, lo_ref[0])
 
+    def test_one_extinction_table_serves_chains_and_sampler(
+        self, params, monkeypatch
+    ):
+        # Chains at two cutoffs and a depth-40 cluster batch read one table:
+        # each generation's pgf is evaluated once, by the table's growth.
+        # (`_extinct_brood_mass` evaluates the pgf at the chain's own zero
+        # masses; those calls are not the table's.)
+        real_series = model._offspring_survival_series
+        callers = collections.Counter()
+
+        def counted(params, p):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real_series(params, p)
+
+        monkeypatch.setattr(model, "_offspring_survival_series", counted)
+        model._survival_rows.cache_clear()
+        for cutoff in (256, 512):
+            _chain_cache.pop((params, cutoff), None)
+            dn_pmf(params, 12, cutoff)
+        sample_clusters(params, 40, 100, RngStream(seed=3))
+        assert callers["extinction_table"] == 40
+        assert callers["pgf_B"] > 0
+
+    def test_a_zero_mass_off_the_table_is_refused_and_not_cached(
+        self, params, monkeypatch
+    ):
+        real_table = oracle.extinction_table
+
+        def shifted(params, n_max):
+            table = real_table(params, n_max)
+            return ExtinctionTable(q=table.q - 0.5, p=table.p + 0.5)
+
+        _chain_cache.pop((params, 128), None)
+        dn_pmf(params, 2, 128)
+        monkeypatch.setattr(oracle, "extinction_table", shifted)
+        with pytest.raises(RuntimeError, match="generation 3 extinction mass off by"):
+            dn_pmf(params, 3, 128)
+        assert len(_chain_cache[(params, 128)]) == 2
+        _chain_cache.pop((params, 128))
+
     def test_chain_cache_keeps_most_recent(self, params):
         cutoffs = [64 + i for i in range(_CHAIN_CACHE_SIZE + 1)]
         for cutoff in cutoffs:
@@ -771,13 +814,13 @@ class TestConcurrentStationary:
         _chain_cache.pop((params, 320))
         stationary_pmf(params, 320, max_iter=depth)
         assert max(terms) == depth
-        assert len(_chain_cache[(params, 320)].laws) == depth
+        assert len(_chain_cache[(params, 320)]) == depth
         _chain_cache.pop((params, 320))
         terms.clear()
         with pytest.raises(NotConverged):
             stationary_pmf(params, 320, max_iter=3)
         assert max(terms) == 3
-        assert len(_chain_cache[(params, 320)].laws) == 3
+        assert len(_chain_cache[(params, 320)]) == 3
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_one_term_past_the_stopping_depth(self, params, monkeypatch, cores):

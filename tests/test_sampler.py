@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from bigjump import model
 from bigjump import sampler as smp
 from bigjump.model import (
     depth_remainder_bound,
@@ -169,7 +170,7 @@ def spine_draws(params, n: int, count: int, stream, max_population=1 << 26):
         params,
         np.ones(count, dtype=np.int64),
         np.full(count, n),
-        smp._generation_tables(params, n)[0],
+        extinction_table(params, n).p,
         stream,
         max_population,
     )
@@ -483,7 +484,7 @@ class TestGenerationTrees:
         # proposal uniform 0.99 lands beyond the table, 0.9 proposes past
         # 2**62, and both acceptance uniforms 0 keep K at the cap, so the
         # brood J saturates there too and its right siblings go uncounted.
-        assert smp._generation_tables(params, 60)[0][59] * A_VALUE_CAP < 1
+        assert extinction_table(params, 60).p[59] * A_VALUE_CAP < 1
         stub = _StubStream([0.99, 0.9, 0.0, 0.0])
         values = spine_draws(params, 60, 1, stub)
         assert int(values[0]) >= 1
@@ -633,7 +634,7 @@ class TestClusters:
         batch = sample_clusters(params, 40, 1, RngStream(seed=16))
         assert batch.remainder_bound == depth_remainder_bound(params, 40)
         assert batch.remainder_bound < 1e-3
-        assert batch.remainder_bound == pytest.approx(2.791184e-11, rel=1e-6)
+        assert batch.remainder_bound == pytest.approx(1.331989e-12, rel=1e-6)
 
     def test_constructor_rejects_misshapen_columns(self):
         with pytest.raises(ValueError, match="one row per sample"):
@@ -647,7 +648,7 @@ class TestClusters:
             batch.value[0] = 0
 
     def test_caches_never_change_a_draw(self, params):
-        smp._generation_tables.cache_clear()
+        model._survival_rows.cache_clear()
         smp._equilibrium_cdf.cache_clear()
         law_B.cache_clear()
         cold = sample_clusters(params, 40, 2_000, RngStream(seed=20))
@@ -680,30 +681,30 @@ class TestAttribution:
         )
         result = attribute(batch, x)
         assert result.index.tolist() == [0]
-        return result.labels[0], int(result.component[0]), int(result.value[0]), bool(result.dominant[0])
+        return int(result.component[0]), int(result.value[0]), bool(result.dominant[0])
 
     def test_immigration_win_is_dominant(self):
-        assert self._attribute(150, (30, 20, 0), 100) == ("immigration", 0, 150, True)
+        assert self._attribute(150, (30, 20, 0), 100) == (0, 150, True)
 
     def test_generation_win(self):
-        label, component, _, dominant = self._attribute(10, (5, 80, 15), 100)
-        assert (label, component) == ("gen 2", 2)
+        component, _, dominant = self._attribute(10, (5, 80, 15), 100)
+        assert component == 2
         assert dominant  # 80 > 50
 
     def test_tie_prefers_lowest_index(self):
-        assert self._attribute(50, (50, 10), 100)[0] == "immigration"
-        assert self._attribute(10, (46, 46, 9), 110)[0] == "gen 1"
+        assert self._attribute(50, (50, 10), 100)[0] == 0
+        assert self._attribute(10, (46, 46, 9), 110)[0] == 1
 
     def test_split_value_is_not_dominant(self):
-        label, _, _, dominant = self._attribute(40, (40, 30), 100)
-        assert label == "immigration"
+        component, _, dominant = self._attribute(40, (40, 30), 100)
+        assert component == 0
         assert not dominant  # 40 <= 50
 
     def test_boundary_is_strict(self):
-        assert not self._attribute(50, (49, 2), 100)[3]  # exactly half
-        assert self._attribute(51, (49, 1), 100)[3]
-        assert not self._attribute(50, (50, 2), 101)[3]  # 50 <= 50.5
-        assert self._attribute(51, (50, 1), 101)[3]
+        assert not self._attribute(50, (49, 2), 100)[2]  # exactly half
+        assert self._attribute(51, (49, 1), 100)[2]
+        assert not self._attribute(50, (50, 2), 101)[2]  # 50 <= 50.5
+        assert self._attribute(51, (50, 1), 101)[2]
 
     def test_only_exceedances_are_attributed(self):
         batch = ClusterBatch(
@@ -713,7 +714,7 @@ class TestAttribution:
         )
         result = attribute(batch, 100)
         assert result.index.tolist() == [1, 2, 3]
-        assert result.labels == ["immigration", "gen 2", "immigration"]
+        assert result.component.tolist() == [0, 2, 0]
         assert result.dominant.tolist() == [True, True, True]
         assert attribute(batch, 1 << 62).index.size == 0
 

@@ -200,24 +200,21 @@ class TestKsTwoSample:
 
 
 class TestAttributionSummary:
-    def test_single_label(self):
-        summary = attribution_summary([("immigration", True)] * 5)
-        assert summary.counts == {"immigration": 5}
+    def test_single_component(self):
+        summary = attribution_summary(np.zeros(5, dtype=np.int64), np.ones(5, bool))
+        assert summary.counts.tolist() == [5]
         assert summary.total == 5
         assert summary.dominant_share == 1.0
 
-    def test_mixed_labels_and_dominance(self):
-        records = [
-            ("immigration", True),
-            ("gen 1", True),
-            ("gen 1", False),
-            ("gen 2", False),
-        ]
-        summary = attribution_summary(records)
+    def test_mixed_components_and_dominance(self):
+        # immigration, gen 1 twice, gen 3: gen 2 counts zero.
+        summary = attribution_summary(
+            np.array([0, 1, 1, 3]), np.array([True, True, False, False])
+        )
         assert summary.total == 4
-        assert summary.counts == {"immigration": 1, "gen 1": 2, "gen 2": 1}
+        assert summary.counts.tolist() == [1, 2, 0, 1]
         assert summary.dominant_share == 0.5
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no attributions"):
-            attribution_summary([])
+            attribution_summary(np.zeros(0, dtype=np.int64), np.zeros(0, bool))
