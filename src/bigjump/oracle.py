@@ -17,9 +17,14 @@ Design notes
 ------------
 * Convolution is exact discrete convolution: direct summation for short
   vectors and zero-padded FFT (no wrap-around) for long ones, in the one
-  kernel `_conv_full`.  It returns the signed product, as the power series
-  of the generation terms need; `_product`, the overflow rule for laws,
-  clips the tiny negative FFT residue at zero.  The FFT is ``numpy.fft``, at
+  kernel `_conv_full`.  A product with an operand of at most 64 entries is
+  direct.  So is a product of two laws of at most `_DIRECT_CONV_LIMIT`
+  entries, whose tail masses near 1e-19 would sink below the FFT's
+  absolute residue; the power series of the generation terms take the FFT
+  above 64 entries, since every term ends in full-length FFT products
+  whose residue bounds its own.  The kernel returns the signed product, as
+  the power series need; `_product`, the overflow rule for laws, clips
+  the tiny negative FFT residue at zero.  The FFT is ``numpy.fft``, at
   scipy's real transform lengths (`_next_fast_len`).  From numpy 2.0 on it
   is the C++ pocketfft that ``scipy.fft`` also wraps, so the products keep
   the bits of ``scipy.signal.fftconvolve`` without importing scipy.
@@ -38,16 +43,16 @@ Design notes
   would depend on the machine and on ``OPENBLAS_NUM_THREADS``, and the idle
   BLAS threads spin after each call, taking a core from the generation
   terms.
-* The generation chain D_n = sum_{k=1}^{B} D_{n-1}^{(k)} compounds the
-  offspring count against D_{n-1} only while D_{n-1} is often nonzero.
-  Writing D_{n-1} = q delta_0 + p C (C the conditional nonzero law), the same
-  sum over the in-grid counts is sum_m beta_m C^{*m} with beta the law of
-  Binomial(B, p) (pgf composition for Galton-Watson processes; Athreya &
-  Ney, *Branching Processes*, 1972, ch. I).  That count has support near pN
-  instead of N.  Once q^N is a normal float (from D_3 at N = 2^12 and from
-  D_6 at N = 2^16 when b = 0.5, epsilon = 1) each generation costs a few
-  convolutions instead of ~2 sqrt(N), and the deep-generation laws carry no
-  FFT residue from a full-support count.
+* The generation chain D_n = sum_{k=1}^{B} D_{n-1}^{(k)} never compounds
+  the full offspring count.  Writing D_{n-1} = q delta_0 + p C (C the
+  conditional nonzero law), the sum over the in-grid counts is sum_m
+  beta_m C^{*m} with beta the law of Binomial(B, p) (pgf composition for
+  Galton-Watson processes; Athreya & Ney, *Branching Processes*, 1972,
+  ch. I), computed for every p in blocks of counts, so no q^k need be a
+  normal float.  That count has support near pN instead of N: D_2 at
+  N = 2^14 costs 163 FFT products instead of 256, and each deep
+  generation a few, and the laws carry no FFT residue from a full-support
+  count.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term is the immigration pgf composed with the
@@ -115,12 +120,17 @@ __all__ = [
 _NEGATIVE_TOLERANCE = 1e-12
 # Mass conservation required of every constructed Pmf.
 _CONSERVATION_TOLERANCE = 1e-9
-# Vectors at or below this length convolve directly (exact products, no FFT
-# noise floor — needed when tail masses sit near 1e-19).
+# Laws at or below this length convolve directly (exact products, no FFT
+# noise floor — needed when tail masses sit near 1e-19).  The series
+# products of the generation terms take the FFT above 64 entries: every
+# term ends in full-length FFT products, whose residue bounds its own.
 _DIRECT_CONV_LIMIT = 4096
-# The thinned offspring count starts its recurrence from b_k * q**k, so it is
-# used only while q**N >= exp(-this) stays a normal float at the cutoff N.
-_THINNED_MAX_NEG_LOG = 600.0
+# The thinned offspring count's recurrence starts from q**j within blocks of
+# W counts, so W keeps q**W >= exp(-this), a normal float ...
+_BLOCK_MAX_NEG_LOG = 600.0
+# ... and a block's recurrence within W x (its count cap + 1) terms: wider
+# blocks cost more terms per count, narrower ones more carries.
+_BLOCK_TERMS = 1 << 18
 # Outward margin on the stationary law's overflow per folded product: the
 # fold's placed total plus overflow lands a few ulps either side of 1 (up to
 # 2.5 ulps short at depths 1-37, cutoffs 256-16384; 1 ulp short to 604 over
@@ -266,9 +276,13 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fft_length(a_size: int, b_size: int) -> int:
-    """Transform length `_conv_full` uses; 0 where it convolves directly."""
-    if min(a_size, b_size) <= 64 or max(a_size, b_size) <= _DIRECT_CONV_LIMIT:
+def _fft_length(a_size: int, b_size: int, law: bool = True) -> int:
+    """Transform length `_conv_full` uses; 0 where it convolves directly:
+    where an operand has at most 64 entries, or, for two laws, where
+    neither has more than `_DIRECT_CONV_LIMIT`."""
+    if min(a_size, b_size) <= 64 or (
+        law and max(a_size, b_size) <= _DIRECT_CONV_LIMIT
+    ):
         return 0
     return _next_fast_len(a_size + b_size - 1)
 
@@ -281,10 +295,13 @@ def _spectrum(b: np.ndarray, a_size: int) -> np.ndarray | None:
 
 
 def _conv_full(
-    a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    b_spectrum: np.ndarray | None = None,
+    law: bool = True,
 ) -> np.ndarray:
     """Exact full linear convolution, signed; FFT with zero padding for long
-    inputs.
+    inputs (`_fft_length`; ``law=False`` for power series).
 
     The FFT path computes what ``scipy.signal.fftconvolve(a, b)`` computes
     (same transform length, transforms and product order), bit for bit on
@@ -292,7 +309,7 @@ def _conv_full(
     Passing ``b_spectrum = _spectrum(b, a.size)`` skips ``b``'s transform,
     one of the three, when ``b`` is convolved many times.
     """
-    fshape = _fft_length(a.size, b.size)
+    fshape = _fft_length(a.size, b.size, law)
     if not fshape:
         return np.convolve(a, b)
     if b_spectrum is None:
@@ -468,29 +485,69 @@ def conditional_nonzero(p: Pmf) -> Pmf:
     )
 
 
+def _binomial_band(trials: int, alive: float) -> tuple[int, int]:
+    """Values of Binomial(trials, alive) kept: mean -+ (12 sd + 12).  The
+    mass outside is below 3e-26 (largest near mean 1), and dropping it
+    keeps every kept value a lower bound."""
+    mean = trials * alive
+    spread = 12.0 * math.sqrt(mean * (1.0 - alive)) + 12.0
+    return max(0, math.ceil(mean - spread)), math.floor(mean + spread)
+
+
 def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
     """Law of Binomial(B, alive) over the in-grid offspring counts k <= N.
 
-    beta[m] = sum_k b_k C(k, m) q**(k-m) p**m with p = ``alive``, q = 1 - p,
-    through the all-positive recurrence w[k, m+1] = w[k, m] (k-m)/(m+1) p/q
-    from w[k, 0] = b_k q**k, one pass over k per m.  Counts above
-    pN + 12 sqrt(pNq) + 12 are dropped (their mass is below e^-60); the
-    overflow 1 - sum(beta) holds them and P(B > N), so the result stays a
-    sound count whatever the cap.
+    beta[m] = sum_k b_k P(Binomial(k, p) = m) with p = ``alive``, for every
+    p.  The counts split into blocks k = g W + j, j < W, and Binomial(g W +
+    j) is Binomial(g W) convolved with Binomial(j).  Within a block the
+    positive recurrence w[j, i] = w[j, i-1] (j-i+1)/i p/q from w[j, 0] =
+    b_{gW+j} q**j collapses the counts (one pass over all blocks per i);
+    Binomial(g W), carried from block to block as a band
+    (`_binomial_band`) by direct convolution with Binomial(W), places them.
+    W keeps q**W a normal float, where a recurrence over all k <= N from
+    b_k q**k underflows once q**N does.  Counts above pN + 12 sqrt(pNq) +
+    12 are dropped; the overflow 1 - sum(beta) holds them and P(B > N), so
+    the result stays a sound count.
     """
     n = offspring.cutoff
     q = 1.0 - alive
-    spread = alive * n
-    m_max = min(n, math.ceil(spread + 12.0 * math.sqrt(spread * q) + 12.0))
-    k = np.arange(n + 1, dtype=np.float64)
-    w = offspring.mass * np.power(q, k)
-    beta = np.zeros(n + 1)
-    beta[0] = np.sum(w)
     ratio = alive / q
-    for m in range(m_max):
-        # w[i] holds w[m + i, m]; the k = m entry reaches zero and drops.
-        w = w[1:] * (k[m + 1 :] - m) * (ratio / (m + 1))
-        beta[m + 1] = np.sum(w)
+    m_max = min(n, _binomial_band(n, alive)[1])
+    neg_log_q = -math.log1p(-alive)
+    width = n + 1  # one block, where allowed
+    while width > 1 and (
+        width * neg_log_q > _BLOCK_MAX_NEG_LOG
+        or width * (_binomial_band(width, alive)[1] + 1) > _BLOCK_TERMS
+    ):
+        width = (width + 1) // 2
+    n_blocks = -(-(n + 1) // width)
+    width = -(-(n + 1) // n_blocks)  # blocks of equal width
+    rows = min(width, _binomial_band(width, alive)[1], m_max) + 1
+    padded = np.zeros(n_blocks * width)
+    padded[: n + 1] = offspring.mass
+    j = np.arange(width, dtype=np.float64)
+    # w[g, t] = b_{gW+i+t} P(Binomial(i+t, p) = i) at step i; its rows are
+    # summed pairwise (a BLAS product would cost ulps of the total).
+    w = padded.reshape(n_blocks, width) * np.power(q, j)
+    blocks = np.empty((n_blocks, rows))
+    blocks[:, 0] = np.sum(w, axis=1)
+    for i in range(1, rows):
+        w = w[:, 1:] * ((j[i:] - (i - 1)) * (ratio / i))
+        blocks[:, i] = np.sum(w, axis=1)
+    i = np.arange(1, rows, dtype=np.float64)
+    step = np.cumprod(np.concatenate([[q**width], (width - i + 1.0) / i * ratio]))
+    beta = np.zeros(n + 1)
+    carry, low = np.ones(1), 0  # Binomial(g W, p) on low, low + 1, ...
+    for g in range(n_blocks):
+        part = np.convolve(carry, blocks[g])[: m_max + 1 - low]
+        beta[low : low + part.size] += part
+        next_low, next_high = _binomial_band((g + 1) * width, alive)
+        if g + 1 == n_blocks or next_low > m_max:
+            break
+        carry = np.convolve(carry, step)[
+            next_low - low : min(next_high, m_max) + 1 - low
+        ]
+        low = next_low
     return Pmf(
         mass=beta,
         overflow=max(0.0, 1.0 - float(np.sum(beta))),
@@ -535,22 +592,27 @@ def _next_generation(
 ) -> Pmf:
     """D_n from D_{n-1} = q delta_0 + p C.
 
-    Where q**N is a normal float, sum_{k <= N} b_k D_{n-1}^{*k} is computed
-    as sum_m beta_m C^{*m} with beta the thinned offspring count, whose
-    support is about pN rather than N.  Otherwise (the first generations,
-    where p is large) the offspring count compounds D_{n-1} directly.
+    sum_{k <= N} b_k D_{n-1}^{*k} is computed as sum_m beta_m C^{*m} with
+    beta the thinned offspring count, whose support is about pN rather
+    than N.  Where D_{n-1} places no mass above zero, that sum places only
+    its zero, sum_{k <= N} b_k.  The dead brood joins the zero bin, capped
+    by what the step leaves unplaced, so no step places a total above 1.
     """
     prev_zero = float(prev.mass[0])
     alive = 1.0 - prev_zero
-    n = offspring.cutoff
-    if 0.0 < alive and -n * math.log1p(-alive) <= _THINNED_MAX_NEG_LOG:
+    if alive > 0.0:
         nxt = compound(
             _thinned_offspring_count(offspring, alive), conditional_nonzero(prev)
         )
     else:
-        nxt = compound(offspring, prev)
-    dead = _extinct_brood_mass(params, offspring, prev_zero)
+        zero = np.zeros(offspring.mass.size)
+        zero[0] = offspring.known_total
+        nxt = Pmf(mass=zero, overflow=offspring.overflow)
     mass = nxt.mass.copy()
+    dead = min(
+        _extinct_brood_mass(params, offspring, prev_zero),
+        max(0.0, 1.0 - float(np.sum(mass))),
+    )
     mass[0] += dead
     return Pmf(mass=mass, overflow=nxt.overflow - dead, meta=meta)
 
@@ -559,16 +621,16 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     """Exact (bracketed) law of the generation-``n`` aggregate on {0..cutoff}.
 
     Generation 1 is the offspring law itself.  Each later generation is the
-    previous one compounded by the offspring count.  Once the previous
-    generation is mostly zero, the count is thinned first: Binomial(B, p)
-    copies of the previous law conditioned on being nonzero, a count with
-    support near pN in place of N, so deep generations cost a few
-    convolutions and carry no FFT residue from the full-support count.  The
-    fully-extinct portion of the truncated offspring counts is resolved
-    analytically back to the zero bin.  The mass at zero of each generation
-    built is checked against the model's extinction table before it joins
-    the chain.  The chains of the 8 most recently used (params, cutoff)
-    pairs are cached.
+    previous one compounded by the offspring count, thinned first:
+    Binomial(B, p) copies of the previous law conditioned on being nonzero,
+    with p = P(D_{n-1} > 0), a count with support near pN in place of N, so
+    every generation costs fewer convolutions and the laws carry no FFT
+    residue from the full-support count.  The fully-extinct portion of the
+    truncated offspring counts is resolved analytically back to the zero
+    bin, and no generation places a zero mass above 1.  The mass at zero of
+    each generation built is checked against the model's extinction table
+    before it joins the chain.  The chains of the 8 most recently used
+    (params, cutoff) pairs are cached.
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
@@ -596,7 +658,7 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of the power-series product ``a * b``."""
-    return _conv_full(a[:n], b[:n])[:n]
+    return _conv_full(a[:n], b[:n], law=False)[:n]
 
 
 def _series_reciprocal(f: np.ndarray, n: int) -> np.ndarray:
@@ -664,8 +726,10 @@ def _generation_terms(
     pool: ThreadPoolExecutor, params: ModelParams, cutoff: int, max_iter: int
 ) -> Iterator[Pmf]:
     """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order,
-    stopping before the first D_n whose zero mass rounds to 1 (every later
-    generation's does too, and its term has nothing to place).
+    stopping before the first n whose extinction probability q_n, in the
+    model's table or as D_n's zero mass, rounds to 1: every later
+    generation's does too, and its term has nothing to place.  (The zero
+    mass is a lower bound on q_n and can stall an ulp below 1.)
 
     The chain D_{n+1} is built on the calling thread while term n runs on
     ``pool``, one term ahead of the one being yielded.  An error of chain
@@ -674,6 +738,8 @@ def _generation_terms(
     """
     ahead = None  # the term submitted last and not yet yielded
     for n in range(1, max_iter + 1):
+        if extinction_table(params, n).q[n] >= 1.0:
+            break
         try:
             law = dn_pmf(params, n, cutoff)
         except Exception:

@@ -414,6 +414,18 @@ class TestExitCodes:
         assert int(depth.group(1)) < 100
         assert main(["oracle", *args, "--max-iter", "2"]) == EXIT_CONFIG
 
+    def test_oracle_stops_where_the_table_survival_leaves_float_range(
+        self, tmp_path
+    ):
+        # The table's q_n is exactly 1 from generation 50, but at cutoff 64
+        # the chain's zero mass stalled an ulp below 1, so every later term
+        # widened the brackets by 8e-15 and all 60 iterations ran (exit 2,
+        # gap 7.640e-15).
+        args = ["--cutoff", "64", "--tol", "1e-30", "--max-iter", "60"]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_OK
+        depth = re.search(r"depth=(\d+)", (tmp_path / "oracle.csv").read_text())
+        assert int(depth.group(1)) <= 49
+
     def test_cluster_simulate_at_depth_200(self, tmp_path):
         # The depth remainder once summed the immigration truncated mean at
         # scales 2**200 and beyond, and its quartic term overflowed (exit

@@ -161,6 +161,11 @@ def reference_term(aggregate: Pmf) -> Pmf:
     return compound(count, conditional_nonzero(aggregate))
 
 
+def placed_tail(p: Pmf) -> np.ndarray:
+    """Placed mass above x for x = 0..N-1, summed directly."""
+    return np.cumsum(p.mass[::-1])[::-1][1:]
+
+
 def assert_tails_close(term: Pmf, reference: Pmf, rtol: float) -> None:
     """Placed tail sums at x = 0, 10, 100, N/4 and N/2 within ``rtol``, and
     the overflows within ``rtol`` or 1e-15."""
@@ -423,13 +428,18 @@ class TestConditionalAndThinnedCount:
         np.testing.assert_allclose(out.mass, brute, atol=5e-6)
         assert out.overflow < 0.01
 
-    def test_thinned_offspring_count_matches_brute_force(self, params):
+    @pytest.mark.parametrize("cutoff, p", [(256, 0.05), (3000, "theta")])
+    def test_thinned_offspring_count_matches_brute_force(self, params, cutoff, p):
         # beta[m] = sum_{k <= N} b_k P(Binomial(k, p) = m); the count cap
-        # (67 here) drops only mass far below the tolerance.
-        offspring = pmf_of(law_B(params), 256)
-        p = 0.05
+        # (66 and 1002 here) drops only mass far below the tolerance.  At
+        # 3000, p = theta makes q**N underflow to zero, where a recurrence
+        # from b_k q**k loses every count.
+        offspring = pmf_of(law_B(params), cutoff)
+        p = params.theta if p == "theta" else p
+        if cutoff == 3000:
+            assert (1.0 - p) ** cutoff == 0.0
         out = _thinned_offspring_count(offspring, p)
-        ks = np.arange(257)
+        ks = np.arange(cutoff + 1)
         brute = offspring.mass @ binom.pmf(ks[None, :], ks[:, None], p)
         np.testing.assert_allclose(out.mass, brute, rtol=1e-12, atol=1e-25)
         assert out.overflow == pytest.approx(
@@ -492,24 +502,74 @@ class TestGenerationChain:
         assert d2.known_mean() <= true_mean + 1e-12
         assert d2.known_mean() >= true_mean - 0.05
 
-    @pytest.mark.parametrize("n", [4, 8, 20, 30])
-    def test_thinned_generation_matches_offspring_compound(self, params, n):
-        # At cutoff 2048 every product is an exact direct convolution, so
-        # the thinned chain must reproduce one step of the offspring-count
-        # compound plus the dead brood.  Both overflows are differences of
-        # numbers near 1e-5, so they agree to absolute float resolution.
-        offspring = dn_pmf(params, 1, 2048)
-        prev = dn_pmf(params, n - 1, 2048)
-        full = compound(offspring, prev)
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 20, 30])
+    def test_thinned_generation_matches_offspring_compound(
+        self, params, n, monkeypatch
+    ):
+        # With every product an exact direct convolution (at cutoff 2048,
+        # and at 4096 with the direct limit raised) the thinned chain must
+        # reproduce one step of the offspring-count compound plus the dead
+        # brood.  At 4096, D_2 once compounded the full offspring count,
+        # since q**N = 0.763**4096 is far below float range.  Both overflows
+        # are differences of numbers near 1e-5, so they agree to absolute
+        # float resolution.  The placed tails are summed directly: read as
+        # survival_curve() - overflow they carry a rounding of eps * overflow.
+        cutoff = 4096 if n <= 3 else 2048
+        if cutoff == 4096:
+            _chain_cache.pop((params, cutoff), None)
+            monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 1 << 13)
+        try:
+            offspring = dn_pmf(params, 1, cutoff)
+            prev = dn_pmf(params, n - 1, cutoff)
+            full = compound(offspring, prev)
+            new = dn_pmf(params, n, cutoff)
+        finally:
+            if cutoff == 4096:
+                _chain_cache.pop((params, cutoff), None)
         dead = _extinct_brood_mass(params, offspring, float(prev.mass[0]))
         mass = full.mass.copy()
         mass[0] += dead
         ref = Pmf(mass=mass, overflow=full.overflow - dead)
-        new = dn_pmf(params, n, 2048)
-        new_lo = new.survival_curve() - new.overflow
-        ref_lo = ref.survival_curve() - ref.overflow
-        np.testing.assert_allclose(new_lo, ref_lo, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            placed_tail(new), placed_tail(ref), rtol=1e-12, atol=0.0
+        )
         assert new.overflow == pytest.approx(ref.overflow, rel=0.0, abs=1e-15)
+
+    def test_chain_compounds_only_thinned_counts(self, params, monkeypatch):
+        # Every chain step compounds a count of support at most the thinned
+        # count's cap pN + 12 sqrt(pNq) + 12, p = P(D_{n-1} > 0), never the
+        # full offspring count (16,385 entries at 2^14, which D_2 and D_3
+        # once compounded).
+        real_compound = oracle.compound
+        supports = []
+
+        def recorded(count, summand):
+            supports.append(int(np.nonzero(count.mass)[0][-1]))
+            return real_compound(count, summand)
+
+        cutoff = 1 << 14
+        _chain_cache.pop((params, cutoff), None)
+        monkeypatch.setattr(oracle, "compound", recorded)
+        try:
+            laws = [dn_pmf(params, n, cutoff) for n in range(1, 9)]
+        finally:
+            _chain_cache.pop((params, cutoff), None)
+        assert len(supports) == 7
+        for support, prev in zip(supports, laws):
+            p = 1.0 - float(prev.mass[0])
+            spread = p * cutoff
+            cap = spread + 12.0 * math.sqrt(spread * (1.0 - p)) + 12.0
+            assert support <= cap, (prev.meta, support, cap)
+
+    @pytest.mark.parametrize("cutoff", [64, 256, 4096, 16384])
+    def test_chain_never_places_a_zero_mass_above_one(self, params, cutoff):
+        # Past float resolution of P(D_n > 0) the zero mass once rounded to
+        # 1 + 2.2e-16 (D_49 at 2^14), and the next step's pgf refused it.  A
+        # generation with no mass above zero must still yield the next one,
+        # the all-zero law.
+        for n in range(1, 71):
+            law = dn_pmf(params, n, cutoff)
+            assert float(law.mass[0]) <= 1.0, law.meta
 
     def test_fft_chain_carries_no_residue(self, params, monkeypatch):
         # Cutoff 4096 takes the FFT path; the same chain with every product
@@ -604,7 +664,12 @@ class TestGenerationChain:
     def test_generation_term_deep_is_near_degenerate(self, params):
         # Far beyond float survival resolution the contribution collapses
         # onto zero but must still construct a conservative, conserving law.
-        term = generation_term(dn_pmf(params, 55, 256))
+        # The deepest generation at 256 whose zero mass is below 1 is taken:
+        # past it the zero mass is exactly 1, which the term refuses.
+        deep = [dn_pmf(params, n, 256) for n in range(40, 61)]
+        last = [law for law in deep if float(law.mass[0]) < 1.0][-1]
+        assert 1.0 - float(last.mass[0]) < 1e-14
+        term = generation_term(last)
         assert term.mass[0] >= 1.0 - 1e-12
         assert term.known_total + term.overflow == pytest.approx(
             1.0, abs=1e-9
@@ -621,13 +686,17 @@ class TestGenerationChain:
         )
 
     def test_generation_term_series_fft_path(self, params, monkeypatch):
-        # At 512 the series products are direct; with the direct limit at 64
-        # they go through the FFT and must agree with the direct ones.
+        # At 512 the law products are direct, but the series products go
+        # through the FFT above 64 entries; they must agree with the term
+        # whose every product is direct.
         aggregate = dn_pmf(params, 5, 512)
+        assert not oracle._fft_length(513, 513)
+        assert oracle._fft_length(65, 513, law=False)
+        default = generation_term(aggregate)
+        monkeypatch.setattr(oracle, "_fft_length", lambda *sizes, law=True: 0)
         direct = generation_term(aggregate)
-        monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 64)
-        assert oracle._fft_length(513, 513)
-        assert_tails_close(generation_term(aggregate), direct, rtol=1e-9)
+        assert not np.array_equal(default.mass, direct.mass)
+        assert_tails_close(default, direct, rtol=1e-9)
 
     def test_generation_term_near_the_theta_limit(self):
         # b = 0.7, epsilon = 2 calibrates to theta = 0.4575, so generation
