@@ -1,14 +1,11 @@
-"""Two controls over the C libraries already loaded into the process.
+"""One control over the BLAS libraries already loaded into the process.
 
-* `one_blas_thread` runs a block on one BLAS thread, for the calling thread
-  only, through OpenBLAS's thread-local ``openblas_set_num_threads_local``
-  (numpy and scipy each bundle an OpenBLAS that exports it).  A threaded
-  dot or matrix product splits its sums by the core count, so its bits
-  depend on the machine, and its idle threads spin after every call.
-* `release_freed_memory` hands pages that the allocator keeps for reuse
-  back to the system (glibc's ``malloc_trim``).
-
-Where a library or symbol is missing, each leaves the process alone.
+`one_blas_thread` runs a block on one BLAS thread, for the calling thread
+only, through OpenBLAS's thread-local ``openblas_set_num_threads_local``
+(numpy and scipy each bundle an OpenBLAS that exports it).  A threaded dot
+or matrix product splits its sums by the core count, so its bits depend on
+the machine, and its idle threads spin after every call.  Where no loaded
+library exports the symbol, it leaves the process alone.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import ctypes
 import functools
 from contextlib import contextmanager
 
-__all__ = ["one_blas_thread", "release_freed_memory"]
+__all__ = ["one_blas_thread"]
 
 
 @functools.cache
@@ -61,26 +58,3 @@ def one_blas_thread():
         for setter in setters:
             setter(0)
 
-
-@functools.cache
-def _malloc_trim():
-    """The C library's ``malloc_trim``, or None where it has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return None
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    return trim
-
-
-def release_freed_memory() -> None:
-    """Return the pages freed inside the allocator's arenas to the system.
-
-    glibc gives each thread its own arena and keeps an arena's freed pages
-    for its next allocations, so every thread that once ran a large
-    computation holds that computation's peak until it is trimmed.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)

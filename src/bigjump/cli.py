@@ -53,7 +53,6 @@ import scipy
 
 from . import asymptotics, oracle, sampler, stats
 from .model import (
-    LawA,
     ModelParams,
     calibrate,
     depth_remainder_bound,
@@ -411,19 +410,13 @@ def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
 def _stationary_pmf(params: ModelParams, config: RunConfig) -> oracle.Pmf:
     """The oracle's stationary law under the configured truncation.
 
-    Generation 1's term takes the series reciprocal 1/(1 + r C), stable only
-    for ``r = theta/(1-theta) < 1``, ``theta = P(B >= 1)``, so larger
-    ``theta`` is refused as a config error rather than a traceback, as is an
-    iteration that does not converge within ``oracle.max_iter``.  A large
-    depth remainder is not refused: it widens the law's brackets, up to
-    [0, 1] where it reaches 1.
+    An iteration that does not converge within ``oracle.max_iter`` is
+    refused as a config error rather than a traceback, naming an
+    ``oracle.max_iter`` that suffices where one exists.  A large depth
+    remainder is not refused: it widens the law's brackets, up to [0, 1]
+    where it reaches 1.
     """
     where = f"b = {params.b}, epsilon = {params.epsilon}"
-    if params.theta >= 0.5:
-        raise ConfigError(
-            f"the oracle needs theta = P(B >= 1) < 0.5, got theta = "
-            f"{params.theta:.6g} at {where}"
-        )
     try:
         return oracle.stationary_pmf(
             params,
@@ -734,7 +727,7 @@ def _check_random_sum(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
     summand = oracle.dn_pmf(ctx.params, 1, cutoff)
     (x,) = _ORACLE_XS["random_sum"]
-    check = oracle.random_sum_check(LawA, summand, float(x))
+    check = oracle.random_sum_check(summand, float(x))
     passed = 0.7 <= check.ratio <= 1.3
     return _record(
         "random_sum",

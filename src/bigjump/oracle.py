@@ -55,15 +55,20 @@ Design notes
   count.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
-  generation expansion).  Each term is the immigration pgf composed with the
-  generation law, in closed form over the *conditional* nonzero aggregate:
-  a power-series logarithm and a reciprocal, both by Newton iterations of a
-  few FFT products each (Brent & Kung, "Fast algorithms for manipulating
-  formal power series", J. ACM 25, 1978).  Coefficients 0..N depend only
-  on the aggregate's coefficients 0..N, so every immigration count is
-  included and the term's overflow is exactly its mass above N rather than
-  the whole immigration tail, which is what makes desk-scale brackets at
-  x ~ N/16 usable at all.  The generations past the stopping depth d are
+  generation expansion).  Each term, the law of A independent copies of the
+  generation law, has one home, `generation_term`, which `random_sum_check`
+  reads too.  While p = P(D_n > 0) < 1/2 it is the immigration pgf composed
+  with the generation law, in closed form over the *conditional* nonzero
+  aggregate: a power-series logarithm and a reciprocal, both by Newton
+  iterations of a few FFT products each (Brent & Kung, "Fast algorithms for
+  manipulating formal power series", J. ACM 25, 1978).  Coefficients 0..N
+  depend only on the aggregate's coefficients 0..N, so every immigration
+  count is included and the term's overflow is exactly its mass above N
+  rather than the whole immigration tail, which is what makes desk-scale
+  brackets at x ~ N/16 usable at all.  The reciprocal's series diverges for
+  p >= 1/2, and there the term is ``compound`` over the counts up to N,
+  whose overflow carries P(A > N) = 1/(N + 1).  The generations past the
+  stopping depth d are
   covered by R = `depth_remainder_bound`, at least the probability that any
   of them contributes: they are independent of the fold and add zero with
   probability at least 1 - R, so the fold's masses times (1 - R) stay below
@@ -88,7 +93,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._native import one_blas_thread, release_freed_memory
+from ._native import one_blas_thread
 from .model import (
     LawA,
     ModelParams,
@@ -629,7 +634,9 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     truncated offspring counts is resolved analytically back to the zero
     bin, and no generation places a zero mass above 1.  The mass at zero of
     each generation built is checked against the model's extinction table
-    before it joins the chain.  The chains of the 8 most recently used
+    before it joins the chain, and from generation 2 on the overflow is
+    raised where needed so that the upper bracket on P(D_n > 0) is at least
+    the table's p_n.  The chains of the 8 most recently used
     (params, cutoff) pairs are cached.
     """
     if n < 1:
@@ -646,12 +653,23 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     while len(laws) < n:
         m = len(laws) + 1
         law = _next_generation(params, laws[0], laws[-1], meta=f"gen{m}@{cutoff}")
-        gap = abs(float(law.mass[0]) - extinction_table(params, m).q[m])
+        table = extinction_table(params, m)
+        gap = abs(float(law.mass[0]) - table.q[m])
         if gap > 1e-9 + law.overflow:
             raise RuntimeError(
                 f"generation {m} extinction mass off by {gap:.3e} "
                 "from the pgf recursion"
             )
+        # The zero mass is summed near 1, in ulps of 1, and the table keeps
+        # p_m in survival form, so the placed mass above zero plus the
+        # overflow can read below p_m (to 0.42 p_m at cutoff 256).  Only D_1's
+        # overflow feeds the chain, and the series terms read no overflow.
+        alive = law.survival_known(0)
+        overflow = max(law.overflow, table.p[m] - alive)
+        if alive + overflow < table.p[m]:  # one ulp up covers the rounding
+            overflow = math.nextafter(overflow, math.inf)
+        if overflow > law.overflow:
+            law = Pmf(mass=law.mass, overflow=overflow, meta=law.meta)
         laws.append(law)
     return laws[n - 1]
 
@@ -682,18 +700,19 @@ def _series_log(f: np.ndarray, n: int) -> np.ndarray:
 
 
 def generation_term(aggregate: Pmf) -> Pmf:
-    """Law of one generation's total contribution to the stationary value.
+    """Law of the sum of A independent copies of ``aggregate``, A the
+    immigration count: one generation's total contribution to the
+    stationary value when ``aggregate`` is D_n (from `dn_pmf`).
 
-    The contribution is a sum of generation-n aggregates (law ``aggregate``,
-    from `dn_pmf`) over an immigration-count number of independent trees.
-    With p = P(D_n > 0), r = p/(1-p) and C the pgf of the conditional
-    nonzero aggregate, the immigration pgf G(s) = 1 + (1-s) ln(1-s)/s at
-    s = 1 - p(1 - C) is 1 + r (1 - C)(ln p + ln(1 - C)) / (1 + r C), here
-    on power series cut after coefficient N.  Those coefficients depend only
-    on C's first N + 1, so no count is dropped and the overflow is the mass
-    above N.  The series of 1/(1 + r C) is stable only for r < 1, so
-    p >= 1/2 raises ValueError.  A pure function of ``aggregate``, safe to
-    run on any thread.
+    With p = P(aggregate > 0) < 1/2, r = p/(1-p) and C the pgf of the
+    conditional nonzero aggregate, the immigration pgf G(s) = 1 + (1-s)
+    ln(1-s)/s at s = 1 - p(1 - C) is 1 + r (1 - C)(ln p + ln(1 - C)) /
+    (1 + r C), here on power series cut after coefficient N.  Those
+    coefficients depend only on C's first N + 1, so no count is dropped and
+    the overflow is the mass above N.  The series of 1/(1 + r C) diverges
+    for r >= 1, so for p >= 1/2 the law is ``compound`` over the counts
+    A <= N, and P(A > N) = 1/(N + 1) goes to the overflow.  A pure function
+    of ``aggregate``, safe to run on any thread.
     """
     alive = 1.0 - float(aggregate.mass[0])
     if alive <= 0.0:
@@ -704,10 +723,7 @@ def generation_term(aggregate: Pmf) -> Pmf:
             "float resolution"
         )
     if alive >= 0.5:
-        raise ValueError(
-            f"{aggregate.meta or 'generation'} term needs P(aggregate > 0) < 0.5 "
-            f"for a stable series reciprocal 1/(1 + r C), got {alive}"
-        )
+        return compound(pmf_of(LawA, aggregate.cutoff), aggregate)
     n, c = aggregate.cutoff + 1, conditional_nonzero(aggregate).mass
     r, log_p = alive / (1.0 - alive), math.log(alive)
     one_minus_c = np.concatenate([[1.0], -c[1:]])
@@ -746,8 +762,6 @@ def _generation_terms(
             if ahead is not None:
                 yield ahead.result()
             raise
-        finally:
-            release_freed_memory()
         if float(law.mass[0]) >= 1.0:
             break
         previous, ahead = ahead, pool.submit(generation_term, law)
@@ -852,7 +866,7 @@ def conv_tail_ratio(p: Pmf, x: float) -> TailRatioBracket:
 
 @dataclass(frozen=True)
 class RandomSumCheck:
-    """Exact random-sum tail versus its truncated-mean prediction."""
+    """Exact tail of A copies of a law versus its truncated-mean prediction."""
 
     exact_lo: float
     exact_hi: float
@@ -860,31 +874,27 @@ class RandomSumCheck:
     ratio: float
 
 
-def random_sum_check(count_law, summand: Pmf, x: float) -> RandomSumCheck:
-    """Compare the exact tail of a random sum against the two-term prediction.
+def random_sum_check(summand: Pmf, x: float) -> RandomSumCheck:
+    """Compare the exact tail of a random sum of A independent copies of
+    ``summand``, A the immigration count, against the two-term prediction.
 
-    Exact side: tail of ``compound(count, summand)`` at ``x``.  Prediction:
-    E[C 1{C <= x/m}] * P(Y > x) + P(C > x/m) with ``m`` the summand mean
-    (known mean plus overflow placed at the grid edge — a lower bound).  The
-    reported ratio uses the exact upper endpoint.
+    Exact side: ``generation_term(summand)`` bracketed at ``x``.
+    Prediction: E[A 1{A <= x/m}] * P(Y > x) + P(A > x/m) with ``m`` the
+    summand mean (known mean plus overflow placed at the grid edge — a lower
+    bound).  The reported ratio uses the exact upper endpoint.
     """
     cutoff = summand.cutoff
-    count = pmf_of(count_law, cutoff)
-    exact_lo, exact_hi = compound(count, summand).survival_bracket(x)
+    exact_lo, exact_hi = generation_term(summand).survival_bracket(x)
 
     mean = summand.known_mean() + summand.overflow * (cutoff + 1)
     if mean <= 0.0:
         raise ValueError("summand mean is zero: prediction undefined")
     threshold = x / mean
-    edge = min(math.floor(threshold), cutoff)
-    ks = np.arange(edge + 1)
+    ks = np.arange(min(math.floor(threshold), cutoff) + 1)
     with one_blas_thread():
-        truncated_mean = float(np.dot(ks, count.mass[: edge + 1]))
-    count_tail = float(count_law.survival(threshold))
+        truncated_mean = float(np.dot(ks, LawA.pmf(ks)))
     summand_tail_hi = summand.survival_bracket(x)[1]
-    prediction = truncated_mean * summand_tail_hi + count_tail
-    if prediction <= 0.0:
-        return RandomSumCheck(exact_lo, exact_hi, 0.0, math.nan)
+    prediction = truncated_mean * summand_tail_hi + LawA.survival(threshold)
     return RandomSumCheck(
         exact_lo=exact_lo,
         exact_hi=exact_hi,

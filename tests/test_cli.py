@@ -301,16 +301,23 @@ class TestExitCodes:
         # The artifact is still written before the saturation exit.
         assert (tmp_path / "simulate.csv").exists()
 
-    @pytest.mark.parametrize("b, epsilon", [("0.8", "3"), ("0.9", "5")])
-    def test_oracle_refuses_theta_at_least_half(
-        self, tmp_path, capsys, b, epsilon
+    @pytest.mark.parametrize("cutoff", ["256", "4096"])
+    @pytest.mark.parametrize(
+        "b, epsilon, max_iter", [("0.8", "3", 131), ("0.9", "5", 286)]
+    )
+    def test_oracle_at_theta_at_least_half_names_max_iter(
+        self, tmp_path, capsys, cutoff, b, epsilon, max_iter
     ):
         # b = 0.8, epsilon = 3 calibrates to theta = 0.607; 0.9, 5 to 0.79.
-        args = ["--b", b, "--epsilon", epsilon, "--out", str(tmp_path)]
-        assert main(["oracle", "--cutoff", "256", *args]) == EXIT_CONFIG
+        # Their early generation terms take the compound route, and the
+        # only refusal left is the iteration cap, with the cap that does.
+        args = ["--b", b, "--epsilon", epsilon, "--cutoff", cutoff]
+        assert main(["oracle", *args, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "theta" in err and "0.5" in err
-        assert main(["verify", "--suite", "series", *args]) == EXIT_OK
+        assert "theta" not in err
+        assert f"oracle.max_iter = {max_iter} suffices" in err
+        rerun = ["oracle", *args, "--max-iter", str(max_iter)]
+        assert main([*rerun, "--out", str(tmp_path)]) == EXIT_OK
 
     @pytest.mark.parametrize(
         "b, gap, depth",
@@ -355,6 +362,10 @@ class TestExitCodes:
             ("0.95", "1", ["--max-iter", "800"]),
             # Stops at depth 1, where the remainder bound reads 152.7.
             ("0.99", "1", ["--tol", "0.5"]),
+            # theta = 0.607 and 0.79: refused for theta >= 1/2 until the
+            # generation terms took the compound route there.
+            ("0.8", "3", ["--max-iter", "131"]),
+            ("0.9", "5", ["--max-iter", "286"]),
         ],
         ids=[
             "0.5-0.1",
@@ -363,6 +374,8 @@ class TestExitCodes:
             "0.9-iter400",
             "0.95-iter800",
             "0.99-tol0.5",
+            "0.8-3-iter131",
+            "0.9-5-iter286",
         ],
     )
     def test_oracle_folds_the_depth_remainder(self, tmp_path, b, epsilon, extra):

@@ -1,6 +1,7 @@
 """The package surface: importing the package loads no module of it, no
 scipy submodule loads until it is used, and no public name exists only for
-tests.  The oracle keeps one FFT convolution kernel."""
+tests.  The oracle keeps one FFT convolution kernel, and one home for the
+law of A copies of a law."""
 
 from __future__ import annotations
 
@@ -117,3 +118,33 @@ def test_oracle_has_one_fft_kernel():
         if "fft" in parts and id(node) not in kernel:
             outside.append(node.lineno)
     assert outside == []
+
+
+def test_compound_is_called_only_by_the_chain_and_the_term():
+    """``compound`` is called in src only by `_next_generation` (a thinned
+    offspring count of copies) and `generation_term` (an immigration count
+    of copies, where its series route cannot run): every other reader of
+    the law of A copies of a law goes through `generation_term`."""
+    allowed = ("_next_generation", "generation_term")
+    inside, outside = [], []
+    for path in sorted((ROOT / "src" / "bigjump").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        home = {
+            id(inner): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and path.stem == "oracle"
+            and node.name in allowed
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "compound" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                if id(node) in home:
+                    inside.append(home[id(node)])
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert sorted(inside) == sorted(allowed)

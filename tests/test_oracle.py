@@ -474,10 +474,16 @@ class TestConditionalAndThinnedCount:
         assert out.overflow < 0.01
 
     def test_thinned_count_rejects_bad_args(self):
-        with pytest.raises(ValueError, match=r"< 0\.5"):
-            generation_term(bernoulli_aggregate(0.5, 16))
         with pytest.raises(RuntimeError, match="extinguished"):
             generation_term(bernoulli_aggregate(0.0, 16))
+
+    def test_thinned_count_at_p_one_is_the_immigration_count(self):
+        # With every copy equal to 1 the sum is A itself: the compound route
+        # places P(A = k) for k <= 64 and leaves P(A > 64) = 1/65 unplaced.
+        out = generation_term(bernoulli_aggregate(1.0, 64))
+        immigration = pmf_of(LawA, 64)
+        np.testing.assert_array_equal(out.mass, immigration.mass)
+        assert out.overflow == immigration.overflow == 1 / 65
 
 
 class TestGenerationChain:
@@ -644,6 +650,19 @@ class TestGenerationChain:
         with pytest.raises(ValueError, match="generation index"):
             dn_pmf(params, 0, 64)
 
+    @pytest.mark.parametrize("cutoff", [256, 16384])
+    def test_upper_bracket_on_survival_holds_the_table(self, params, cutoff):
+        # The zero mass is summed in ulps of 1, the table's p_n in survival
+        # form: unraised, the upper bracket on P(D_n > 0) read below p_n in
+        # 21 of the 48 generations n >= 2 at 256 (to 0.42 p_n) and 33 at
+        # 16384 (to 0.60 p_n).
+        n = 2
+        while extinction_table(params, n).q[n] < 1.0:
+            upper = dn_pmf(params, n, cutoff).survival_bracket(0)[1]
+            assert upper >= extinction_table(params, n).p[n], n
+            n += 1
+        assert n > 40
+
     def test_deep_generation_overflow_decays(self, params):
         # The extinct portion of above-cutoff offspring counts must return
         # to the zero bin; otherwise deep-generation overflow stalls at the
@@ -709,10 +728,53 @@ class TestGenerationChain:
         )
 
     @pytest.mark.parametrize("zero_mass", [0.5, 0.2, 0.0])
-    def test_generation_term_refuses_p_at_least_half(self, zero_mass):
-        aggregate = Pmf(mass=np.array([zero_mass, 1.0 - zero_mass]), overflow=0.0)
-        with pytest.raises(ValueError, match=r"< 0\.5"):
-            generation_term(aggregate)
+    def test_generation_term_brackets_p_at_least_half(self, zero_mass):
+        # The term of a Bernoulli(p) aggregate is Binomial(A, p); for p >= 1/2
+        # it is compounded over A <= 64.  Its brackets must hold the exact
+        # P(Binomial(A, p) > x), summed over A <= K with P(A > K) = 1/(K + 1)
+        # as the slack.
+        p, big = 1.0 - zero_mass, 10**5
+        out = generation_term(bernoulli_aggregate(p, 64))
+        ks = np.arange(1, big + 1)
+        for x in (0, 1, 5, 20, 63):
+            lower = float(np.sum(pmf_A(ks) * binom.sf(x, ks, p)))
+            lo, hi = out.survival_bracket(x)
+            assert lo <= lower + 1 / (big + 1) + 1e-12
+            assert lower - 1e-12 <= hi
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "offspring"])
+    @pytest.mark.parametrize("p", [0.4999, 0.5 - 2**-52])
+    def test_generation_term_routes_agree_just_below_half(self, params, kind, p):
+        # Just below p = 1/2 the series route still runs.  With the summand
+        # on a grid of 4N = 2048, `compound` over A <= 4N drops only counts
+        # whose sums lie above N = 512 (Binomial(2048, 1/2) <= 512 has
+        # probability near 1e-111), so both place the same tails on {0..N}.
+        # At x = 0, 10, 100, N/4, N/2 and N - 1 they were measured within
+        # 3.7e-10 relative for the Bernoulli aggregate and 7.4e-12 for the
+        # offspring one, and are asserted within 1e-9.  Over A <= N, the
+        # compound route of p >= 1/2, the placed tails fall short of the
+        # series by the counts above N: at most P(A > N) = 1/(N + 1),
+        # measured 0.50/(N + 1).
+        n = 512
+        if kind == "bernoulli":
+            aggregate = bernoulli_aggregate(p, n)
+        else:
+            mass = p * conditional_nonzero(pmf_of(law_B(params), n)).mass
+            mass[0] = 1.0 - p
+            aggregate = Pmf(mass=mass, overflow=max(0.0, 1.0 - float(np.sum(mass))))
+        assert 1.0 - float(aggregate.mass[0]) < 0.5
+        series = generation_term(aggregate)
+        wide = np.zeros(4 * n + 1)
+        wide[: n + 1] = aggregate.mass
+        wide = compound(
+            pmf_of(LawA, 4 * n), Pmf(mass=wide, overflow=aggregate.overflow)
+        )
+        same = compound(pmf_of(LawA, n), aggregate)
+        for x in (0, 10, 100, n // 4, n // 2, n - 1):
+            on_grid = float(np.sum(wide.mass[x + 1 : n + 1]))
+            assert series.survival_known(x) == pytest.approx(on_grid, rel=1e-9), x
+            short = series.survival_known(x) - same.survival_known(x)
+            assert -1e-15 <= short <= 1 / (n + 1), x
 
 
 class TestStationary:
@@ -962,25 +1024,18 @@ class TestTailDiagnostics:
         with pytest.raises(ValueError, match="below truncation resolution"):
             conv_tail_ratio(pmf_of(GeometricLaw(0.5), 16), 16)
 
-    def test_random_sum_unit_count(self, params, pB512):
-        out = random_sum_check(DiracLaw(1), pB512, 100)
-        lo, hi = pB512.survival_bracket(100)
-        assert out.exact_lo == pytest.approx(lo, rel=1e-12)
-        assert out.exact_hi == pytest.approx(hi, rel=1e-12)
-        assert out.ratio == pytest.approx(1.0, rel=1e-12)
-
     def test_random_sum_dirac_summand_exact(self):
         # Sum of A copies of the constant 3 exceeds 31 iff A >= 11, and the
         # truncated-mean prediction collapses to P(A > 10) = 1/11 exactly.
-        out = random_sum_check(LawA, pmf_of(DiracLaw(3), 4096), 31)
+        out = random_sum_check(pmf_of(DiracLaw(3), 4096), 31)
         assert out.prediction == pytest.approx(1 / 11, rel=1e-12)
         assert out.exact_hi == pytest.approx(1 / 11, rel=1e-9)
         assert out.ratio == pytest.approx(1.0, rel=1e-9)
 
-    def test_random_sum_zero_prediction_is_nan(self, pB512):
-        out = random_sum_check(DiracLaw(0), pmf_of(DiracLaw(1), 512), 10)
-        assert out.prediction == 0.0
-        assert math.isnan(out.ratio)
+    def test_random_sum_exact_side_is_the_generation_term(self, pB512):
+        out = random_sum_check(pB512, 100)
+        lo, hi = generation_term(pB512).survival_bracket(100)
+        assert (out.exact_lo, out.exact_hi) == (lo, hi)
 
     def test_tail_additivity_single_term(self, pB512):
         out = tail_additivity_check([pB512], 100)
