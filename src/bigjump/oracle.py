@@ -16,23 +16,30 @@ that drive the asymptotics.
 Design notes
 ------------
 * Convolution is exact discrete convolution: direct summation for short
-  vectors and zero-padded FFT (no wrap-around) for long ones, in the one
-  kernel `_conv_full`.  A product with an operand of at most 64 entries is
-  direct.  So is a product of two laws of at most `_DIRECT_CONV_LIMIT`
-  entries, whose tail masses near 1e-19 would sink below the FFT's
-  absolute residue; the power series of the generation terms take the FFT
-  above 64 entries, since every term ends in full-length FFT products
-  whose residue bounds its own.  The kernel returns the signed product, as
-  the power series need; `_product`, the overflow rule for laws, clips
-  the tiny negative FFT residue at zero.  The FFT is ``numpy.fft``, at
-  scipy's real transform lengths (`_next_fast_len`).  From numpy 2.0 on it
-  is the C++ pocketfft that ``scipy.fft`` also wraps, so the products keep
-  the bits of ``scipy.signal.fftconvolve`` without importing scipy.
+  vectors and zero-padded FFT for long ones, in the one kernel
+  `_conv_full`.  A product with an operand of at most `_DIRECT_FLOOR` = 64
+  entries is direct.  So is a product of two laws of at most
+  `_DIRECT_CONV_LIMIT` entries, whose tail masses near 1e-19 would sink
+  below the FFT's absolute residue; the power series of the generation
+  terms take the FFT above 64 entries, since every term ends in full-length
+  FFT products whose residue bounds its own.  The transform length is the
+  smallest 5-smooth one (`_next_fast_len`) at least the full length less
+  64: the at most 64 top entries that wrap onto the bottom ones are summed
+  directly from the operands' top entries and subtracted, so two operands
+  of 2^14 + 1 entries transform at 2^15 rather than 32,805.  The kernel
+  returns the signed product, as the power series need; `_product`, the
+  overflow rule for laws, clips the tiny negative FFT residue at zero, and
+  the residue below the product's smallest possible value.  The FFT is
+  ``numpy.fft``; from numpy 2.0 on it is the C++ pocketfft that
+  ``scipy.fft`` also wraps, so a product whose full length is its
+  transform length keeps the bits of ``scipy.signal.fftconvolve`` without
+  importing scipy.
 * ``compound`` evaluates sum_k count[k] * summand^{*k} with a
   baby-step/giant-step polynomial scheme (Paterson & Stockmeyer 1973):
   ~2*sqrt(K) convolutions plus a matrix product that collapses the count
   coefficients instead of K convolutions, each FFT product reusing the
   fixed operand's spectrum (two transforms per product, not three).  The
+  first power is the summand itself, not a product.  The
   collapse runs in chunks of rows, top block first, as the Horner pass
   consumes them, so no blocks x (N+1) table exists; chunks start at
   multiples of `_COLLAPSE_CHUNK` rows, which keeps every row's bits those
@@ -50,9 +57,10 @@ Design notes
   Galton-Watson processes; Athreya & Ney, *Branching Processes*, 1972,
   ch. I), computed for every p in blocks of counts, so no q^k need be a
   normal float.  That count has support near pN instead of N: D_2 at
-  N = 2^14 costs 163 FFT products instead of 256, and each deep
-  generation a few, and the laws carry no FFT residue from a full-support
-  count.
+  N = 2^14 costs 160 FFT products where the full count would cost 255.
+  It ends where its tail drops below `_BINOMIAL_TAIL`, so each deep
+  generation, where pN is far below 1, costs one to three.  The laws
+  carry no FFT residue from a full-support count.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term, the law of A independent copies of the
@@ -61,7 +69,9 @@ Design notes
   with the generation law, in closed form over the *conditional* nonzero
   aggregate: a power-series logarithm and a reciprocal, both by Newton
   iterations of a few FFT products each (Brent & Kung, "Fast algorithms for
-  manipulating formal power series", J. ACM 25, 1978).  Coefficients 0..N
+  manipulating formal power series", J. ACM 25, 1978); each Newton step
+  takes its error term as a middle product, on transforms of the step's
+  own length.  Coefficients 0..N
   depend only on the aggregate's coefficients 0..N, so every immigration
   count is included and the term's overflow is exactly its mass above N
   rather than the whole immigration tail, which is what makes desk-scale
@@ -89,6 +99,7 @@ import math
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -125,6 +136,10 @@ __all__ = [
 _NEGATIVE_TOLERANCE = 1e-12
 # Mass conservation required of every constructed Pmf.
 _CONSERVATION_TOLERANCE = 1e-9
+# A product with an operand of at most this many entries convolves directly,
+# and so do the at most this many top entries of a product whose FFT length
+# falls short of its full length (they wrap onto the bottom ones).
+_DIRECT_FLOOR = 64
 # Laws at or below this length convolve directly (exact products, no FFT
 # noise floor — needed when tail masses sit near 1e-19).  The series
 # products of the generation terms take the FFT above 64 entries: every
@@ -136,6 +151,9 @@ _BLOCK_MAX_NEG_LOG = 600.0
 # ... and a block's recurrence within W x (its count cap + 1) terms: wider
 # blocks cost more terms per count, narrower ones more carries.
 _BLOCK_TERMS = 1 << 18
+# Mass of a binomial count dropped at either end of `_binomial_band`, and
+# the upper tail at which `_thinned_offspring_count` ends its count.
+_BINOMIAL_TAIL = 3e-26
 # Outward margin on the stationary law's overflow per folded product: the
 # fold's placed total plus overflow lands a few ulps either side of 1 (up to
 # 2.5 ulps short at depths 1-37, cutoffs 256-16384; 1 ulp short to 604 over
@@ -266,6 +284,7 @@ def pmf_of(law, cutoff: int, meta: str = "") -> Pmf:
     return Pmf(mass=mass, overflow=overflow, meta=name)
 
 
+@lru_cache(maxsize=256)
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer (2**i * 3**j * 5**k) at least ``n``: what
     ``scipy.fft.next_fast_len(n, real=True)`` returns."""
@@ -283,19 +302,25 @@ def _next_fast_len(n: int) -> int:
 
 def _fft_length(a_size: int, b_size: int, law: bool = True) -> int:
     """Transform length `_conv_full` uses; 0 where it convolves directly:
-    where an operand has at most 64 entries, or, for two laws, where
-    neither has more than `_DIRECT_CONV_LIMIT`."""
-    if min(a_size, b_size) <= 64 or (
+    where an operand has at most `_DIRECT_FLOOR` entries, or, for two laws,
+    where neither has more than `_DIRECT_CONV_LIMIT`.  The length is the
+    smallest 5-smooth one that leaves at most `_DIRECT_FLOOR` entries of the
+    full product to wrap: 2^15 for two operands of 2^14 + 1 entries, not
+    the 32,805 that holds all 32,769."""
+    if min(a_size, b_size) <= _DIRECT_FLOOR or (
         law and max(a_size, b_size) <= _DIRECT_CONV_LIMIT
     ):
         return 0
-    return _next_fast_len(a_size + b_size - 1)
+    return _next_fast_len(a_size + b_size - 1 - _DIRECT_FLOOR)
 
 
-def _spectrum(b: np.ndarray, a_size: int) -> np.ndarray | None:
-    """Real FFT of ``b`` for `_conv_full` against a length-``a_size``
-    operand; None where `_conv_full` convolves directly."""
-    fshape = _fft_length(a_size, b.size)
+def _spectrum(
+    b: np.ndarray, a_size: int, cyclic: int | None = None
+) -> np.ndarray | None:
+    """Real FFT of ``b`` for `_conv_full` against a length-``a_size`` law
+    operand, or at the transform length ``cyclic``; None where `_conv_full`
+    convolves directly."""
+    fshape = _fft_length(a_size, b.size) if cyclic is None else cyclic
     return np.fft.rfft(b, fshape) if fshape else None
 
 
@@ -304,23 +329,45 @@ def _conv_full(
     b: np.ndarray,
     b_spectrum: np.ndarray | None = None,
     law: bool = True,
+    cyclic: int | None = None,
 ) -> np.ndarray:
-    """Exact full linear convolution, signed; FFT with zero padding for long
-    inputs (`_fft_length`; ``law=False`` for power series).
+    """Exact full linear convolution, signed; FFT for long inputs
+    (`_fft_length`; ``law=False`` for power series).
 
-    The FFT path computes what ``scipy.signal.fftconvolve(a, b)`` computes
-    (same transform length, transforms and product order), bit for bit on
-    numpy 2.x, residue below zero included.
-    Passing ``b_spectrum = _spectrum(b, a.size)`` skips ``b``'s transform,
-    one of the three, when ``b`` is convolved many times.
+    Where the transform length holds the full product, the FFT path computes
+    what ``scipy.signal.fftconvolve(a, b)`` computes (same transform length,
+    transforms and product order), bit for bit on numpy 2.x, residue below
+    zero included.  Where it falls short by w <= `_DIRECT_FLOOR` entries, the
+    top w entries wrap onto the bottom w: they are summed directly from the
+    operands' top w entries, subtracted from the bottom ones and appended.
+    Passing ``b_spectrum = _spectrum(b, a.size, cyclic)`` skips ``b``'s
+    transform, one of the three, when ``b`` is convolved many times.
+
+    ``cyclic``, a transform length at least each operand's size, asks for
+    the FFT path's product modulo x**cyclic instead: entry k >= cyclic lands
+    on k - cyclic uncorrected.  A caller passes it only to read entries that
+    nothing wraps onto; where the kernel convolves directly (``cyclic`` 0),
+    it returns the full product, which agrees there.
     """
-    fshape = _fft_length(a.size, b.size, law)
+    fshape = _fft_length(a.size, b.size, law) if cyclic is None else cyclic
     if not fshape:
         return np.convolve(a, b)
     if b_spectrum is None:
         b_spectrum = np.fft.rfft(b, fshape)
     out = np.fft.irfft(np.fft.rfft(a, fshape) * b_spectrum, fshape)
-    return out[: a.size + b.size - 1]
+    size = a.size + b.size - 1
+    if cyclic is not None or size <= fshape:
+        return out[:size]
+    wrapped = size - fshape
+    top = np.convolve(a[-wrapped:], b[-wrapped:])[wrapped - 1 :]
+    out[:wrapped] -= top
+    return np.concatenate([out, top])
+
+
+def _first_nonzero(mass: np.ndarray) -> int:
+    """Index of the first nonzero entry; the size where there is none."""
+    first = int(np.argmax(mass != 0.0))
+    return first if mass[first] != 0.0 else mass.size
 
 
 def _product(a: tuple, b: tuple, n: int, b_spectrum=None) -> tuple:
@@ -328,10 +375,12 @@ def _product(a: tuple, b: tuple, n: int, b_spectrum=None) -> tuple:
     overflow, placed total)``, in that form on {0..n}: the one statement of
     the overflow rule.  Mass landing above ``n``, and every term touching
     either overflow bucket, moves to the result's overflow.  FFT residue
-    below zero is clipped."""
+    below zero is clipped, and so is any below the sum of the operands'
+    smallest placed values, where the product places nothing."""
     a_mass, a_over, a_total = a
     b_mass, b_over, b_total = b
     full = np.maximum(_conv_full(a_mass, b_mass, b_spectrum), 0.0)
+    full[: _first_nonzero(a_mass) + _first_nonzero(b_mass)] = 0.0
     known = full[: n + 1]
     spill = float(np.sum(full[n + 1 :]))
     overflow = spill + a_over * (b_total + b_over) + b_over * a_total
@@ -388,7 +437,8 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     """Law of ``sum_{i=1}^{C} Y_i``: count-weighted summand convolution powers.
 
     Evaluates sum_k count[k] * summand^{*k} with baby-step/giant-step
-    polynomial evaluation: powers 0..J-1 are built once, blocks of J
+    polynomial evaluation: powers 0..J-1 are built once (J - 2 products,
+    since powers 0 and 1 are delta_0 and the summand), blocks of J
     coefficients collapse through one matrix product, and a Horner pass over
     summand^{*J} stitches the blocks.  Count overflow (C beyond the grid)
     lands in the result's overflow.
@@ -424,7 +474,9 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
         previous = (powers[j - 1], pow_overflow[j - 1], pow_total[j - 1])
         return _product(previous, summand_law, n, s_spectrum)
 
-    for j in range(1, rows):
+    if rows > 1:  # summand^{*1} is the summand: no product
+        powers[1], pow_overflow[1], pow_total[1] = summand_law
+    for j in range(2, rows):
         powers[j], pow_overflow[j], pow_total[j] = next_power(j)
 
     # Collapse count coefficients through the power table, block by block.
@@ -492,8 +544,8 @@ def conditional_nonzero(p: Pmf) -> Pmf:
 
 def _binomial_band(trials: int, alive: float) -> tuple[int, int]:
     """Values of Binomial(trials, alive) kept: mean -+ (12 sd + 12).  The
-    mass outside is below 3e-26 (largest near mean 1), and dropping it
-    keeps every kept value a lower bound."""
+    mass outside is below `_BINOMIAL_TAIL` (largest near mean 1), and
+    dropping it keeps every kept value a lower bound."""
     mean = trials * alive
     spread = 12.0 * math.sqrt(mean * (1.0 - alive)) + 12.0
     return max(0, math.ceil(mean - spread)), math.floor(mean + spread)
@@ -511,8 +563,12 @@ def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
     (`_binomial_band`) by direct convolution with Binomial(W), places them.
     W keeps q**W a normal float, where a recurrence over all k <= N from
     b_k q**k underflows once q**N does.  Counts above pN + 12 sqrt(pNq) +
-    12 are dropped; the overflow 1 - sum(beta) holds them and P(B > N), so
-    the result stays a sound count.
+    12 are dropped, and so are the counts past the first m whose tail
+    sum_{m' > m} beta_m' is below `_BINOMIAL_TAIL`: deep in the chain, pN
+    is far below 1 and the band's "+ 12" would keep a dozen counts of mass
+    near 1e-30, each costing `compound` products.  The overflow 1 -
+    sum(beta) holds the dropped counts and P(B > N), so the result stays a
+    sound count.
     """
     n = offspring.cutoff
     q = 1.0 - alive
@@ -553,10 +609,13 @@ def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
             next_low - low : min(next_high, m_max) + 1 - low
         ]
         low = next_low
+    tail = np.cumsum(beta[::-1])[::-1]  # tail[m] = sum_{m' >= m} beta_m'
+    end = int(np.count_nonzero(tail >= _BINOMIAL_TAIL))
+    beta[end:] = 0.0
     return Pmf(
         mass=beta,
         overflow=max(0.0, 1.0 - float(np.sum(beta))),
-        meta=f"thinned-offspring(p={alive:.3g})@{m_max}",
+        meta=f"thinned-offspring(p={alive:.3g})@{end - 1}",
     )
 
 
@@ -682,12 +741,31 @@ def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def _series_reciprocal(f: np.ndarray, n: int) -> np.ndarray:
     """Coefficients 0..n-1 of ``1/f`` for ``f[0] == 1``, by Newton's
     iteration g <- g + g (1 - f g), which doubles the correct coefficients
-    of g; only the error terms of f g past them are multiplied back."""
+    of g; only the error terms of f g past them are multiplied back.
+
+    A step from h to m coefficients needs only (f g)[h:m], a middle product
+    (Hanrot, Quercia & Zimmermann, "The middle product algorithm I", AAECC
+    14, 2004): in the cyclic product of length L = fast(m) >= m, entry k >=
+    L of f g (k <= m + h - 2) lands on k - L <= h - 2, which the step
+    drops.  The update g e has m - 1 <= L entries and does not wrap, so
+    both products share g's spectrum.
+    A step adding at most `_DIRECT_FLOOR` coefficients (the last one to
+    N + 1 = 2^k + 1 adds one) sums them directly instead.
+    """
     g = np.ones(1)
     while g.size < n:
-        m = min(2 * g.size, n)
-        error = _series_product(f[:m], g, m)[g.size :]
-        g = np.concatenate([g, -_series_product(g, error, m - g.size)])
+        h, m = g.size, min(2 * g.size, n)
+        if m - h <= _DIRECT_FLOOR:
+            with one_blas_thread():  # np.convolve sums by BLAS dot products
+                error = np.convolve(f[1:m], g, "valid")
+            g = np.concatenate([g, -np.convolve(g[: m - h], error)[: m - h]])
+            continue
+        # 0, the full product, where the kernel's rule says direct.
+        cyclic = _fft_length(m, h, law=False) and _next_fast_len(m)
+        g_spectrum = _spectrum(g, m, cyclic)
+        error = _conv_full(f[:m], g, g_spectrum, cyclic=cyclic)[h:m]
+        update = _conv_full(error, g, g_spectrum, cyclic=cyclic)
+        g = np.concatenate([g, -update[: m - h]])
     return g
 
 

@@ -327,6 +327,61 @@ class TestConvolve:
         ours = [_next_fast_len(n) for n in sizes]
         assert ours == [next_fast_len(n, True) for n in sizes]
 
+    @pytest.mark.parametrize(
+        "sizes, fshape",
+        [
+            ((4097, 4097), 8192),
+            ((16385, 16385), 32768),
+            ((16385, 8192), 24576),
+            ((65, 513), 540),
+        ],
+        ids=["4097x4097", "16385x16385", "16385x8192", "65x513"],
+    )
+    def test_fft_kernel_corrects_wrapped_top_entries(self, sizes, fshape):
+        # The transform length is the smallest 5-smooth one at least the
+        # full length less 64, so up to 64 top entries wrap onto the bottom
+        # ones: 1 of 8193 at 4097^2, 1 of 32769 at 16385^2 and 37 of 577 at
+        # 65 x 513.  The kernel sums them directly and takes them off.
+        # 16385 x 8192 has the 5-smooth full length 24576: nothing wraps,
+        # and the product is scipy's bit for bit.
+        rng = np.random.default_rng(17)
+        a, b = (rng.random(size) ** 4 for size in sizes)
+        full = a.size + b.size - 1
+        assert oracle._fft_length(a.size, b.size, law=False) == fshape
+        out = _conv_full(a, b, law=False)
+        assert out.size == full
+        np.testing.assert_allclose(out, np.convolve(a, b), rtol=1e-9, atol=1e-12)
+        if fshape >= full:
+            np.testing.assert_array_equal(out, fftconvolve(a, b))
+        else:
+            assert 1 <= full - fshape <= 64
+
+    @pytest.mark.parametrize("kind", ["term", "log"])
+    def test_series_reciprocal_matches_recurrence(self, params, kind):
+        # Against 1/f by its recurrence (scipy.signal.lfilter, within 2e-15
+        # of a long-double recurrence here), at 2^12 and just past it: 2^12
+        # + 1 and 2^12 + 64 end in a step of direct sums, 2^12 + 65 in a
+        # middle product of length 4320.  f is generation 1's 1 + r C, as
+        # in its term (coefficients of 1/f from 1 down to 5e-11), or 1 - C,
+        # as in its logarithm (coefficients 0.5 to 1).  The largest errors
+        # measured were 1.2e-16 and 1.3e-13 absolute (1.7e-16 and 2.1e-14
+        # before the middle product); asserted within 1e-15 and 1e-12.
+        grid = (1 << 12) + 64
+        law = dn_pmf(params, 1, grid)
+        c, alive = conditional_nonzero(law).mass, 1.0 - float(law.mass[0])
+        if kind == "term":
+            f, atol = np.concatenate([[1.0], alive / (1.0 - alive) * c[1:]]), 1e-15
+        else:
+            f, atol = np.concatenate([[1.0], -c[1:]]), 1e-12
+        reference = lfilter([1.0], f, np.eye(1, grid + 1)[0])
+        power = oracle._series_reciprocal(f, 1 << 12)
+        for n in (1 << 12, (1 << 12) + 1, (1 << 12) + 64, (1 << 12) + 65):
+            g = oracle._series_reciprocal(f, n)
+            assert g.size == n
+            np.testing.assert_allclose(g, reference[:n], rtol=0, atol=atol)
+            # Newton's steps to 2^12 are the same for every n.
+            np.testing.assert_array_equal(g[: 1 << 12], power)
+
 
 class TestCompound:
     def test_hand_example(self):
@@ -818,6 +873,54 @@ class TestStationary:
         st_pmf = stationary_pmf(params, cutoff)
         deeper = _serial_fold(params, cutoff, _depth(st_pmf) + 5)
         assert st_pmf.mass[1] <= deeper.mass[1]
+
+    @pytest.mark.parametrize("cutoff", [4096, 1 << 14])
+    def test_places_no_mass_at_zero(self, params, cutoff):
+        # A >= 1, so P(X = 0) = 0.  FFT residue once landed there (1.40e-18
+        # at 4096, 9.26e-19 at 2^14, where the direct path placed 0); a
+        # product now places nothing below the sum of its operands'
+        # smallest placed values.
+        assert stationary_pmf(params, cutoff).mass[0] == 0.0
+
+    def test_fft_transforms_per_solve(self, params, monkeypatch):
+        # A cold solve at 4096 runs every transform at a power of two: 8192
+        # for the full products (4097 x 4097, one top entry summed
+        # directly, where a length holding all 8193 entries is 8640) and
+        # 256..4096 for the Newton steps of the reciprocals.  It made 3,837
+        # transforms at 8640 and below; it makes 3,026 now.  A deep chain
+        # step compounds a count of a few values: 7 FFT products once, 1 to
+        # 3 now.
+        cutoff = 4096
+        calls = []
+        real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+
+        def rfft(a, n=None, *args, **kwargs):
+            calls.append(("rfft", n))
+            return real_rfft(a, n, *args, **kwargs)
+
+        def irfft(a, n=None, *args, **kwargs):
+            calls.append(("irfft", n))
+            return real_irfft(a, n, *args, **kwargs)
+
+        _chain_cache.pop((params, cutoff), None)
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        products = {}
+        try:
+            stationary_pmf(params, cutoff)
+            solve = list(calls)
+            _chain_cache.pop((params, cutoff), None)
+            for n in range(1, 31):
+                calls.clear()
+                dn_pmf(params, n, cutoff)
+                products[n] = sum(kind == "irfft" for kind, _ in calls)
+        finally:
+            _chain_cache.pop((params, cutoff), None)
+        lengths = {length for _, length in solve}
+        assert all(length & (length - 1) == 0 for length in lengths), lengths
+        assert len(solve) <= 3026
+        deep = {n: count for n, count in products.items() if n >= 20}
+        assert max(deep.values()) <= 4, deep
 
     def test_meta_records_depth_and_gap(self, params):
         st_pmf = stationary_pmf(params, 512, tol=1e-11)
