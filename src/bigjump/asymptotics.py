@@ -199,20 +199,22 @@ def _check_tail_sums_b(b: float) -> None:
         )
 
 
-def a_tail_sums(params: ModelParams, x: float) -> tuple[float, float]:
+def a_tail_sums(b: float, x: float) -> tuple[float, float]:
     """Exact and asymptotic values of ``sum_{n>=1} P(A > x*b^-n)``.
 
     exact:     ``sum_n 1/(1 + floor(x*b^-n))``, summed until the geometric
                remainder is below 1e-16 of the sum;
     asymptote: ``b/((1-b)*x)``.
 
+    Only the mean offspring count ``b`` enters, as in `series_identities`.
     The exact sum keeps the integer floors, which is why desk-scale ratios
     sit a couple of percent away from 1.  ``b`` above `_TAIL_SUMS_B_MAX` is
     refused.
     """
     if x <= 0:
         raise ValueError("x must be > 0")
-    b = params.b
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"b out of range: {b!r} (need 0 < b < 1)")
     _check_tail_sums_b(b)
     asymptote = b / ((1.0 - b) * x)
     total = 0.0
@@ -314,7 +316,7 @@ def prediction_table(params: ModelParams, xs, n_max: int) -> PredictionTable:
     a_asym = np.empty(len(xs_arr))
     for i, x in enumerate(xs_arr):
         decomposition[i] = decomposition_pred(params, float(x), n_max)
-        a_exact[i], a_asym[i] = a_tail_sums(params, float(x))
+        a_exact[i], a_asym[i] = a_tail_sums(params.b, float(x))
 
     table = PredictionTable(
         xs=xs_arr,

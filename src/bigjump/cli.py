@@ -744,8 +744,7 @@ def _check_a_tail(ctx: VerifyContext) -> dict:
     measured = {}
     passed = True
     for b in (0.2, 0.5, 0.8):
-        params_b = calibrate(b, ctx.params.epsilon, tolerance=1e-10)
-        exact, asym = asymptotics.a_tail_sums(params_b, 1e6)
+        exact, asym = asymptotics.a_tail_sums(b, 1e6)
         rel = abs(exact / asym - 1.0)
         measured[f"b={b}"] = rel
         passed = passed and rel <= 0.02
@@ -769,8 +768,14 @@ def _check_a_tail(ctx: VerifyContext) -> dict:
     )
 
 
+# Criterion 7 reads every this-many-th state of the 10^6-step chain: its
+# exceedance indicators have autocorrelation times near 3, and states this
+# far apart are close to independent, as the KS critical value assumes.
+_KS_THIN = 10
+
+
 def _check_ks_consistency(ctx: VerifyContext) -> dict:
-    chain = ctx.chain.samples[:100_000]
+    chain = ctx.chain.samples[::_KS_THIN]
     stream = sampler.RngStream(seed=ctx.config.seed, stream_id=1)
     depth = 40
     clusters = sampler.sample_clusters(
@@ -784,8 +789,9 @@ def _check_ks_consistency(ctx: VerifyContext) -> dict:
     passed = (not reject) and remainder < 1e-3 and not saturation
     return _record(
         "ks_consistency",
-        "chain (1e5 samples) and depth-40 cluster (1e5 samples) laws are "
-        "KS-indistinguishable at alpha=0.01",
+        f"chain (every {_KS_THIN}th of 1e6 states, 1e5 samples) and "
+        "depth-40 cluster (1e5 samples) laws are KS-indistinguishable at "
+        "alpha=0.01",
         {
             "statistic": statistic,
             "critical": critical,

@@ -29,7 +29,9 @@ Design notes
   of 2^14 + 1 entries transform at 2^15 rather than 32,805.  The kernel
   returns the signed product, as the power series need; `_product`, the
   overflow rule for laws, clips the tiny negative FFT residue at zero, and
-  the residue below the product's smallest possible value.  The FFT is
+  the residue below the product's smallest possible value.  It takes each
+  law as (mass, overflow) and sums the placed totals the rule needs from
+  the masses, so no caller carries a total beside them.  The FFT is
   ``numpy.fft``; from numpy 2.0 on it is the C++ pocketfft that
   ``scipy.fft`` also wraps, so a product whose full length is its
   transform length keeps the bits of ``scipy.signal.fftconvolve`` without
@@ -60,7 +62,11 @@ Design notes
   N = 2^14 costs 160 FFT products where the full count would cost 255.
   It ends where its tail drops below `_BINOMIAL_TAIL`, so each deep
   generation, where pN is far below 1, costs one to three.  The laws
-  carry no FFT residue from a full-support count.
+  carry no FFT residue from a full-support count.  ``compound`` places
+  the count's zero, sum_{k <= N} b_k q^k, at zero exactly; the step adds
+  the offspring pgf at q less that zero, the broods of the counts above
+  N, so D_n's zero mass is g_B(q_{n-1}) to within an ulp, one pairwise
+  sum and one pgf call per step.
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term, the law of A independent copies of the
@@ -112,6 +118,7 @@ from .model import (
     extinction_table,
     law_B,
     pgf_B,
+    truncated_mean_A,
 )
 
 __all__ = [
@@ -372,19 +379,18 @@ def _first_nonzero(mass: np.ndarray) -> int:
 
 def _product(a: tuple, b: tuple, n: int, b_spectrum=None) -> tuple:
     """Law of the sum of independent draws from two laws given as ``(mass,
-    overflow, placed total)``, in that form on {0..n}: the one statement of
-    the overflow rule.  Mass landing above ``n``, and every term touching
-    either overflow bucket, moves to the result's overflow.  FFT residue
-    below zero is clipped, and so is any below the sum of the operands'
-    smallest placed values, where the product places nothing."""
-    a_mass, a_over, a_total = a
-    b_mass, b_over, b_total = b
+    overflow)``, in that form on {0..n}: the one statement of the overflow
+    rule.  Mass landing above ``n``, and every term touching either overflow
+    bucket, moves to the result's overflow; the placed totals those terms
+    need are summed here, from the operands.  FFT residue below zero is
+    clipped, and so is any below the sum of the operands' smallest placed
+    values, where the product places nothing."""
+    (a_mass, a_over), (b_mass, b_over) = a, b
     full = np.maximum(_conv_full(a_mass, b_mass, b_spectrum), 0.0)
     full[: _first_nonzero(a_mass) + _first_nonzero(b_mass)] = 0.0
-    known = full[: n + 1]
     spill = float(np.sum(full[n + 1 :]))
-    overflow = spill + a_over * (b_total + b_over) + b_over * a_total
-    return known, overflow, float(np.sum(known))
+    a_total, b_total = float(np.sum(a_mass)), float(np.sum(b_mass))
+    return full[: n + 1], spill + a_over * (b_total + b_over) + b_over * a_total
 
 
 def convolve(p: Pmf, q: Pmf) -> Pmf:
@@ -393,11 +399,7 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
         raise ValueError(
             f"cutoff mismatch: {p.cutoff} vs {q.cutoff} — operands must share a grid"
         )
-    known, overflow, _ = _product(
-        (p.mass, p.overflow, p.known_total),
-        (q.mass, q.overflow, q.known_total),
-        p.cutoff,
-    )
+    known, overflow = _product((p.mass, p.overflow), (q.mass, q.overflow), p.cutoff)
     return Pmf(
         mass=known,
         overflow=overflow,
@@ -440,8 +442,10 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     polynomial evaluation: powers 0..J-1 are built once (J - 2 products,
     since powers 0 and 1 are delta_0 and the summand), blocks of J
     coefficients collapse through one matrix product, and a Horner pass over
-    summand^{*J} stitches the blocks.  Count overflow (C beyond the grid)
-    lands in the result's overflow.
+    summand^{*J} stitches the blocks.  Each power's overflow collapses with
+    it; `_product` reads the placed totals from the masses.  Count overflow
+    (C beyond the grid) lands in the result's overflow.  Where the summand
+    places nothing at zero, the result's zero mass is count[0] exactly.
     """
     if count.cutoff != summand.cutoff:
         raise ValueError(
@@ -460,24 +464,21 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     width = _block_width(support)
     n_blocks = support // width + 1
 
-    # Baby steps: summand powers 0..width-1 (and their bookkeeping scalars).
+    # Baby steps: summand powers 0..width-1 and their overflows.
     rows = min(width, support + 1)
     powers = np.zeros((rows, n + 1))
     powers[0, 0] = 1.0
     pow_overflow = np.zeros(rows)
-    pow_total = np.zeros(rows)
-    pow_total[0] = 1.0
-    summand_law = (summand.mass, summand.overflow, summand.known_total)
     s_spectrum = _spectrum(summand.mass, n + 1)
 
     def next_power(j: int) -> tuple:  # summand^{*j} from summand^{*(j-1)}
-        previous = (powers[j - 1], pow_overflow[j - 1], pow_total[j - 1])
-        return _product(previous, summand_law, n, s_spectrum)
+        previous = (powers[j - 1], pow_overflow[j - 1])
+        return _product(previous, (summand.mass, summand.overflow), n, s_spectrum)
 
     if rows > 1:  # summand^{*1} is the summand: no product
-        powers[1], pow_overflow[1], pow_total[1] = summand_law
+        powers[1], pow_overflow[1] = summand.mass, summand.overflow
     for j in range(2, rows):
-        powers[j], pow_overflow[j], pow_total[j] = next_power(j)
+        powers[j], pow_overflow[j] = next_power(j)
 
     # Collapse count coefficients through the power table, block by block.
     padded = np.zeros(n_blocks * width)
@@ -486,25 +487,17 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     coeff = padded.reshape(n_blocks, width)[:, :rows]
     with one_blas_thread():
         block_overflow = coeff @ pow_overflow
-        block_total = coeff @ pow_total
     block_mass = _collapse_top_down(coeff, powers)
 
-    if n_blocks == 1:
-        acc, acc_over = next(block_mass), float(block_overflow[0])
-    else:
+    acc, acc_over = next(block_mass), float(block_overflow[n_blocks - 1])
+    if n_blocks > 1:
         # Giant step: summand^{*width}, then Horner from the top block down.
         giant = next_power(rows)
-        acc = next(block_mass)
-        acc_over = float(block_overflow[n_blocks - 1])
-        acc_total = float(block_total[n_blocks - 1])
         g_spectrum = _spectrum(giant[0], n + 1)
         for g in range(n_blocks - 2, -1, -1):
-            known, acc_over, known_total = _product(
-                (acc, acc_over, acc_total), giant, n, g_spectrum
-            )
+            known, acc_over = _product((acc, acc_over), giant, n, g_spectrum)
             acc = known + next(block_mass)
             acc_over += float(block_overflow[g])
-            acc_total = known_total + float(block_total[g])
 
     return Pmf(
         mass=acc,
@@ -625,32 +618,6 @@ def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
 _chain_cache: OrderedDict[tuple[ModelParams, int], list[Pmf]] = OrderedDict()
 
 
-def _extinct_brood_mass(
-    params: ModelParams, offspring: Pmf, prev_zero: float
-) -> float:
-    """Exact mass at zero contributed by offspring counts above the cutoff.
-
-    A count of ``k`` children yields an aggregate of zero with probability
-    ``prev_zero ** k``, so the truncated counts' zero contribution is
-    ``sum_{k > cutoff} b_k * prev_zero**k`` — the offspring pgf at
-    ``prev_zero`` minus the in-support partial sum.  Using the known
-    (lower-bound) zero mass for ``prev_zero`` keeps the result a lower bound
-    on the true contribution, so moving it from overflow to the zero bin
-    preserves the pointwise-lower-bound invariant.  Without this split the
-    per-generation overflow has a constant floor and deep generations never
-    damp out.
-    """
-    if prev_zero <= 0.0:
-        return 0.0
-    powers = np.power(prev_zero, np.arange(offspring.mass.size, dtype=np.float64))
-    # A threaded dot product (N above 10,000) sums in an order set by the
-    # core count; on one thread the chain's bits do not depend on it.
-    with one_blas_thread():
-        in_support = float(offspring.mass @ powers)
-    dead = pgf_B(params, prev_zero) - in_support
-    return min(max(dead, 0.0), offspring.overflow)
-
-
 def _next_generation(
     params: ModelParams, offspring: Pmf, prev: Pmf, meta: str
 ) -> Pmf:
@@ -658,23 +625,25 @@ def _next_generation(
 
     sum_{k <= N} b_k D_{n-1}^{*k} is computed as sum_m beta_m C^{*m} with
     beta the thinned offspring count, whose support is about pN rather
-    than N.  Where D_{n-1} places no mass above zero, that sum places only
-    its zero, sum_{k <= N} b_k.  The dead brood joins the zero bin, capped
-    by what the step leaves unplaced, so no step places a total above 1.
+    than N.  ``compound`` places the count's zero, beta_0 = sum_{k <= N}
+    b_k q**k, at zero exactly, since C places nothing there.  The broods
+    of the counts above N all die with probability sum_{k > N} b_k q**k,
+    the offspring pgf at q less beta_0.  Added to the zero bin, it makes
+    the zero mass g_B(q), a lower bound on q_n since g_B increases and q
+    is a lower bound on q_{n-1}.  It is capped by what the step leaves
+    unplaced, so no step places a total above 1.  Where D_{n-1} places no mass above
+    zero, q = 1 and D_n is delta_0, exactly.
     """
     prev_zero = float(prev.mass[0])
     alive = 1.0 - prev_zero
-    if alive > 0.0:
-        nxt = compound(
-            _thinned_offspring_count(offspring, alive), conditional_nonzero(prev)
-        )
-    else:
-        zero = np.zeros(offspring.mass.size)
-        zero[0] = offspring.known_total
-        nxt = Pmf(mass=zero, overflow=offspring.overflow)
+    if alive <= 0.0:
+        return Pmf(mass=np.eye(1, offspring.mass.size)[0], overflow=0.0, meta=meta)
+    nxt = compound(
+        _thinned_offspring_count(offspring, alive), conditional_nonzero(prev)
+    )
     mass = nxt.mass.copy()
     dead = min(
-        _extinct_brood_mass(params, offspring, prev_zero),
+        max(pgf_B(params, prev_zero) - float(mass[0]), 0.0),
         max(0.0, 1.0 - float(np.sum(mass))),
     )
     mass[0] += dead
@@ -689,14 +658,14 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     Binomial(B, p) copies of the previous law conditioned on being nonzero,
     with p = P(D_{n-1} > 0), a count with support near pN in place of N, so
     every generation costs fewer convolutions and the laws carry no FFT
-    residue from the full-support count.  The fully-extinct portion of the
-    truncated offspring counts is resolved analytically back to the zero
-    bin, and no generation places a zero mass above 1.  The mass at zero of
-    each generation built is checked against the model's extinction table
-    before it joins the chain, and from generation 2 on the overflow is
-    raised where needed so that the upper bracket on P(D_n > 0) is at least
-    the table's p_n.  The chains of the 8 most recently used
-    (params, cutoff) pairs are cached.
+    residue from the full-support count.  The zero mass is the offspring
+    pgf at the previous one, g_B(q_{n-1}), the broods of the counts above
+    the grid included, capped so that no generation places a total above
+    1 (`_next_generation`).  The mass at zero of each generation built is
+    checked against the model's extinction table before it joins the
+    chain, and from generation 2 on the overflow is raised where needed so
+    that the upper bracket on P(D_n > 0) is at least the table's p_n.  The
+    chains of the 8 most recently used (params, cutoff) pairs are cached.
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
@@ -957,9 +926,11 @@ def random_sum_check(summand: Pmf, x: float) -> RandomSumCheck:
     ``summand``, A the immigration count, against the two-term prediction.
 
     Exact side: ``generation_term(summand)`` bracketed at ``x``.
-    Prediction: E[A 1{A <= x/m}] * P(Y > x) + P(A > x/m) with ``m`` the
+    Prediction: E[A; A <= x/m] * P(Y > x) + P(A > x/m) with ``m`` the
     summand mean (known mean plus overflow placed at the grid edge — a lower
-    bound).  The reported ratio uses the exact upper endpoint.
+    bound); both immigration terms read A's law at the same x/m, which may
+    lie past the grid (`truncated_mean_A`, `survival_A`).  The reported
+    ratio uses the exact upper endpoint.
     """
     cutoff = summand.cutoff
     exact_lo, exact_hi = generation_term(summand).survival_bracket(x)
@@ -968,11 +939,8 @@ def random_sum_check(summand: Pmf, x: float) -> RandomSumCheck:
     if mean <= 0.0:
         raise ValueError("summand mean is zero: prediction undefined")
     threshold = x / mean
-    ks = np.arange(min(math.floor(threshold), cutoff) + 1)
-    with one_blas_thread():
-        truncated_mean = float(np.dot(ks, LawA.pmf(ks)))
-    summand_tail_hi = summand.survival_bracket(x)[1]
-    prediction = truncated_mean * summand_tail_hi + LawA.survival(threshold)
+    tail = summand.survival_bracket(x)[1]
+    prediction = truncated_mean_A(threshold) * tail + LawA.survival(threshold)
     return RandomSumCheck(
         exact_lo=exact_lo,
         exact_hi=exact_hi,

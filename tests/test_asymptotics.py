@@ -221,38 +221,43 @@ class TestPerGenerationPred:
 
 
 class TestATailSums:
-    def test_golden_small_x(self, params):
-        exact, asym = a_tail_sums(params, 4.0)
+    def test_golden_small_x(self):
+        exact, asym = a_tail_sums(0.5, 4.0)
         assert exact == pytest.approx(GOLDEN_A_TAIL_EXACT_4, rel=1e-14)
         assert asym == 0.25  # b/(1-b) = 1 at b = 0.5
 
-    def test_within_two_percent_at_desk_scale(self, params, params_b02, params_b08):
-        for p in (params_b02, params, params_b08):
-            exact, asym = a_tail_sums(p, 1e6)
+    def test_within_two_percent_at_desk_scale(self):
+        for b in (0.2, 0.5, 0.8):
+            exact, asym = a_tail_sums(b, 1e6)
             assert exact / asym == pytest.approx(1.0, abs=0.02)
 
-    def test_exact_below_asymptote(self, params):
+    def test_exact_below_asymptote(self):
         # 1/(1+floor(y)) <= 1/y for every y > 0, term by term
         for x in (0.5, 3.0, 17.0, 1e4):
-            exact, asym = a_tail_sums(params, x)
+            exact, asym = a_tail_sums(0.5, x)
             assert exact <= asym
 
-    def test_terms_past_the_float_range_count(self, params):
+    def test_terms_past_the_float_range_count(self):
         # From x = 1e294 on at b = 0.5, x*b^-n overflows inside the sum;
         # those terms take the log form 1/t instead of reading 0.
-        exact, asym = a_tail_sums(params, 1e300)
+        exact, asym = a_tail_sums(0.5, 1e300)
         assert exact == pytest.approx(asym, rel=1e-12)
 
-    def test_rejects_nonpositive(self, params):
+    def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            a_tail_sums(params, 0.0)
+            a_tail_sums(0.5, 0.0)
+
+    @pytest.mark.parametrize("b", [0.0, -0.5, 1.0, math.nan])
+    def test_rejects_b_outside_the_unit_interval(self, b):
+        with pytest.raises(ValueError, match="b out of range"):
+            a_tail_sums(b, 100.0)
 
     def test_b_limit(self):
         # At the limit the sum runs its ~7,400 generations; past it, refused.
-        exact, asym = a_tail_sums(calibrate(_TAIL_SUMS_B_MAX, 1.0), 100.0)
+        exact, asym = a_tail_sums(_TAIL_SUMS_B_MAX, 100.0)
         assert exact / asym == pytest.approx(1.0, abs=0.05)
         with pytest.raises(ValueError, match="above 0.995"):
-            a_tail_sums(calibrate(0.999, 1.0), 100.0)
+            a_tail_sums(0.999, 100.0)
 
 
 class TestCorrectionSum:
@@ -324,7 +329,7 @@ class TestPredictionTable:
         assert np.array_equal(
             table.two_scale_total, table.leading + table.second_scale
         )
-        exact, asym = a_tail_sums(params, 100.0)
+        exact, asym = a_tail_sums(params.b, 100.0)
         assert table.a_tail_exact[1] == exact
         assert table.a_tail_asym[1] == asym
         assert decomposition_pred(params, 1000.0, 4) == table.decomposition[2]
@@ -360,8 +365,7 @@ class TestProperties:
     @given(st.floats(min_value=10.0, max_value=1e12))
     @settings(max_examples=100, deadline=None)
     def test_exact_a_tail_below_asymptote(self, x):
-        params = calibrate(0.5, 1.0)
-        exact, asym = a_tail_sums(params, x)
+        exact, asym = a_tail_sums(0.5, x)
         assert 0.0 < exact <= asym
 
     @given(

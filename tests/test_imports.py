@@ -1,7 +1,8 @@
 """The package surface: importing the package loads no module of it, no
 scipy submodule loads until it is used, and no public name exists only for
-tests.  The oracle keeps one FFT convolution kernel, and one home for the
-law of A copies of a law."""
+tests.  The oracle keeps one FFT convolution kernel, one overflow rule that
+every product of laws passes through, and one home for the law of A copies
+of a law."""
 
 from __future__ import annotations
 
@@ -148,3 +149,33 @@ def test_compound_is_called_only_by_the_chain_and_the_term():
                     outside.append(f"{path.name}:{node.lineno}")
     assert outside == []
     assert sorted(inside) == sorted(allowed)
+
+
+def _callers(callee: str) -> set:
+    """The top-level functions of src, as ``module.function``, whose bodies
+    call ``callee`` by name or as an attribute; a nested function counts as
+    the one it sits in."""
+    found = set()
+    for path in sorted((ROOT / "src" / "bigjump").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and callee in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_law_products_pass_through_the_one_overflow_rule():
+    """The FFT kernel `_conv_full` is called only by `_product` and the two
+    power-series products, and `_product` only by ``convolve`` and
+    ``compound``: every product of laws goes through the one statement of
+    the overflow rule."""
+    assert _callers("_conv_full") == {
+        "oracle._product",
+        "oracle._series_product",
+        "oracle._series_reciprocal",
+    }
+    assert _callers("_product") == {"oracle.convolve", "oracle.compound"}

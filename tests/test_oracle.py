@@ -32,8 +32,10 @@ from bigjump.model import (
     depth_remainder_bound,
     extinction_table,
     law_B,
+    pgf_B,
     pmf_A,
     survival_A,
+    truncated_mean_A,
 )
 from bigjump.oracle import (
     GeometricLaw,
@@ -42,7 +44,6 @@ from bigjump.oracle import (
     _CHAIN_CACHE_SIZE,
     _chain_cache,
     _conv_full,
-    _extinct_brood_mass,
     _next_fast_len,
     _spectrum,
     _thinned_offspring_count,
@@ -415,6 +416,16 @@ class TestCompound:
         assert out.mass[0] == 1.0
         assert out.known_total == 1.0
 
+    @pytest.mark.parametrize("cutoff", [300, 1 << 14])
+    def test_zero_mass_is_the_counts_where_the_summand_has_none(self, cutoff):
+        # The chain step reads its in-grid dead broods from compound's zero,
+        # so it must be count[0] to the bit: directly at 300, through the
+        # FFT products at 2^14; both take several Horner blocks.
+        count = pmf_of(GeometricLaw(0.02), cutoff)
+        summand = conditional_nonzero(pmf_of(GeometricLaw(0.5), cutoff))
+        out = compound(count, summand)
+        assert out.mass[0] == count.mass[0]
+
     def test_giant_step_blocks_match_direct_fold(self):
         # Support 300 forces multiple blocks through the Horner pass.
         count = pmf_of(GeometricLaw(0.02), 300)
@@ -554,6 +565,18 @@ class TestGenerationChain:
             d = dn_pmf(params, n, 4096)
             assert abs(float(d.mass[0]) - table.q[n]) <= 1e-9 + d.overflow
 
+    def test_zero_mass_is_the_pgf_at_the_previous_one(self, params):
+        # D_n's zero mass is g_B(q) at D_{n-1}'s zero mass q: the step tops
+        # up compound's zero, the in-grid dead broods, with the rest of the
+        # pgf, so the two agree to an ulp.  Summing the in-grid broods a
+        # second time, by a dot product over all N + 1 offspring counts,
+        # missed by 2-17 ulps in 29 of these 35 steps.
+        cutoff = 1 << 14
+        for n in range(2, 37):
+            zero = float(dn_pmf(params, n, cutoff).mass[0])
+            pgf = pgf_B(params, float(dn_pmf(params, n - 1, cutoff).mass[0]))
+            assert abs(zero - pgf) <= math.ulp(pgf), (n, (zero - pgf) / math.ulp(pgf))
+
     def test_generation_two_mean_bracket(self, params):
         d2 = dn_pmf(params, 2, 4096)
         true_mean = params.b**2
@@ -570,10 +593,12 @@ class TestGenerationChain:
         # With every product an exact direct convolution (at cutoff 2048,
         # and at 4096 with the direct limit raised) the thinned chain must
         # reproduce one step of the offspring-count compound plus the dead
-        # brood.  At 4096, D_2 once compounded the full offspring count,
-        # since q**N = 0.763**4096 is far below float range.  Both overflows
-        # are differences of numbers near 1e-5, so they agree to absolute
-        # float resolution.  The placed tails are summed directly: read as
+        # broods of the counts above the grid: the offspring pgf at D_{n-1}'s
+        # zero mass q less the in-grid sum of b_k q**k, both summed here.
+        # At 4096, D_2 once compounded the full offspring count, since q**N =
+        # 0.763**4096 is far below float range.  Both overflows are
+        # differences of numbers near 1e-5, so they agree to absolute float
+        # resolution.  The placed tails are summed directly: read as
         # survival_curve() - overflow they carry a rounding of eps * overflow.
         cutoff = 4096 if n <= 3 else 2048
         if cutoff == 4096:
@@ -587,7 +612,9 @@ class TestGenerationChain:
         finally:
             if cutoff == 4096:
                 _chain_cache.pop((params, cutoff), None)
-        dead = _extinct_brood_mass(params, offspring, float(prev.mass[0]))
+        q = float(prev.mass[0])
+        in_grid = math.fsum(offspring.mass * q ** np.arange(cutoff + 1.0))
+        dead = pgf_B(params, q) - in_grid
         mass = full.mass.copy()
         mass[0] += dead
         ref = Pmf(mass=mass, overflow=full.overflow - dead)
@@ -655,8 +682,8 @@ class TestGenerationChain:
     ):
         # Chains at two cutoffs and a depth-40 cluster batch read one table:
         # each generation's pgf is evaluated once, by the table's growth.
-        # (`_extinct_brood_mass` evaluates the pgf at the chain's own zero
-        # masses; those calls are not the table's.)
+        # (Each chain step evaluates the pgf at the previous law's own zero
+        # mass; those calls are not the table's.)
         real_series = model._offspring_survival_series
         callers = collections.Counter()
 
@@ -1134,6 +1161,19 @@ class TestTailDiagnostics:
         assert out.prediction == pytest.approx(1 / 11, rel=1e-12)
         assert out.exact_hi == pytest.approx(1 / 11, rel=1e-9)
         assert out.ratio == pytest.approx(1.0, rel=1e-9)
+
+    def test_random_sum_prediction_reads_a_past_the_grid(self, params):
+        # At cutoff 2^14 and x = 2^13 the immigration scale x/m is 17,225,
+        # past the grid.  Both terms of the prediction read A's law there:
+        # a mean term cut at N = 16,384 would not match its tail term.
+        summand = dn_pmf(params, 1, 1 << 14)
+        x = 8192.0
+        mean = summand.known_mean() + summand.overflow * (summand.cutoff + 1)
+        scale = x / mean
+        assert scale > summand.cutoff
+        tail = summand.survival_bracket(x)[1]
+        expected = truncated_mean_A(scale) * tail + survival_A(scale)
+        assert random_sum_check(summand, x).prediction == expected
 
     def test_random_sum_exact_side_is_the_generation_term(self, pB512):
         out = random_sum_check(pB512, 100)
