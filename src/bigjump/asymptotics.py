@@ -15,7 +15,6 @@ and no pmf arithmetic happens in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from bigjump.model import (
 )
 
 __all__ = [
-    "PredictionTable",
     "leading_tail",
     "series_identities",
     "series_partial_sums",
@@ -133,9 +131,9 @@ def two_scale_total(params: ModelParams, x):
 
 def second_scale_positivity_threshold(params: ModelParams) -> float:
     """Smallest ``x`` at which the second-scale coefficient is nonnegative:
-    ``exp(log(1/b) * s2/s1)``."""
-    b = params.b
-    return math.exp(math.log(1.0 / b) * (1.0 + b) / (1.0 - b))
+    ``exp(log(1/b) * s2/s1)``, to within rounding."""
+    s1, s2 = series_identities(params.b)
+    return math.exp(math.log(1.0 / params.b) * s2 / s1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,77 +264,49 @@ def decomposition_pred(params: ModelParams, x: float, n_max: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionTable:
-    """Per-threshold values of every closed-form tail predictor.
+def prediction_table(params: ModelParams, xs, n_max: int) -> dict:
+    """Every closed-form predictor on a threshold grid, as named columns.
 
-    All entries are nonnegative; ``two_scale_total = leading + second_scale``
-    by construction.  ``decomposition[i]`` is `decomposition_pred` at
-    ``xs[i]`` over generations ``1..n_max``.
-    """
-
-    xs: np.ndarray
-    leading: np.ndarray
-    second_scale: np.ndarray
-    two_scale_total: np.ndarray
-    decomposition: np.ndarray
-    a_tail_exact: np.ndarray
-    a_tail_asym: np.ndarray
-
-
-def prediction_table(params: ModelParams, xs, n_max: int) -> PredictionTable:
-    """Evaluate every predictor on a threshold grid, the decomposition over
-    generations ``1..n_max``.
+    The keys are ``leading``, ``second_scale``, ``two_scale_total``,
+    ``decomposition``, ``a_tail_exact`` and ``a_tail_asym``, in
+    ``predict.csv``'s order; each value holds one entry per grid point.
+    ``two_scale_total = leading + second_scale`` by construction, and
+    ``decomposition`` is `decomposition_pred` over generations ``1..n_max``.
+    Every entry is nonnegative.
 
     Raises:
-        ValueError: if any grid point sits at or below the second-scale
-            positivity threshold (the table's entries must all be
-            nonnegative to be meaningful), or ``b`` is above the tail sums'
-            limit.
+        ValueError: if the second-scale column reads negative at a grid
+            point (one at or below the positivity threshold, the last
+            bits of the threshold included), or ``b`` is above the tail
+            sums' limit.
     """
     xs_arr = np.asarray(xs, dtype=np.float64)
     if xs_arr.ndim != 1 or len(xs_arr) == 0:
         raise ValueError("xs must be a nonempty 1-d grid")
     if np.any(np.diff(xs_arr) <= 0):
         raise ValueError("xs must be strictly increasing")
-    threshold = second_scale_positivity_threshold(params)
-    if np.any(xs_arr < threshold):
-        bad = float(xs_arr[xs_arr < threshold][0])
-        raise ValueError(
-            f"grid point x={bad:g} lies below the second-scale positivity "
-            f"threshold {threshold:g} of b = {params.b}"
-        )
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # x <= 1 lies below the threshold too, where second_scale is undefined.
+    refused = xs_arr <= 1.0
+    if not refused.any():
+        second = second_scale(params, xs_arr)
+        refused = second < 0
+    if refused.any():
+        raise ValueError(
+            f"grid point x={xs_arr[refused][0]:g} lies at or below the "
+            "second-scale positivity threshold "
+            f"{second_scale_positivity_threshold(params):g} of b = {params.b}"
+        )
 
+    grid = xs_arr.tolist()
     lead = leading_tail(params, xs_arr)
-    second = second_scale(params, xs_arr)
-    decomposition = np.empty(len(xs_arr))
-    a_exact = np.empty(len(xs_arr))
-    a_asym = np.empty(len(xs_arr))
-    for i, x in enumerate(xs_arr):
-        decomposition[i] = decomposition_pred(params, float(x), n_max)
-        a_exact[i], a_asym[i] = a_tail_sums(params.b, float(x))
-
-    table = PredictionTable(
-        xs=xs_arr,
-        leading=lead,
-        second_scale=second,
-        two_scale_total=lead + second,
-        decomposition=decomposition,
-        a_tail_exact=a_exact,
-        a_tail_asym=a_asym,
-    )
-    for field in (
-        table.leading,
-        table.second_scale,
-        table.two_scale_total,
-        table.decomposition,
-        table.a_tail_exact,
-        table.a_tail_asym,
-    ):
-        if np.any(field < 0):
-            raise RuntimeError("prediction table produced a negative entry")
-        field.setflags(write=False)
-    table.xs.setflags(write=False)
-    return table
+    a_exact, a_asym = np.array([a_tail_sums(params.b, x) for x in grid]).T
+    return {
+        "leading": lead,
+        "second_scale": second,
+        "two_scale_total": lead + second,
+        "decomposition": np.array([decomposition_pred(params, x, n_max) for x in grid]),
+        "a_tail_exact": a_exact,
+        "a_tail_asym": a_asym,
+    }

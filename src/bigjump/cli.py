@@ -57,7 +57,6 @@ from .model import (
     calibrate,
     depth_remainder_bound,
     extinction_table,
-    law_B,
     offspring_mean_bracket,
 )
 
@@ -307,17 +306,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain digits for ints."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -326,14 +314,21 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _csv_artifact(
-    path: Path, columns: list, rows, config: RunConfig, extra_comment: str = ""
+    path: Path, columns: dict, config: RunConfig, comment: str = ""
 ) -> None:
+    """Write a table given as named columns of equal length, in order.
+
+    Each column is formatted once: a float column by ``repr`` (the shortest
+    round-trip decimal), any other column (integers, labels) by ``str``.
+    """
     lines = [f"# config_hash={config.config_hash()} seed={config.seed}"]
-    if extra_comment:
-        lines.append(f"# {extra_comment}")
+    if comment:
+        lines.append(f"# {comment}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    cells = []
+    for column in map(np.asarray, columns.values()):
+        cells.append(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    lines.extend(map(",".join, zip(*cells)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -384,25 +379,13 @@ def _cmd_model(config: RunConfig, out_dir: Path) -> int:
 
 def _cmd_predict(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
-    xs = [float(x) for x in config.predict.x_grid]
+    xs = np.asarray(config.predict.x_grid, dtype=np.float64)
     try:
         table = asymptotics.prediction_table(params, xs, config.predict.n_max)
     except ValueError as exc:
         raise ConfigError(f"predict.x_grid at model.b = {params.b}: {exc}") from exc
-    columns = [
-        "leading",
-        "second_scale",
-        "two_scale_total",
-        "decomposition",
-        "a_tail_exact",
-        "a_tail_asym",
-    ]
-    rows = [
-        (x, *(float(getattr(table, column)[i]) for column in columns))
-        for i, x in enumerate(xs)
-    ]
     path = out_dir / "predict.csv"
-    _csv_artifact(path, ["x", *columns], rows, config)
+    _csv_artifact(path, {"x": xs, **table}, config)
     print(path)
     return EXIT_OK
 
@@ -451,20 +434,16 @@ def _sufficient_max_iter(params: ModelParams, tol: float, max_iter: int) -> str:
 
 def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
     pi = _stationary_pmf(config.params(), config)
-    hi_curve = np.minimum(pi.survival_curve(), 1.0)
-    lo_curve = np.maximum(pi.survival_curve() - pi.overflow, 0.0)
-    rows = (
-        (k, float(pi.mass[k]), float(lo_curve[k]), float(hi_curve[k]))
-        for k in range(pi.mass.size)
-    )
+    survival = pi.survival_curve()
+    columns = {
+        "k": np.arange(pi.mass.size),
+        "mass": pi.mass,
+        "survival_lo": np.maximum(survival - pi.overflow, 0.0),
+        "survival_hi": np.minimum(survival, 1.0),
+    }
     path = out_dir / "oracle.csv"
-    _csv_artifact(
-        path,
-        ["k", "mass", "survival_lo", "survival_hi"],
-        rows,
-        config,
-        extra_comment=f"law={pi.meta} overflow={_fmt(pi.overflow)}",
-    )
+    comment = f"law={pi.meta} overflow={float(pi.overflow)!r}"
+    _csv_artifact(path, columns, config, comment)
     print(path)
     return EXIT_OK
 
@@ -472,11 +451,7 @@ def _cmd_oracle(config: RunConfig, out_dir: Path) -> int:
 def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     sim = config.simulate
-    columns = ["sample_index", "value", "method", "stream_id"]
-    if sim.method == "cluster":
-        gen_cols = [f"gen_{n}" for n in range(1, sim.depth + 1)]
-        columns += ["immigration", *gen_cols, "remainder_bound"]
-    rows = []
+    values, stream_ids, clusters = [], [], []
     events = Counter()
     # The samples split evenly, the remainder going to the early streams;
     # streams past the sample count would draw none and are skipped.
@@ -490,17 +465,28 @@ def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
             )
             result = sampler.run_chain(params, chain, stream)
             events.update(result.events)
-            draws = [(int(value),) for value in result.samples]
+            values.append(result.samples)
         else:
-            clusters = sampler.sample_clusters(
+            batch = sampler.sample_clusters(
                 params, sim.depth, n, stream, sim.max_population
             )
             events.update(stream.events)
-            draws = [(v, imm, *gens, bound) for v, imm, gens, _, bound in clusters]
-        for value, *parts in draws:
-            rows.append((len(rows), value, sim.method, stream_id, *parts))
+            values.append(batch.value)
+            clusters.append(batch)
+        stream_ids.append(np.full(n, stream_id))
+    columns = {
+        "sample_index": np.arange(sim.samples),
+        "value": np.concatenate(values),
+        "method": np.full(sim.samples, sim.method),
+        "stream_id": np.concatenate(stream_ids),
+    }
+    if clusters:
+        columns["immigration"] = np.concatenate([c.immigration for c in clusters])
+        contrib = np.concatenate([c.gen_contrib for c in clusters])
+        columns.update((f"gen_{n}", contrib[:, n - 1]) for n in range(1, sim.depth + 1))
+        columns["remainder_bound"] = np.full(sim.samples, clusters[0].remainder_bound)
     path = out_dir / "simulate.csv"
-    _csv_artifact(path, columns, rows, config)
+    _csv_artifact(path, columns, config)
     print(path)
     if events:
         detail = ", ".join(f"{k}={v}" for k, v in sorted(events.items()))
@@ -564,22 +550,19 @@ def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
             f"no samples exceed x={threshold}; increase samples or lower x"
         )
     summary = stats.attribution_summary(attribution.component, attribution.dominant)
-    rows = [
-        (f"gen {c}" if c else "immigration", count, count / summary.total)
-        for c, count in enumerate(summary.counts.tolist())
-        if count
-    ]
+    (components,) = np.nonzero(summary.counts)
+    counts = summary.counts[components]
+    columns = {
+        "label": [f"gen {c}" if c else "immigration" for c in components.tolist()],
+        "count": counts,
+        "share": counts / summary.total,
+    }
     path = out_dir / "attribution.csv"
-    _csv_artifact(
-        path,
-        ["label", "count", "share"],
-        rows,
-        config,
-        extra_comment=(
-            f"x={_fmt(threshold)} exceedances={summary.total} "
-            f"dominant_share={_fmt(summary.dominant_share)}"
-        ),
+    comment = (
+        f"x={threshold} exceedances={summary.total} "
+        f"dominant_share={summary.dominant_share!r}"
     )
+    _csv_artifact(path, columns, config, comment)
     print(path)
     return EXIT_OK
 
@@ -679,7 +662,7 @@ _ORACLE_XS = {
 
 def _check_conv_tail(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
-    heavy = oracle.pmf_of(law_B(ctx.params), cutoff)
+    heavy = oracle.dn_pmf(ctx.params, 1, cutoff)
     (x,) = _ORACLE_XS["conv_tail"]
     ratio = oracle.conv_tail_ratio(heavy, float(x))
     light = oracle.pmf_of(oracle.GeometricLaw(0.5), 256)

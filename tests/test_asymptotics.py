@@ -327,24 +327,25 @@ class TestPredictionTable:
         xs = [10.0, 100.0, 1000.0, 1e4]
         table = prediction_table(params, xs, n_max=4)
         assert np.array_equal(
-            table.two_scale_total, table.leading + table.second_scale
+            table["two_scale_total"], table["leading"] + table["second_scale"]
         )
         exact, asym = a_tail_sums(params.b, 100.0)
-        assert table.a_tail_exact[1] == exact
-        assert table.a_tail_asym[1] == asym
-        assert decomposition_pred(params, 1000.0, 4) == table.decomposition[2]
+        assert table["a_tail_exact"][1] == exact
+        assert table["a_tail_asym"][1] == asym
+        assert decomposition_pred(params, 1000.0, 4) == table["decomposition"][2]
 
     def test_all_entries_nonnegative(self, params):
         table = prediction_table(params, [10.0, 1e3, 1e6], n_max=6)
-        for field in (
-            table.leading,
-            table.second_scale,
-            table.two_scale_total,
-            table.decomposition,
-            table.a_tail_exact,
-            table.a_tail_asym,
-        ):
-            assert np.all(field >= 0)
+        assert list(table) == [
+            "leading",
+            "second_scale",
+            "two_scale_total",
+            "decomposition",
+            "a_tail_exact",
+            "a_tail_asym",
+        ]
+        for column in table.values():
+            assert column.shape == (3,) and np.all(column >= 0)
 
     def test_rejects_grid_below_positivity_threshold(self, params):
         with pytest.raises(ValueError, match="positivity threshold"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bigjump import cli
+from bigjump import cli, sampler
 from bigjump.cli import (
     DEFAULT_SEED,
     EXIT_CONFIG,
@@ -525,6 +526,25 @@ class TestExitCodes:
         assert "predict.x_grid" in err and x in err and threshold in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "b, x",
+        [
+            ("0.3", "9.355360492722449"),
+            ("0.4", "8.482555051859082"),
+            ("0.55", "7.839823614322092"),
+        ],
+    )
+    def test_predict_at_the_positivity_threshold_exits_2(self, tmp_path, capsys, b, x):
+        # Each x is exp(log(1/b) * (1+b)/(1-b)), the threshold written without
+        # the series constants; second_scale reads about -2e-18 there, which
+        # was a RuntimeError traceback (exit 1).  The table refuses on the
+        # sign of that column and names the threshold.
+        argv = ["predict", "--b", b, "--x-grid", x, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "predict.x_grid" in err and "positivity threshold" in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("b, n_max, runs", [("0.5", 1100, 1000), ("0.2", 500, 400)])
     def test_predict_past_the_float_range_of_the_scale(self, tmp_path, b, n_max, runs):
         # x*b^-n passed the float range: an OverflowError traceback (exit 1)
@@ -802,6 +822,19 @@ class TestArtifacts:
         assert code == EXIT_OK
         assert (tmp_path / "attribution.csv").exists()
 
+    def test_cluster_artifacts_build_no_row_tuples(self, tmp_path, monkeypatch):
+        # Cluster samples reach simulate.csv and attribution.csv by column.
+        def no_rows(*args):
+            raise AssertionError("a ClusterRow was built")
+
+        monkeypatch.setattr(sampler, "ClusterRow", no_rows)
+        out = ["--out", str(tmp_path)]
+        args = ["--method", "cluster", "--samples", "50", "--depth", "6"]
+        assert main(["simulate", *args, "--streams", "2", *out]) == EXIT_OK
+        path = str(tmp_path / "simulate.csv")
+        assert main(["attribute", "--x", "1", "--in", path, *out]) == EXIT_OK
+        assert main(["attribute", "--x", "1", *args[2:], *out]) == EXIT_OK
+
     def test_attribute_requires_x(self, tmp_path, capsys):
         code = main(["attribute", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -840,7 +873,54 @@ class TestArtifacts:
         assert names == {"model.json"}
 
 
+# sha256 of small artifacts as the row-by-row writer produced them, before
+# every table became a dict of named columns; the column writer reproduces
+# each byte.  The oracle is left out: its FFT bits depend on the platform.
+_PINNED_ARTIFACTS = {
+    "chain": (
+        ["simulate", "--samples", "301", "--burnin", "50", "--streams", "3",
+         "--seed", "7"],
+        "simulate.csv",
+        "2dfe75cae15297a7374a52947e5094cab1b35b31aa4de1075611c6208feae130",
+    ),
+    "cluster": (
+        ["simulate", "--method", "cluster", "--samples", "201", "--depth", "8",
+         "--streams", "2", "--seed", "7"],
+        "simulate.csv",
+        "8763bf2159456a7b519da0d7b5c9189b04e561ec49bc3a9cef0be531d705ebb5",
+    ),
+    "predict": (
+        ["predict"],
+        "predict.csv",
+        "e29f1c6ea699d3f9d9e68b629c6d61b77707298e05a7d738be4c7f804a267a7c",
+    ),
+    "predict_grid": (
+        ["predict", "--x-grid", "10,100,1000,1e5", "--n-max", "9"],
+        "predict.csv",
+        "fc6840cdead9f48099895926734368f9b492b7c45e9a6f15ee10b3482e5fd2d7",
+    ),
+    # Reads the cluster case's simulate.csv.
+    "attribute": (
+        ["attribute", "--x", "20"],
+        "attribution.csv",
+        "c0b27d7cfdeea8f011a1e36c97b660197218752248f6e4413c7d809c1d826074",
+    ),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("case", list(_PINNED_ARTIFACTS))
+    def test_artifact_bytes_are_pinned(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv("BIGJUMP_SEED", raising=False)
+        argv, name, digest = _PINNED_ARTIFACTS[case]
+        if case == "attribute":
+            cluster_argv = _PINNED_ARTIFACTS["cluster"][0]
+            assert main([*cluster_argv, "--out", str(tmp_path)]) == EXIT_OK
+            argv = [*argv, "--in", str(tmp_path / "simulate.csv")]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_predict_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -1031,6 +1111,22 @@ _FLAG_SNAPSHOT = {
 }
 
 
+def _listed_csv_columns(help_text: str) -> dict:
+    """Each CSV in the help's artifact list -> its entry, lines joined."""
+    listed, name = {}, None
+    block = help_text.split("artifact formats")[1].split("exit codes")[0]
+    for line in block.splitlines():
+        entry = re.match(r"  (\S+\.csv)\s+(.*)", line)
+        if entry:
+            name = entry[1]
+            listed[name] = entry[2]
+        elif name and line.startswith("   "):
+            listed[name] += " " + line.strip()
+        else:
+            name = None
+    return listed
+
+
 class TestHelp:
     def test_flags_match_snapshot(self):
         parser = cli.build_parser()
@@ -1059,3 +1155,30 @@ class TestHelp:
         assert "survival_lo" in text
         assert "exit codes" in text
         assert "BIGJUMP_SEED" in text
+
+    def test_artifact_list_names_each_csv_header(self, tmp_path, capsys):
+        # The artifact list in --help is the columns' second definition.
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = _listed_csv_columns(capsys.readouterr().out)
+        depth = 3
+        chain, clusters = listed["simulate.csv"].split(" (+ ")
+        gens = ", ".join(f"gen_{n}" for n in range(1, depth + 1))
+        clusters = clusters.removesuffix(" for clusters)")
+        listed["simulate.csv"] = chain
+        listed["cluster"] = f"{chain}, {clusters.replace('gen_1..gen_m', gens)}"
+        runs = {
+            "predict.csv": ["predict", "--x-grid", "10,100"],
+            "oracle.csv": ["oracle", "--cutoff", "256"],
+            "simulate.csv": ["simulate", "--samples", "20", "--burnin", "5"],
+            "cluster": ["simulate", "--method", "cluster", "--samples", "100",
+                        "--depth", str(depth)],
+            "attribution.csv": ["attribute", "--x", "1", "--samples", "200",
+                                "--depth", str(depth)],
+        }
+        assert set(runs) == set(listed)
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            (path,) = out.glob("*.csv")
+            assert csv_header(path) == listed[name].replace(", ", ","), name
