@@ -37,13 +37,13 @@ def main() -> None:
         args.samples,
         sampler.RngStream(seed=args.seed, stream_id=0),
     )
-    attribution = sampler.attribute(clusters, args.x)
-    if not attribution.index.size:
+    try:
+        summary = stats.attribution_summary(clusters, args.x)
+    except ValueError:
         print(f"no samples above x={args.x}; raise --samples or lower --x")
         return
-    print(f"  {attribution.index.size} exceedances above x={args.x}\n")
+    print(f"  {summary.total} exceedances above x={args.x}\n")
 
-    summary = stats.attribution_summary(attribution.component, attribution.dominant)
     labels = ["immigration", *(f"gen {n}" for n in range(1, summary.counts.size))]
     width = max(map(len, labels))
     for c in np.argsort(-summary.counts, kind="stable"):

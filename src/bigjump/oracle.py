@@ -10,8 +10,8 @@ into overflow, never invented), which makes the survival bracket
 
 sound by construction.  On top of that arithmetic the module builds the
 generation-aggregate laws, the stationary law of the branching fixed point,
-and direct numerical checks of the convolution-tail and random-sum relations
-that drive the asymptotics.
+and a direct numerical check of the convolution-tail relation that drives
+the asymptotics.
 
 Design notes
 ------------
@@ -70,22 +70,20 @@ Design notes
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term, the law of A independent copies of the
-  generation law, has one home, `generation_term`, which `random_sum_check`
-  reads too.  While p = P(D_n > 0) < 1/2 it is the immigration pgf composed
-  with the generation law, in closed form over the *conditional* nonzero
-  aggregate: a power-series logarithm and a reciprocal, both by Newton
-  iterations of a few FFT products each (Brent & Kung, "Fast algorithms for
-  manipulating formal power series", J. ACM 25, 1978); each Newton step
-  takes its error term as a middle product, on transforms of the step's
-  own length.  Coefficients 0..N
-  depend only on the aggregate's coefficients 0..N, so every immigration
-  count is included and the term's overflow is exactly its mass above N
-  rather than the whole immigration tail, which is what makes desk-scale
-  brackets at x ~ N/16 usable at all.  The reciprocal's series diverges for
-  p >= 1/2, and there the term is ``compound`` over the counts up to N,
-  whose overflow carries P(A > N) = 1/(N + 1).  The generations past the
-  stopping depth d are
-  covered by R = `depth_remainder_bound`, at least the probability that any
+  generation law, has one home, `generation_term`.  While p = P(D_n > 0)
+  < 1/2 it is the immigration pgf composed with the generation law, in
+  closed form over the *conditional* nonzero aggregate: a power-series
+  logarithm and a reciprocal, both by Newton iterations of a few FFT
+  products each (Brent & Kung, "Fast algorithms for manipulating formal
+  power series", J. ACM 25, 1978); each Newton step takes its error term
+  as a middle product, on transforms of the step's own length.
+  Coefficients 0..N depend only on the aggregate's coefficients 0..N, so
+  every immigration count is included and the term's overflow is exactly
+  its mass above N rather than the whole immigration tail, which is what
+  makes desk-scale brackets at x ~ N/16 usable at all.  The reciprocal's
+  series diverges for p >= 1/2, and there the term is ``compound`` over
+  the counts up to N, whose overflow carries P(A > N) = 1/(N + 1).  The
+  generations past the stopping depth d are covered by R = `depth_remainder_bound`, at least the probability that any
   of them contributes: they are independent of the fold and add zero with
   probability at least 1 - R, so the fold's masses times (1 - R) stay below
   the stationary pmf and the removed share goes to the overflow.  R is
@@ -118,14 +116,12 @@ from .model import (
     extinction_table,
     law_B,
     pgf_B,
-    truncated_mean_A,
 )
 
 __all__ = [
     "Pmf",
     "GeometricLaw",
     "TailRatioBracket",
-    "RandomSumCheck",
     "NotConverged",
     "pmf_of",
     "convolve",
@@ -135,7 +131,6 @@ __all__ = [
     "generation_term",
     "stationary_pmf",
     "conv_tail_ratio",
-    "random_sum_check",
 ]
 
 # Masses are probabilities; anything this far below zero is a real bug, not
@@ -233,11 +228,6 @@ class Pmf:
     @property
     def known_total(self) -> float:
         return float(np.sum(self.mass))
-
-    def known_mean(self) -> float:
-        """Mean of the placed mass only — a lower bound on the true mean."""
-        with one_blas_thread():
-            return float(np.dot(np.arange(self.mass.size), self.mass))
 
     def survival_known(self, x: float) -> float:
         """Lower bound on P(> x): placed mass strictly above x."""
@@ -910,40 +900,3 @@ def conv_tail_ratio(p: Pmf, x: float) -> TailRatioBracket:
         point=pair_hi / single_hi,
     )
 
-
-@dataclass(frozen=True)
-class RandomSumCheck:
-    """Exact tail of A copies of a law versus its truncated-mean prediction."""
-
-    exact_lo: float
-    exact_hi: float
-    prediction: float
-    ratio: float
-
-
-def random_sum_check(summand: Pmf, x: float) -> RandomSumCheck:
-    """Compare the exact tail of a random sum of A independent copies of
-    ``summand``, A the immigration count, against the two-term prediction.
-
-    Exact side: ``generation_term(summand)`` bracketed at ``x``.
-    Prediction: E[A; A <= x/m] * P(Y > x) + P(A > x/m) with ``m`` the
-    summand mean (known mean plus overflow placed at the grid edge — a lower
-    bound); both immigration terms read A's law at the same x/m, which may
-    lie past the grid (`truncated_mean_A`, `survival_A`).  The reported
-    ratio uses the exact upper endpoint.
-    """
-    cutoff = summand.cutoff
-    exact_lo, exact_hi = generation_term(summand).survival_bracket(x)
-
-    mean = summand.known_mean() + summand.overflow * (cutoff + 1)
-    if mean <= 0.0:
-        raise ValueError("summand mean is zero: prediction undefined")
-    threshold = x / mean
-    tail = summand.survival_bracket(x)[1]
-    prediction = truncated_mean_A(threshold) * tail + LawA.survival(threshold)
-    return RandomSumCheck(
-        exact_lo=exact_lo,
-        exact_hi=exact_hi,
-        prediction=prediction,
-        ratio=exact_hi / prediction,
-    )

@@ -44,12 +44,10 @@ from .model import ModelParams, depth_remainder_bound, extinction_table, law_B
 __all__ = [
     "A_VALUE_CAP",
     "DEFAULT_MAX_POPULATION",
-    "Attribution",
     "ChainConfig",
     "ChainResult",
     "ClusterBatch",
     "RngStream",
-    "attribute",
     "run_chain",
     "sample_clusters",
 ]
@@ -191,19 +189,6 @@ class ClusterBatch:
         columns = (self.value, self.immigration, self.gen_contrib)
         for value, immigration, contrib in zip(*(c.tolist() for c in columns)):
             yield ClusterRow(value, immigration, tuple(contrib), *tail)
-
-
-@dataclass(frozen=True, eq=False)
-class Attribution:
-    """Per sample with ``value > x``, in batch order: its ``index``, the
-    winning ``component`` (0 immigration, ``n`` generation ``n``), that
-    component's ``value``, and whether it is ``dominant`` (alone > ``x/2``).
-    """
-
-    index: np.ndarray
-    component: np.ndarray
-    value: np.ndarray
-    dominant: np.ndarray
 
 
 def _sample_a_batch(stream: RngStream, size: int) -> np.ndarray:
@@ -509,20 +494,3 @@ def sample_clusters(
     )
     return ClusterBatch(immigration, contrib, depth_remainder_bound(params, depth))
 
-
-def attribute(clusters: ClusterBatch, x: int) -> Attribution:
-    """Name the component that carried each sample past the threshold ``x``.
-
-    Only samples with ``value > x`` are attributed.  The winning component
-    is the largest of ``(immigration, gen_contrib[0], .., gen_contrib[depth -
-    1])``, ties going to the lowest index (immigration first); it is
-    ``dominant`` iff it alone exceeds ``x / 2``.
-    """
-    index = np.flatnonzero(clusters.value > x)
-    components = np.column_stack(
-        (clusters.immigration[index], clusters.gen_contrib[index])
-    )
-    component = components.argmax(axis=1)
-    value = components[np.arange(index.size), component]
-    # 2 * value > x, without doubling values near 2**62 past int64.
-    return Attribution(index, component, value, value > x // 2)

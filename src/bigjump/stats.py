@@ -6,16 +6,20 @@ by design, and exactness at small counts is what makes the diagnostics
 trustworthy.  Consecutive states of a Markov chain are not independent, so a
 chain's intervals are taken at its effective sample size.  Cross-method
 agreement is checked with a two-sample Kolmogorov–Smirnov test (no binning
-decisions), and exceedance attributions are counted by component.
+decisions), and each exceedance of a cluster sample is attributed to its
+largest component and counted by component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sampler import ClusterBatch
 
 __all__ = [
     "TailCurve",
@@ -182,15 +186,26 @@ class AttributionSummary:
     dominant_share: float
 
 
-def attribution_summary(
-    component: np.ndarray, dominant: np.ndarray
-) -> AttributionSummary:
-    """Count the winning components of an `Attribution` (its ``component``
-    and ``dominant`` columns)."""
-    if not len(component):
-        raise ValueError("no attributions to summarize")
+def attribution_summary(clusters: ClusterBatch, x: int) -> AttributionSummary:
+    """Name the component that carried each cluster sample past ``x`` and
+    count the winners.
+
+    Only samples with ``value > x`` count.  The winning component is the
+    largest of ``(immigration, gen_contrib[0], .., gen_contrib[depth - 1])``,
+    ties going to the lowest index (immigration first); it is dominant iff
+    it alone exceeds ``x / 2``.
+    """
+    exceeds = clusters.value > x
+    components = np.column_stack(
+        (clusters.immigration[exceeds], clusters.gen_contrib[exceeds])
+    )
+    total = len(components)
+    if not total:
+        raise ValueError(f"no samples exceed x={x}")
+    # 2 * largest > x, without doubling values near 2**62 past int64.
+    dominant = np.count_nonzero(components.max(axis=1) > x // 2)
     return AttributionSummary(
-        counts=np.bincount(component),
-        total=len(component),
-        dominant_share=int(np.count_nonzero(dominant)) / len(component),
+        counts=np.bincount(components.argmax(axis=1)),
+        total=total,
+        dominant_share=int(dominant) / total,
     )

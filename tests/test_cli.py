@@ -862,6 +862,67 @@ class TestArtifacts:
         assert "simulate.csv" in capsys.readouterr().err
         assert not (tmp_path / "attribution.csv").exists()
 
+    @staticmethod
+    def _cluster_csv(tmp_path):
+        # 2,000 depth-3 cluster samples: rows of the table below the header.
+        args = ["--method", "cluster", "--samples", "2000", "--depth", "3"]
+        assert main(["simulate", *args, "--out", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "simulate.csv"
+        lines = read_lines(path)
+        start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        rows = [line.split(",") for line in lines[start:] if line]
+        return path, lines[:start], rows
+
+    @staticmethod
+    def _attribution_counts(path):
+        return {
+            row[0]: row[1]
+            for row in (line.split(",") for line in read_lines(path))
+            if row[0] and not row[0].startswith("#")
+        }
+
+    def test_attribute_reads_gen_columns_by_their_index(self, tmp_path):
+        path, comment, rows = self._cluster_csv(tmp_path)
+        out = ["--out", str(tmp_path), "--x", "10", "--in", str(path)]
+        assert main(["attribute", *out]) == EXIT_OK
+        expected = self._attribution_counts(tmp_path / "attribution.csv")
+        # The same table with gen_1 and gen_2 swapped, header and data.
+        g1, g2 = rows[0].index("gen_1"), rows[0].index("gen_2")
+        for row in rows:
+            row[g1], row[g2] = row[g2], row[g1]
+        path.write_text("\n".join([*comment, *map(",".join, rows)]) + "\n")
+        assert main(["attribute", *out]) == EXIT_OK
+        assert self._attribution_counts(tmp_path / "attribution.csv") == expected
+
+    @pytest.mark.parametrize(
+        "names",
+        [("gen_7", "gen_2", "gen_3"), ("gen_1", "gen_1", "gen_3"), ("gen_0", "gen_1", "gen_2")],
+    )
+    def test_attribute_refuses_gen_columns_not_1_to_m(self, tmp_path, capsys, names):
+        path, comment, rows = self._cluster_csv(tmp_path)
+        header = rows[0]
+        for k, name in enumerate(names, start=1):
+            header[header.index(f"gen_{k}")] = name
+        path.write_text("\n".join([*comment, *map(",".join, rows)]) + "\n")
+        code = main(["attribute", "--out", str(tmp_path), "--x", "1", "--in", str(path)])
+        assert code == EXIT_CONFIG
+        assert "gen_1..gen_m each once" in capsys.readouterr().err
+        assert not (tmp_path / "attribution.csv").exists()
+
+    def test_attribute_refuses_a_negative_count(self, tmp_path, capsys):
+        # Immigration -999 with gen_1 raised to match: value is unchanged,
+        # and the row still sums.
+        path, comment, rows = self._cluster_csv(tmp_path)
+        imm, g1 = rows[0].index("immigration"), rows[0].index("gen_1")
+        row = rows[1]
+        row[g1] = str(int(row[g1]) + int(row[imm]) + 999)
+        row[imm] = "-999"
+        path.write_text("\n".join([*comment, *map(",".join, rows)]) + "\n")
+        code = main(["attribute", "--out", str(tmp_path), "--x", "1", "--in", str(path)])
+        assert code == EXIT_CONFIG
+        assert "negative count" in capsys.readouterr().err
+        assert not (tmp_path / "attribution.csv").exists()
+
     def test_no_partial_files_on_config_error(self, tmp_path):
         code = main(["predict", "--out", str(tmp_path), "--x-grid", "5,4"])
         assert code == EXIT_CONFIG
@@ -1016,6 +1077,20 @@ class TestVerifyReportShape:
             }
             assert check["pass"] is True
         assert report["overall"] is True
+
+    def test_random_sum_does_not_depend_on_the_grid(self):
+        # Criterion 5 sets generation 1's exact term beside its first-order
+        # term, which reads the model's b, not the grid's truncated mean of
+        # D_1.  Across these cutoffs the ratio was measured to move by
+        # 1.0e-11 relative; reading the truncated mean it moved from 1.0019
+        # to 0.9933.
+        ratios = [
+            cli.CHECKS["random_sum"](
+                cli.VerifyContext(RunConfig(oracle=cli.OracleConfig(cutoff=cutoff)))
+            )["measured"]
+            for cutoff in (10_000, 1 << 14, 1 << 16)
+        ]
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-9)
 
     def test_overall_iff_all_pass(self):
         # overall is defined as the conjunction of the per-check flags.

@@ -179,3 +179,10 @@ def test_law_products_pass_through_the_one_overflow_rule():
         "oracle._series_reciprocal",
     }
     assert _callers("_product") == {"oracle.convolve", "oracle.compound"}
+
+
+def test_truncated_mean_of_a_has_one_reader():
+    """E[A; A <= t] is read in src only by the immigration split of the
+    per-generation predictor: every check that sets a term beside its
+    first-order prediction goes through `per_generation_pred`."""
+    assert _callers("truncated_mean_A") == {"asymptotics._immigration_split"}

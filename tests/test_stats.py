@@ -7,8 +7,15 @@ import pytest
 from scipy.stats import beta, ks_2samp
 
 from bigjump.cli import _KS_THIN
+from bigjump.model import survival_A
 from bigjump.oracle import stationary_pmf
-from bigjump.sampler import ChainConfig, RngStream, run_chain, sample_clusters
+from bigjump.sampler import (
+    ChainConfig,
+    ClusterBatch,
+    RngStream,
+    run_chain,
+    sample_clusters,
+)
 from bigjump.stats import (
     attribution_summary,
     clopper_pearson,
@@ -229,21 +236,72 @@ class TestKsTwoSample:
 
 
 class TestAttributionSummary:
-    def test_single_component(self):
-        summary = attribution_summary(np.zeros(5, dtype=np.int64), np.ones(5, bool))
-        assert summary.counts.tolist() == [5]
-        assert summary.total == 5
+    @staticmethod
+    def _batch(immigration, contrib):
+        return ClusterBatch(
+            np.array(immigration, dtype=np.int64),
+            np.array(contrib, dtype=np.int64),
+            remainder_bound=0.0,
+        )
+
+    def _winner(self, immigration, contrib, x):
+        """The winning component of one exceeding sample, and whether it
+        is dominant."""
+        summary = attribution_summary(self._batch([immigration], [contrib]), x)
+        assert summary.total == 1
+        (component,) = np.flatnonzero(summary.counts)
+        return int(component), summary.dominant_share == 1.0
+
+    def test_immigration_win_is_dominant(self):
+        assert self._winner(150, (30, 20, 0), 100) == (0, True)
+
+    def test_generation_win(self):
+        assert self._winner(10, (5, 80, 15), 100) == (2, True)  # 80 > 50
+
+    def test_tie_prefers_lowest_index(self):
+        assert self._winner(50, (50, 10), 100)[0] == 0
+        assert self._winner(10, (46, 46, 9), 110)[0] == 1
+
+    def test_split_value_is_not_dominant(self):
+        assert self._winner(40, (40, 30), 100) == (0, False)  # 40 <= 50
+
+    def test_boundary_is_strict(self):
+        assert not self._winner(50, (49, 2), 100)[1]  # exactly half
+        assert self._winner(51, (49, 1), 100)[1]
+        assert not self._winner(50, (50, 2), 101)[1]  # 50 <= 50.5
+        assert self._winner(51, (50, 1), 101)[1]
+
+    def test_only_exceedances_are_counted(self):
+        batch = self._batch(
+            [40, 200, 7, 1 << 62], [[20, 0], [0, 0], [0, 300], [0, 0]]
+        )
+        summary = attribution_summary(batch, 100)
+        assert summary.counts.tolist() == [2, 0, 1]
+        assert summary.total == 3
         assert summary.dominant_share == 1.0
+        with pytest.raises(ValueError, match="no samples exceed x="):
+            attribution_summary(batch, 1 << 62)
 
     def test_mixed_components_and_dominance(self):
-        # immigration, gen 1 twice, gen 3: gen 2 counts zero.
-        summary = attribution_summary(
-            np.array([0, 1, 1, 3]), np.array([True, True, False, False])
+        # immigration, gen 1 twice, gen 3: gen 2 counts zero.  The second
+        # gen-1 win (40) and the gen-3 win (45) are not above x/2 = 50.
+        batch = self._batch(
+            [150, 0, 30, 30], [[0, 0, 0], [120, 0, 0], [40, 0, 35], [10, 20, 45]]
         )
+        summary = attribution_summary(batch, 100)
         assert summary.total == 4
         assert summary.counts.tolist() == [1, 2, 0, 1]
         assert summary.dominant_share == 0.5
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="no attributions"):
-            attribution_summary(np.zeros(0, dtype=np.int64), np.zeros(0, bool))
+    def test_share_of_dominant_exceedances_matches_immigration_tails(self, params):
+        # Nearly every exceedance should trace to one oversized immigration
+        # batch: either the direct one (survival 1/(1+x)) or the cohort
+        # feeding generation n, which needs about x / b**n immigrants.
+        x = 100
+        clusters = sample_clusters(params, 40, 250_000, RngStream(seed=19))
+        summary = attribution_summary(clusters, x)
+        assert summary.total == np.count_nonzero(clusters.value > x) > 3000
+        scales = x / params.b ** np.arange(1, 41)
+        predicted_rate = survival_A(x) + float(np.sum(survival_A(scales)))
+        predicted_share = predicted_rate * len(clusters) / summary.total
+        assert abs(summary.dominant_share - predicted_share) <= 0.10
