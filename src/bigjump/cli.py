@@ -608,8 +608,9 @@ def _check_series(ctx: VerifyContext) -> dict:
 def _check_calibration(ctx: VerifyContext) -> dict:
     lo, hi = offspring_mean_bracket(ctx.params)
     b = ctx.params.b
-    # Both endpoints must sit within 1e-9 of b (strict containment is not
-    # required: summing 2^21 floats legitimately shifts both ends a few ulp).
+    # Both endpoints must sit within 1e-9 of b.  Strict containment is not
+    # required: theta is b over a series constant known only to within its
+    # own calibration bracket, so b may sit some 1e-15 outside this one.
     worst = max(abs(lo - b), abs(hi - b))
     passed = lo <= hi and worst <= 1e-9
     return _record(

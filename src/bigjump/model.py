@@ -70,9 +70,12 @@ _MAX_CALIBRATION_CUTOFF = 1 << 26
 # Length of the offspring survival table every calibration carries.
 _TAIL_TABLE_CUTOFF = 1 << 16
 
-# Terms summed exactly in the offspring mean bracket; its certified tail
-# bracket is about 1e-13 wide there.
+# Terms summed in the offspring mean bracket, with one rounding; its
+# certified tail bracket is about 1e-13 wide there.
 _MEAN_BRACKET_CUTOFF = 1 << 21
+
+# Terms of phi that `_phi_partial_sum` holds at once (512 KiB per array).
+_PARTIAL_SUM_CHUNK = 1 << 16
 
 # Leading terms summed exactly inside the survival-weighted pgf series; the
 # remainder is handled by an integral with endpoint corrections.
@@ -197,13 +200,32 @@ def phi_tail_bounds(cutoff: float, epsilon: float) -> tuple[float, float]:
 
 
 def _phi_partial_sum(cutoff: int, epsilon: float) -> float:
-    """Exactly rounded sum of ``phi(0..cutoff)``, chunked to bound memory."""
-    chunk = 1 << 20
-    parts = []
-    for start in range(0, cutoff + 1, chunk):
-        ks = np.arange(start, min(start + chunk, cutoff + 1), dtype=np.float64)
-        parts.append(math.fsum(phi(ks, epsilon).tolist()))
-    return math.fsum(parts)
+    """Correctly rounded sum of ``phi(0..cutoff)`` (it equals ``math.fsum``
+    of the whole list), holding `_PARTIAL_SUM_CHUNK` terms at a time.
+
+    A value in ``[2**e, 2**(e+1))`` splits exactly into its top 27
+    significand bits, a multiple of ``2**(e-26)``, and the rest, a multiple
+    of ``2**(e-52)``; each is below ``2**27`` of its unit.  Per exponent, a
+    chunk's parts of one kind are at most ``2**16`` such multiples, so every
+    partial sum stays below ``2**43`` units and ``np.bincount`` sums each
+    bin exactly.  One ``math.fsum`` of all the bin totals rounds once.
+    phi is positive and normal for every accepted epsilon up to ``2**26``
+    terms, so each value's bits read as a clear sign bit, a nonzero biased
+    exponent and the significand.
+    """
+    totals = []
+    for start in range(0, cutoff + 1, _PARTIAL_SUM_CHUNK):
+        stop = min(start + _PARTIAL_SUM_CHUNK, cutoff + 1)
+        values = phi(np.arange(start, stop, dtype=np.float64), epsilon)
+        bits = values.view(np.int64)
+        exponent = bits >> 52
+        lowest = exponent.min()
+        assert lowest >= 1, "phi is not positive and normal"
+        exponent -= lowest
+        high = (bits & -(1 << 26)).view(np.float64)
+        totals += np.bincount(exponent, high).tolist()
+        totals += np.bincount(exponent, values - high).tolist()
+    return math.fsum(totals)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,6 +108,52 @@ class TestCalibration:
         for p in (params_b02, params_b08):
             lo, hi = offspring_mean_bracket(p)
             assert lo - 1e-9 <= p.b <= hi + 1e-9
+
+    def test_default_calibration_bits(self, params):
+        # The pinned artifact hashes of tests/test_cli.py read these bits.
+        assert float(params.theta) == 0.23687432448251633
+        assert float(params.series_const) == 2.110823961576743
+
+
+def _fsum_of_phi(cutoff: int, epsilon: float) -> float:
+    return math.fsum(phi(np.arange(cutoff + 1, dtype=np.float64), epsilon).tolist())
+
+
+class TestPhiPartialSum:
+    """The partial sum rounds once: it equals `math.fsum` of the whole list."""
+
+    @pytest.mark.parametrize("epsilon", [0.2, 0.5, 1.0, 176.0])
+    def test_mean_bracket_cutoff(self, epsilon):
+        cutoff = model._MEAN_BRACKET_CUTOFF
+        assert model._phi_partial_sum(cutoff, epsilon) == _fsum_of_phi(cutoff, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "cutoff",
+        [
+            0,
+            model._PARTIAL_SUM_CHUNK - 1,
+            model._PARTIAL_SUM_CHUNK,
+            model._PARTIAL_SUM_CHUNK + 1,
+            2 * model._PARTIAL_SUM_CHUNK + 1,
+            model._CALIBRATION_CUTOFF,
+        ],
+    )
+    def test_cutoffs_around_the_chunk(self, cutoff, epsilon):
+        assert model._phi_partial_sum(cutoff, epsilon) == _fsum_of_phi(cutoff, epsilon)
+
+    @pytest.mark.parametrize(
+        "build", [offspring_mean_bracket, lambda _: calibrate(0.5, 1.0)],
+        ids=["offspring_mean_bracket", "calibrate"],
+    )
+    def test_memory_stays_below_8_mib(self, params, build):
+        tracemalloc.start()
+        try:
+            build(params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestQuadrature:
