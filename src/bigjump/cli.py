@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 import scipy
@@ -34,7 +34,6 @@ from .model import (
 )
 
 DEFAULT_SEED = 20260821
-_SEED_ENV_VAR = "BIGJUMP_SEED"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -72,8 +71,7 @@ class SimulateConfig:
     samples: int = _setting(10_000, "number of samples", ge=1)
     burn_in: int = _setting(1_000, "chain steps dropped first", flag="--burnin", ge=0)
     depth: int = _setting(40, "cluster generations drawn", ge=1)
-    # None: DEFAULT_SEED (or its env override)
-    seed: Optional[int] = _setting(None, "random seed", ge=0, lt=1 << 64)
+    seed: int = _setting(DEFAULT_SEED, "random seed", ge=0, lt=1 << 64)
     streams: int = _setting(1, "independent substreams", ge=1)
     # At most 2**26: cluster sums are exact only up to there.
     max_population: int = _setting(
@@ -133,25 +131,6 @@ class RunConfig:
                     f"{', '.join(CHECK_IDS)}"
                 )
 
-    @property
-    def seed(self) -> int:
-        """Effective seed: explicit config value, else the (env-overridable)
-        default."""
-        if self.simulate.seed is not None:
-            return self.simulate.seed
-        raw = os.environ.get(_SEED_ENV_VAR)
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{_SEED_ENV_VAR} must be an integer, got '{raw}'"
-                ) from exc
-            seed_limits = SimulateConfig.__dataclass_fields__["seed"].metadata
-            _check_value(_SEED_ENV_VAR, value, int, seed_limits)
-            return value
-        return DEFAULT_SEED
-
     def params(self) -> ModelParams:
         """The calibrated model; a calibration that cannot meet the model
         section (an unreachable tolerance, a failed tail bracket) is a
@@ -167,7 +146,6 @@ class RunConfig:
 
     def canonical_dict(self) -> dict:
         d = asdict(self)
-        d["simulate"]["seed"] = self.seed  # resolve before hashing
         d["predict"]["x_grid"] = [float(x) for x in self.predict.x_grid]
         return d
 
@@ -193,13 +171,9 @@ def _check_value(where: str, value, hint, limits) -> None:
     """Check one config value against its field's type and limits.
 
     ``bool`` is not accepted as ``int``, ``int`` is accepted as ``float``,
-    and a float must be finite; ``Optional`` fields also take ``null`` and
-    the ``tuple`` field is a list of numbers, each held to the limits.
+    and a float must be finite; the ``tuple`` field is a list of numbers,
+    each held to the limits.
     """
-    if get_origin(hint) is Union:
-        if value is None:
-            return
-        (hint,) = (h for h in get_args(hint) if h is not type(None))
     if hint is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list of numbers")
@@ -294,7 +268,7 @@ def _csv_artifact(
     Each column is formatted once: a float column by ``repr`` (the shortest
     round-trip decimal), any other column (integers, labels) by ``str``.
     """
-    lines = [f"# config_hash={config.config_hash()} seed={config.seed}"]
+    lines = [f"# config_hash={config.config_hash()} seed={config.simulate.seed}"]
     if comment:
         lines.append(f"# {comment}")
     lines.append(",".join(columns))
@@ -315,7 +289,7 @@ def _provenance(config: RunConfig) -> dict:
     from . import __version__
 
     return {
-        "seed": config.seed,
+        "seed": config.simulate.seed,
         "config_hash": config.config_hash(),
         "versions": {
             "bigjump": __version__,
@@ -334,7 +308,7 @@ def _provenance(config: RunConfig) -> dict:
 def _cmd_model(config: RunConfig, out_dir: Path) -> int:
     params = config.params()
     lo, hi = offspring_mean_bracket(params)
-    survival = extinction_table(params, 5).p
+    survival = extinction_table(params, 5)
     payload = {
         "b": params.b,
         "epsilon": params.epsilon,
@@ -396,7 +370,7 @@ def _sufficient_max_iter(params: ModelParams, tol: float, max_iter: int) -> str:
     The search gives up where ``P(D_m > 0)`` leaves float resolution."""
     m = max_iter
     while depth_remainder_bound(params, m) >= tol:
-        if extinction_table(params, m).q[m] == 1.0:
+        if 1.0 - extinction_table(params, m)[m] == 1.0:
             return (
                 "no oracle.max_iter brings the depth remainder below it "
                 "before P(D_n > 0) leaves float resolution"
@@ -431,7 +405,7 @@ def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     share, extra = divmod(sim.samples, sim.streams)
     for stream_id in range(min(sim.streams, sim.samples)):
         n = share + (stream_id < extra)
-        stream = sampler.RngStream(seed=config.seed, stream_id=stream_id)
+        stream = sampler.RngStream(seed=config.simulate.seed, stream_id=stream_id)
         if sim.method == "chain":
             chain = sampler.ChainConfig(
                 n_samples=n, burn_in=sim.burn_in, max_population=sim.max_population
@@ -461,6 +435,12 @@ def _cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     path = out_dir / "simulate.csv"
     _csv_artifact(path, columns, config)
     print(path)
+    return _saturation_exit(events)
+
+
+def _saturation_exit(events) -> int:
+    """Exit 3, with the sampler's cap events counted on stderr, where a
+    draw recorded any; else exit 0.  The artifact is written either way."""
     if events:
         detail = ", ".join(f"{k}={v}" for k, v in sorted(events.items()))
         print(f"saturation events: {detail}", file=sys.stderr)
@@ -505,21 +485,22 @@ def _read_cluster_csv(path: Path) -> sampler.ClusterBatch:
 
 
 def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
-    params = config.params()
     threshold = args.x
     if threshold is None or threshold < 0:
         raise ConfigError("attribute requires --x >= 0")
+    events = {}
     if args.infile is not None:
         clusters = _read_cluster_csv(Path(args.infile))
     else:
-        stream = sampler.RngStream(seed=config.seed, stream_id=0)
+        stream = sampler.RngStream(seed=config.simulate.seed, stream_id=0)
         clusters = sampler.sample_clusters(
-            params,
+            config.params(),
             config.simulate.depth,
             config.simulate.samples,
             stream,
             config.simulate.max_population,
         )
+        events = stream.events
     try:
         summary = stats.attribution_summary(clusters, threshold)
     except ValueError as exc:
@@ -538,17 +519,18 @@ def _cmd_attribute(config: RunConfig, out_dir: Path, args) -> int:
     )
     _csv_artifact(path, columns, config, comment)
     print(path)
-    return EXIT_OK
+    return _saturation_exit(events)
 
 
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
 #
-# One check per acceptance criterion; each returns a plain dict (the report
-# row).  Shared expensive inputs (the stationary oracle law, the long chain
-# run) are computed once per VerifyContext.  `CHECKS` is the only definition
-# of these criteria: tests/test_acceptance.py runs the same entries.
+# One check per acceptance criterion; each returns a plain dict, which
+# `run_verify` stamps with the check's `CHECKS` key as its report row.
+# Shared expensive inputs (the stationary oracle law, the long chain run) are
+# computed once per VerifyContext.  `CHECKS` is the only definition of these
+# criteria: tests/test_acceptance.py runs the same entries.
 
 
 class VerifyContext:
@@ -565,7 +547,7 @@ class VerifyContext:
     @cached_property
     def chain(self) -> sampler.ChainResult:
         """One long chain run (10^6 samples, burn-in 10^3, stream 0)."""
-        stream = sampler.RngStream(seed=self.config.seed, stream_id=0)
+        stream = sampler.RngStream(seed=self.config.simulate.seed, stream_id=0)
         return sampler.run_chain(
             self.params,
             sampler.ChainConfig(
@@ -577,9 +559,8 @@ class VerifyContext:
         )
 
 
-def _record(check_id, description, measured, expected, tolerance, passed):
+def _record(description, measured, expected, tolerance, passed):
     return {
-        "id": check_id,
         "description": description,
         "measured": measured,
         "expected": expected,
@@ -595,7 +576,6 @@ def _check_series(ctx: VerifyContext) -> dict:
         partial = asymptotics.series_partial_sums(b)
         worst = max(worst, *(abs(p - c) for p, c in zip(partial, closed)))
     return _record(
-        "series",
         "geometric-series first and second moments match closed forms "
         "for b in {0.2, 0.5, 0.8}",
         worst,
@@ -614,7 +594,6 @@ def _check_calibration(ctx: VerifyContext) -> dict:
     worst = max(abs(lo - b), abs(hi - b))
     passed = lo <= hi and worst <= 1e-9
     return _record(
-        "calibration",
         "offspring survival sum brackets the calibrated mean b within 1e-9",
         worst,
         0.0,
@@ -644,7 +623,6 @@ def _check_conv_tail(ctx: VerifyContext) -> dict:
     control = oracle.conv_tail_ratio(light, 60.0)
     passed = 1.8 <= ratio.point <= 2.2 and control.point > 2.5
     return _record(
-        "conv_tail",
         "offspring-law convolution tail doubles the single tail at x=2^14 "
         "(point estimate in [1.8, 2.2]); geometric control exceeds 2.5 at x=60",
         {"heavy_point": ratio.point, "light_point": control.point},
@@ -671,7 +649,6 @@ def _check_generation_tail(ctx: VerifyContext) -> dict:
         passed = passed and abs(ratios[xs[-1]] - 1) < abs(ratios[xs[0]] - 1)
         measured[f"n={n}"] = {str(x): r for x, r in ratios.items()}
     return _record(
-        "generation_tail",
         "generation-aggregate tails match n*b^(n-1)*P(B>x) within 30% at "
         "x in {2^12, 2^13, 2^14}, improving with x",
         measured,
@@ -688,7 +665,6 @@ def _check_random_sum(ctx: VerifyContext) -> dict:
     ratio = exact / asymptotics.per_generation_pred(ctx.params, 1, float(x))
     passed = 0.7 <= ratio <= 1.3
     return _record(
-        "random_sum",
         "random-sum tail at x=2^13 matches truncated-mean prediction "
         "within 30%",
         ratio,
@@ -716,7 +692,6 @@ def _check_a_tail(ctx: VerifyContext) -> dict:
     measured["correction_times_x"] = corr
     passed = passed and decreasing
     return _record(
-        "a_tail",
         "immigration tail sums match b/((1-b)x) within 2% at x=1e6; "
         "correction sum times x strictly decreasing over 1e3..1e6",
         measured,
@@ -734,7 +709,7 @@ _KS_THIN = 10
 
 def _check_ks_consistency(ctx: VerifyContext) -> dict:
     chain = ctx.chain.samples[::_KS_THIN]
-    stream = sampler.RngStream(seed=ctx.config.seed, stream_id=1)
+    stream = sampler.RngStream(seed=ctx.config.simulate.seed, stream_id=1)
     depth = 40
     clusters = sampler.sample_clusters(
         ctx.params, depth, 100_000, stream, ctx.config.simulate.max_population
@@ -746,7 +721,6 @@ def _check_ks_consistency(ctx: VerifyContext) -> dict:
     }
     passed = (not reject) and remainder < 1e-3 and not saturation
     return _record(
-        "ks_consistency",
         f"chain (every {_KS_THIN}th of 1e6 states, 1e5 samples) and "
         "depth-40 cluster (1e5 samples) laws are KS-indistinguishable at "
         "alpha=0.01",
@@ -781,7 +755,6 @@ def _check_two_scale(ctx: VerifyContext) -> dict:
         }
         passed = passed and in_band and improves
     return _record(
-        "two_scale",
         "stationary tail matches the leading predictor within 25% at "
         "x in {1024, 4096}, and adding the second scale shrinks |log ratio| "
         "at both x",
@@ -801,7 +774,6 @@ def _check_second_scale_decay(ctx: VerifyContext) -> dict:
     ]
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     return _record(
-        "second_scale_decay",
         "second-scale correction times (1+x) decreases monotonically on a "
         "doubling grid from 1e4 to 1e12",
         {"first": values[0], "last": values[-1]},
@@ -831,7 +803,6 @@ def _check_mc_oracle(ctx: VerifyContext) -> dict:
         }
         passed = passed and ok
     return _record(
-        "mc_oracle",
         "empirical chain survival (1e6 samples) is consistent with the "
         "oracle bracket at x in {10, 100, 1000} at the configured confidence",
         measured,
@@ -855,7 +826,6 @@ def _check_repro_probe(ctx: VerifyContext) -> dict:
     first, second = render(), render()
     passed = first == second
     return _record(
-        "repro_probe",
         "re-running the fast deterministic checks yields byte-identical "
         "serialized results (full-suite byte identity is verified by "
         "running the CLI twice)",
@@ -905,7 +875,7 @@ def run_verify(config: RunConfig, seconds: Optional[dict] = None) -> dict:
     checks = []
     for check_id in selected:
         start = time.perf_counter()
-        checks.append(CHECKS[check_id](ctx))
+        checks.append({"id": check_id, **CHECKS[check_id](ctx)})
         seconds[check_id] = time.perf_counter() - start
     return {
         "checks": checks,
@@ -954,7 +924,6 @@ artifact formats (fixed column orders; all files start with
 
 exit codes: 0 ok / all checks pass; 1 verify check failed;
 2 config or validation error; 3 sampler saturation (events recorded).
-BIGJUMP_SEED overrides the built-in default seed (explicit config wins).
 """
 
 
@@ -974,7 +943,7 @@ _COMMANDS = {
     ),
     "attribute": ("exceedance attribution (attribution.csv)", "samples depth seed"),
 }
-_FLAG_TYPES = {tuple: _parse_x_grid, Optional[int]: int}  # else the hint itself
+_FLAG_TYPES = {tuple: _parse_x_grid}  # else the hint itself
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1019,7 +988,6 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         config.validate()
-        _ = config.seed  # force env-var validation before any work
         out_dir = Path(args.out)
         if args.command == "model":
             return _cmd_model(config, out_dir)

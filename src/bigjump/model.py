@@ -39,7 +39,6 @@ __all__ = [
     "ModelParams",
     "LawA",
     "LawB",
-    "ExtinctionTable",
     "calibrate",
     "survival_A",
     "pmf_A",
@@ -546,20 +545,6 @@ def pgf_B(params: ModelParams, z: float) -> float:
     return 1.0 - p * params.theta * series
 
 
-@dataclass(frozen=True, eq=False)
-class ExtinctionTable:
-    """Extinction and survival probabilities of the generation aggregates.
-
-    ``q[n] = P(D_n = 0)`` and ``p[n] = 1 - q[n]`` for generations
-    ``n = 0 .. n_max``, where ``D_0 = 1`` (a single root) and ``D_{n+1}``
-    is a sum of ``B``-many independent copies of ``D_n``.  ``q`` iterates
-    the offspring pgf and is non-decreasing; ``p[n] <= b**n`` (mean bound).
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-
-
 # Guards the growth of the extinction tables: any thread may ask for one.
 _EXTINCTION_LOCK = threading.Lock()
 
@@ -571,10 +556,15 @@ def _survival_rows(params: ModelParams) -> list:
     return [1.0]
 
 
-def extinction_table(params: ModelParams, n_max: int) -> ExtinctionTable:
-    """Generations ``0 .. n_max`` of the model's extinction table.
+def extinction_table(params: ModelParams, n_max: int) -> np.ndarray:
+    """Survival probabilities ``p[n] = P(D_n > 0)`` of the generation
+    aggregates, ``n = 0 .. n_max``, as a read-only array.
 
-    The recursion is kept in survival form, ``p[n+1] = p[n] * theta * Phi``
+    ``D_0 = 1`` (a single root), so ``p[0] = 1``, and ``D_{n+1}`` is a sum
+    of ``B``-many independent copies of ``D_n``.  The extinction
+    probability is ``q[n] = P(D_n = 0) = 1 - p[n]``; it iterates the
+    offspring pgf, ``q[n+1] = g_B(q[n])``, and is non-decreasing.  The
+    recursion is kept in survival form, ``p[n+1] = p[n] * theta * Phi``
     with ``Phi = sum_k phi(k) * q[n]**k`` clamped at the series constant, so
     no precision is lost as ``q[n] -> 1`` and the mean bound ``p[n] <= b**n``
     holds structurally.
@@ -604,10 +594,8 @@ def extinction_table(params: ModelParams, n_max: int) -> ExtinctionTable:
                 )
             rows.append(survive)
         p = np.array(rows[: n_max + 1])
-    q = 1.0 - p
     p.setflags(write=False)
-    q.setflags(write=False)
-    return ExtinctionTable(q=q, p=p)
+    return p
 
 
 def depth_remainder_bound(params: ModelParams, depth: int) -> float:
@@ -633,7 +621,7 @@ def depth_remainder_bound(params: ModelParams, depth: int) -> float:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    p = 1.0 if depth == 0 else float(extinction_table(params, depth).p[depth])
+    p = 1.0 if depth == 0 else float(extinction_table(params, depth)[depth])
     p = min(max(p * (1.0 + 1e-12 * depth), sys.float_info.min), 1.0)
     b = params.b
     spread = -math.log(p) / (1.0 - b) - math.log(b) / (1.0 - b) ** 2

@@ -100,7 +100,6 @@ Design notes
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -162,8 +161,6 @@ _BINOMIAL_TAIL = 3e-26
 # at 2^16), and an upper bracket must not read below a survival that is
 # exactly 1.
 _FOLD_MARGIN = 4 * np.finfo(np.float64).eps
-# Generation chains kept, least recently used dropped first (`law_B`'s bound).
-_CHAIN_CACHE_SIZE = 8
 # Block rows per collapse product in `compound`.  A row's bits depend on
 # which dgemm micro-kernel takes it, which follows the row's offset in the
 # product: on an AVX-512 OpenBLAS, chunks starting at multiples of 12 rows
@@ -602,10 +599,13 @@ def _thinned_offspring_count(offspring: Pmf, alive: float) -> Pmf:
     )
 
 
-# Generation laws D_1, D_2, ... keyed by (params, cutoff): building generation
-# n requires every earlier generation, and the stationary assembly, the
-# prediction checks, and the acceptance suite all share them.
-_chain_cache: OrderedDict[tuple[ModelParams, int], list[Pmf]] = OrderedDict()
+@lru_cache(maxsize=8)
+def _chain_cache(params: ModelParams, cutoff: int) -> list:
+    """Generation laws D_1, D_2, ... of (params, cutoff), grown in place by
+    `dn_pmf`: building generation n requires every earlier generation, and
+    the stationary assembly, the prediction checks, and the acceptance suite
+    all share them."""
+    return [pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")]
 
 
 def _next_generation(
@@ -659,20 +659,12 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
-    key = (params, cutoff)
-    laws = _chain_cache.get(key)
-    if laws is None:
-        laws = _chain_cache[key] = [
-            pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")
-        ]
-        if len(_chain_cache) > _CHAIN_CACHE_SIZE:
-            _chain_cache.popitem(last=False)
-    _chain_cache.move_to_end(key)
+    laws = _chain_cache(params, cutoff)
     while len(laws) < n:
         m = len(laws) + 1
         law = _next_generation(params, laws[0], laws[-1], meta=f"gen{m}@{cutoff}")
-        table = extinction_table(params, m)
-        gap = abs(float(law.mass[0]) - table.q[m])
+        survival = extinction_table(params, m)[m]
+        gap = abs(float(law.mass[0]) - (1.0 - survival))
         if gap > 1e-9 + law.overflow:
             raise RuntimeError(
                 f"generation {m} extinction mass off by {gap:.3e} "
@@ -683,8 +675,8 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
         # overflow can read below p_m (to 0.42 p_m at cutoff 256).  Only D_1's
         # overflow feeds the chain, and the series terms read no overflow.
         alive = law.survival_known(0)
-        overflow = max(law.overflow, table.p[m] - alive)
-        if alive + overflow < table.p[m]:  # one ulp up covers the rounding
+        overflow = max(law.overflow, survival - alive)
+        if alive + overflow < survival:  # one ulp up covers the rounding
             overflow = math.nextafter(overflow, math.inf)
         if overflow > law.overflow:
             law = Pmf(mass=law.mass, overflow=overflow, meta=law.meta)
@@ -791,7 +783,7 @@ def _generation_terms(
     """
     ahead = None  # the term submitted last and not yet yielded
     for n in range(1, max_iter + 1):
-        if extinction_table(params, n).q[n] >= 1.0:
+        if 1.0 - extinction_table(params, n)[n] >= 1.0:
             break
         try:
             law = dn_pmf(params, n, cutoff)

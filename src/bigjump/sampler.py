@@ -481,7 +481,7 @@ def sample_clusters(
         raise ValueError("count must be >= 1")
     if max_population > DEFAULT_MAX_POPULATION:
         raise ValueError("cluster sampling needs max_population <= 2**26 (exact sums)")
-    p = extinction_table(params, depth).p
+    p = extinction_table(params, depth)
     immigration = _sample_a_batch(stream, count)
     contrib = np.empty((count, depth), dtype=np.int64)
     for n in range(1, depth + 1):

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 import typing
 import warnings
@@ -158,6 +157,7 @@ class TestConfigLoading:
             ("simulate", {"samples": 2.5}, "simulate.samples must be of type int"),
             ("simulate", {"samples": True}, "simulate.samples must be of type int"),
             ("simulate", {"seed": "7"}, "simulate.seed must be of type int"),
+            ("simulate", {"seed": None}, "simulate.seed must be of type int"),
             ("verify", {"suite": ["series"]}, "verify.suite must be of type str"),
             ("model", {"epsilon": float("nan")}, "model.epsilon"),
             ("model", {"tolerance": float("inf")}, "model.tolerance"),
@@ -197,24 +197,10 @@ class TestConfigLoading:
 
 
 class TestSeedPrecedence:
-    def test_builtin_default(self, monkeypatch):
-        monkeypatch.delenv("BIGJUMP_SEED", raising=False)
-        assert RunConfig().seed == DEFAULT_SEED
+    def test_builtin_default(self):
+        assert RunConfig().simulate.seed == DEFAULT_SEED
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("BIGJUMP_SEED", "999")
-        assert RunConfig().seed == 999
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("BIGJUMP_SEED", "999")
-        from dataclasses import replace
-
-        config = RunConfig()
-        config = RunConfig(simulate=replace(config.simulate, seed=5))
-        assert config.seed == 5
-
-    def test_flag_beats_config_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("BIGJUMP_SEED", raising=False)
+    def test_flag_beats_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"simulate": {"seed": 11}}))
         out = tmp_path / "out"
@@ -237,12 +223,6 @@ class TestSeedPrecedence:
         first = read_lines(out / "simulate.csv")[0]
         assert first.endswith("seed=77")
 
-    def test_bad_env_seed_exits_2(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("BIGJUMP_SEED", "not-a-number")
-        code = main(["model", "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "BIGJUMP_SEED" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -260,7 +240,7 @@ class TestExitCodes:
     def test_verify_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         # Force a failing check by stubbing one entry of the registry.
         def always_fail(ctx):
-            return cli._record("series", "stub", 1.0, 0.0, 0.0, False)
+            return cli._record("stub", 1.0, 0.0, 0.0, False)
 
         monkeypatch.setitem(cli.CHECKS, "series", always_fail)
         code = main(
@@ -269,6 +249,7 @@ class TestExitCodes:
         assert code == EXIT_VERIFY_FAILED
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["overall"] is False
+        assert [c["id"] for c in report["checks"]] == ["series"]
 
     def test_saturation_exits_3(self, tmp_path, monkeypatch, capsys):
         # Make every chain step look saturated via a tiny population cap on a
@@ -301,6 +282,22 @@ class TestExitCodes:
         assert "population_cap" in capsys.readouterr().err
         # The artifact is still written before the saturation exit.
         assert (tmp_path / "simulate.csv").exists()
+
+    def test_attribute_saturation_exits_3(self, tmp_path, monkeypatch, capsys):
+        # attribute's own cluster draw reports its cap events as simulate
+        # does; the stub records two on the draw's stream.
+        real_sample_clusters = sampler.sample_clusters
+
+        def capped(params, depth, count, stream, *args):
+            batch = real_sample_clusters(params, depth, count, stream, *args)
+            stream.events["population_cap"] += 2
+            return batch
+
+        monkeypatch.setattr(cli.sampler, "sample_clusters", capped)
+        argv = ["attribute", "--x", "10", "--samples", "300", "--depth", "8"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_SATURATED
+        assert "population_cap=2" in capsys.readouterr().err
+        assert (tmp_path / "attribution.csv").exists()
 
     @pytest.mark.parametrize("cutoff", ["256", "4096"])
     @pytest.mark.parametrize(
@@ -971,8 +968,7 @@ _PINNED_ARTIFACTS = {
 
 class TestDeterminism:
     @pytest.mark.parametrize("case", list(_PINNED_ARTIFACTS))
-    def test_artifact_bytes_are_pinned(self, tmp_path, monkeypatch, case):
-        monkeypatch.delenv("BIGJUMP_SEED", raising=False)
+    def test_artifact_bytes_are_pinned(self, tmp_path, case):
         argv, name, digest = _PINNED_ARTIFACTS[case]
         if case == "attribute":
             cluster_argv = _PINNED_ARTIFACTS["cluster"][0]
@@ -1229,7 +1225,6 @@ class TestHelp:
         text = capsys.readouterr().out
         assert "survival_lo" in text
         assert "exit codes" in text
-        assert "BIGJUMP_SEED" in text
 
     def test_artifact_list_names_each_csv_header(self, tmp_path, capsys):
         # The artifact list in --help is the columns' second definition.

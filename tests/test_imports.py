@@ -60,12 +60,12 @@ def test_package_import_loads_only_what_is_asked_for(src_env):
     }
 
 
-def _used_names() -> set:
-    """Every name that src/, scripts/ or bench/ reads as a variable or an
-    attribute.  Definitions, assignment targets, imports, ``__all__``
-    strings and docstrings are not reads."""
+def _used_names(folders=("src", "scripts", "bench")) -> set:
+    """Every name that the ``folders`` (by default src/, scripts/ and
+    bench/) read as a variable or an attribute.  Definitions, assignment
+    targets, imports, ``__all__`` strings and docstrings are not reads."""
     used = set()
-    for folder in ("src", "scripts", "bench"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -90,6 +90,12 @@ def test_every_public_name_has_a_caller_outside_tests():
     }
     used = _used_names()
     assert sorted(f"{m}.{name}" for m, name in exported if name not in used) == []
+
+
+def test_src_reads_no_environment_variable():
+    """Nothing under src/ reads ``os.environ`` or ``getenv``: every artifact
+    is fixed by the config and its seed, with no hidden second input."""
+    assert _used_names(("src",)) & {"environ", "getenv"} == set()
 
 
 def test_oracle_has_one_fft_kernel():

@@ -21,7 +21,6 @@ from scipy.integrate import quad
 from bigjump import model
 from bigjump.model import (
     _PGF_HEAD_TERMS,
-    ExtinctionTable,
     LawA,
     _offspring_survival_series,
     _phi_integral,
@@ -372,28 +371,28 @@ class TestPgfB:
 class TestExtinctionTable:
     def test_first_generation(self, params):
         table = extinction_table(params, 5)
-        assert table.p[1] == params.theta
-        assert table.q[1] == 1.0 - params.theta
+        assert table[1] == params.theta
+        assert 1.0 - table[1] == 1.0 - params.theta
 
     def test_goldens(self, params):
         table = extinction_table(params, 5)
-        assert table.p[2] == pytest.approx(GOLDEN_P2, abs=5e-15)
-        assert table.p[3] == pytest.approx(GOLDEN_P3, abs=5e-15)
+        assert table[2] == pytest.approx(GOLDEN_P2, abs=5e-15)
+        assert table[3] == pytest.approx(GOLDEN_P3, abs=5e-15)
 
     def test_monotone_and_mean_bound(self, params):
         table = extinction_table(params, 60)
         # q is non-decreasing; it saturates at exactly 1.0 in floating point
         # once p drops below ~5e-17, so strict growth is asserted on p.
-        assert np.all(np.diff(table.q) >= 0)
-        assert np.all(np.diff(table.p) < 0)
+        assert np.all(np.diff(1.0 - table) >= 0)
+        assert np.all(np.diff(table) < 0)
         n = np.arange(0, 61)
-        assert np.all(table.p <= params.b**n * (1.0 + 1e-12))
+        assert np.all(table <= params.b**n * (1.0 + 1e-12))
 
     def test_root_generation(self, params):
         table = extinction_table(params, 1)
-        assert table.p[0] == 1.0
-        assert table.q[0] == 0.0
-        assert table.p.size == table.q.size == 2
+        assert table[0] == 1.0
+        assert 1.0 - table[0] == 0.0
+        assert table.size == 2
 
     def test_rejects_bad_n(self, params):
         with pytest.raises(ValueError, match="n_max"):
@@ -407,11 +406,10 @@ class TestExtinctionTable:
         model._survival_rows.cache_clear()
         for n_max in (1, 5, 12):
             table = extinction_table(params, n_max)
-            assert table.p.size == n_max + 1
-        np.testing.assert_array_equal(table.p, full.p)
-        np.testing.assert_array_equal(table.q, full.q)
+            assert table.size == n_max + 1
+        np.testing.assert_array_equal(table, full)
         # A shallower read of the grown table is its head.
-        np.testing.assert_array_equal(extinction_table(params, 5).p, full.p[:6])
+        np.testing.assert_array_equal(extinction_table(params, 5), full[:6])
 
     @pytest.mark.parametrize(
         "b, epsilon, n_max, digest",
@@ -422,7 +420,7 @@ class TestExtinctionTable:
         ],
     )
     def test_bits_frozen_without_warnings(self, b, epsilon, n_max, digest):
-        # md5 of the p then q bytes, as the table read before it was shared
+        # md5 of the p then q = 1 - p bytes, as the table read before it was shared
         # and before the pgf tail's overflowing nodes were silenced: at
         # epsilon = 176 the integrand's denominator overflowed with 677 (b =
         # 0.5) and 305 (b = 0.01) RuntimeWarnings, at nodes that read 0
@@ -430,7 +428,8 @@ class TestExtinctionTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = extinction_table(calibrate(b, epsilon), n_max)
-        assert hashlib.md5(table.p.tobytes() + table.q.tobytes()).hexdigest() == digest
+        q = 1.0 - table
+        assert hashlib.md5(table.tobytes() + q.tobytes()).hexdigest() == digest
 
     def test_threads_growing_a_fresh_table_match_the_serial_one(self, params):
         # Four threads on a 2-core box, switching every microsecond: a row
@@ -461,14 +460,13 @@ class TestExtinctionTable:
         assert len(tables) == 10
         assert len(model._survival_rows(params)) == 81
         for table in tables:
-            n = table.p.size
-            np.testing.assert_array_equal(table.p, serial.p[:n])
-            np.testing.assert_array_equal(table.q, serial.q[:n])
+            np.testing.assert_array_equal(table, serial[: table.size])
 
-    def test_type_roundtrip(self, params):
+    def test_is_a_read_only_array(self, params):
         table = extinction_table(params, 3)
-        assert isinstance(table, ExtinctionTable)
-        assert np.allclose(table.p + table.q, 1.0, rtol=0, atol=1e-15)
+        assert isinstance(table, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0.0
 
 
 def _contribution(p: np.ndarray) -> np.ndarray:
@@ -502,7 +500,7 @@ class TestDepthRemainderBound:
         # every depth 1..300; past d + 400 the terms are below 1e-18 of the
         # sum at every one of these configurations.
         params = calibrate(b, epsilon)
-        terms = _contribution(extinction_table(params, 700).p)
+        terms = _contribution(extinction_table(params, 700))
         for depth in range(1, 301):
             exact = math.fsum(terms[depth + 1 : depth + 401].tolist())
             assert depth_remainder_bound(params, depth) >= exact, depth
@@ -511,7 +509,7 @@ class TestDepthRemainderBound:
         # At the default model's stopping depths (36 at cutoff 2**16, 40
         # for the cluster sampler) the closed form is 1.03x the sum it
         # bounds; the mean bound b**n read 20x.
-        terms = _contribution(extinction_table(params, 440).p)
+        terms = _contribution(extinction_table(params, 440))
         for depth in (36, 40):
             exact = math.fsum(terms[depth + 1 :].tolist())
             assert depth_remainder_bound(params, depth) <= 1.1 * exact
@@ -520,7 +518,7 @@ class TestDepthRemainderBound:
         # p_n underflows to 0 at b = 0.2 long before generation 600; the
         # bound then reads the smallest normal float, still positive.
         params = calibrate(0.2, 1.0)
-        assert extinction_table(params, 600).p[600] == 0.0
+        assert extinction_table(params, 600)[600] == 0.0
         assert 0.0 < depth_remainder_bound(params, 600) < 1e-300
 
     def test_decreasing_roughly_geometric(self, params):

@@ -26,7 +26,6 @@ from scipy.stats import binom
 
 from bigjump import model, oracle
 from bigjump.model import (
-    ExtinctionTable,
     LawA,
     calibrate,
     depth_remainder_bound,
@@ -40,7 +39,6 @@ from bigjump.oracle import (
     GeometricLaw,
     NotConverged,
     Pmf,
-    _CHAIN_CACHE_SIZE,
     _chain_cache,
     _conv_full,
     _next_fast_len,
@@ -555,7 +553,7 @@ class TestGenerationChain:
         table = extinction_table(params, 6)
         for n in range(1, 7):
             d = dn_pmf(params, n, 4096)
-            assert abs(float(d.mass[0]) - table.q[n]) <= 1e-9 + d.overflow
+            assert abs(float(d.mass[0]) - (1.0 - table[n])) <= 1e-9 + d.overflow
 
     def test_zero_mass_is_the_pgf_at_the_previous_one(self, params):
         # D_n's zero mass is g_B(q) at D_{n-1}'s zero mass q: the step tops
@@ -595,7 +593,7 @@ class TestGenerationChain:
         # survival_curve() - overflow they carry a rounding of eps * overflow.
         cutoff = 4096 if n <= 3 else 2048
         if cutoff == 4096:
-            _chain_cache.pop((params, cutoff), None)
+            _chain_cache.cache_clear()
             monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 1 << 13)
         try:
             offspring = dn_pmf(params, 1, cutoff)
@@ -604,7 +602,7 @@ class TestGenerationChain:
             new = dn_pmf(params, n, cutoff)
         finally:
             if cutoff == 4096:
-                _chain_cache.pop((params, cutoff), None)
+                _chain_cache.cache_clear()
         q = float(prev.mass[0])
         in_grid = math.fsum(offspring.mass * q ** np.arange(cutoff + 1.0))
         dead = pgf_B(params, q) - in_grid
@@ -629,12 +627,12 @@ class TestGenerationChain:
             return real_compound(count, summand)
 
         cutoff = 1 << 14
-        _chain_cache.pop((params, cutoff), None)
+        _chain_cache.cache_clear()
         monkeypatch.setattr(oracle, "compound", recorded)
         try:
             laws = [dn_pmf(params, n, cutoff) for n in range(1, 9)]
         finally:
-            _chain_cache.pop((params, cutoff), None)
+            _chain_cache.cache_clear()
         assert len(supports) == 7
         for support, prev in zip(supports, laws):
             p = 1.0 - float(prev.mass[0])
@@ -658,12 +656,12 @@ class TestGenerationChain:
         # P(D_n > 0): a full-support count compound leaves FFT residue near
         # 1e-15 absolute, a 1e-3 error where that survival is ~1e-12.
         fft = [dn_pmf(params, n, 4096) for n in range(1, 37)]
-        _chain_cache.pop((params, 4096))
+        _chain_cache.cache_clear()
         monkeypatch.setattr("bigjump.oracle._DIRECT_CONV_LIMIT", 1 << 13)
         try:
             exact = [dn_pmf(params, n, 4096) for n in range(1, 37)]
         finally:
-            _chain_cache.pop((params, 4096), None)
+            _chain_cache.cache_clear()
         for a, b in zip(fft, exact):
             lo_fft = a.survival_curve() - a.overflow
             lo_ref = b.survival_curve() - b.overflow
@@ -687,7 +685,7 @@ class TestGenerationChain:
         monkeypatch.setattr(model, "_offspring_survival_series", counted)
         model._survival_rows.cache_clear()
         for cutoff in (256, 512):
-            _chain_cache.pop((params, cutoff), None)
+            _chain_cache.cache_clear()
             dn_pmf(params, 12, cutoff)
         sample_clusters(params, 40, 100, RngStream(seed=3))
         assert callers["extinction_table"] == 40
@@ -699,27 +697,26 @@ class TestGenerationChain:
         real_table = oracle.extinction_table
 
         def shifted(params, n_max):
-            table = real_table(params, n_max)
-            return ExtinctionTable(q=table.q - 0.5, p=table.p + 0.5)
+            return real_table(params, n_max) + 0.5
 
-        _chain_cache.pop((params, 128), None)
+        _chain_cache.cache_clear()
         dn_pmf(params, 2, 128)
         monkeypatch.setattr(oracle, "extinction_table", shifted)
         with pytest.raises(RuntimeError, match="generation 3 extinction mass off by"):
             dn_pmf(params, 3, 128)
-        assert len(_chain_cache[(params, 128)]) == 2
-        _chain_cache.pop((params, 128))
+        assert len(_chain_cache(params, 128)) == 2
+        _chain_cache.cache_clear()
 
     def test_chain_cache_keeps_most_recent(self, params):
-        cutoffs = [64 + i for i in range(_CHAIN_CACHE_SIZE + 1)]
-        for cutoff in cutoffs:
-            dn_pmf(params, 2, cutoff)
-        keys = list(_chain_cache)
-        assert len(keys) == _CHAIN_CACHE_SIZE
-        assert (params, cutoffs[0]) not in _chain_cache
-        assert keys[-1] == (params, cutoffs[-1])
-        dn_pmf(params, 2, cutoffs[1])
-        assert list(_chain_cache)[-1] == (params, cutoffs[1])
+        size = _chain_cache.cache_info().maxsize
+        cutoffs = [64 + i for i in range(size + 1)]
+        _chain_cache.cache_clear()
+        laws = [dn_pmf(params, 2, cutoff) for cutoff in cutoffs[:size]]
+        dn_pmf(params, 2, cutoffs[0])  # cutoffs[1] is now the least recent
+        dn_pmf(params, 2, cutoffs[size])
+        assert _chain_cache.cache_info().currsize == size
+        assert dn_pmf(params, 2, cutoffs[0]) is laws[0]
+        assert dn_pmf(params, 2, cutoffs[1]) is not laws[1]
 
     def test_rejects_generation_zero(self, params):
         with pytest.raises(ValueError, match="generation index"):
@@ -732,9 +729,9 @@ class TestGenerationChain:
         # 21 of the 48 generations n >= 2 at 256 (to 0.42 p_n) and 33 at
         # 16384 (to 0.60 p_n).
         n = 2
-        while extinction_table(params, n).q[n] < 1.0:
+        while 1.0 - extinction_table(params, n)[n] < 1.0:
             upper = dn_pmf(params, n, cutoff).survival_bracket(0)[1]
-            assert upper >= extinction_table(params, n).p[n], n
+            assert upper >= extinction_table(params, n)[n], n
             n += 1
         assert n > 40
 
@@ -922,20 +919,20 @@ class TestStationary:
             calls.append(("irfft", n))
             return real_irfft(a, n, *args, **kwargs)
 
-        _chain_cache.pop((params, cutoff), None)
+        _chain_cache.cache_clear()
         monkeypatch.setattr(np.fft, "rfft", rfft)
         monkeypatch.setattr(np.fft, "irfft", irfft)
         products = {}
         try:
             stationary_pmf(params, cutoff)
             solve = list(calls)
-            _chain_cache.pop((params, cutoff), None)
+            _chain_cache.cache_clear()
             for n in range(1, 31):
                 calls.clear()
                 dn_pmf(params, n, cutoff)
                 products[n] = sum(kind == "irfft" for kind, _ in calls)
         finally:
-            _chain_cache.pop((params, cutoff), None)
+            _chain_cache.cache_clear()
         lengths = {length for _, length in solve}
         assert all(length & (length - 1) == 0 for length in lengths), lengths
         assert len(solve) <= 3026
@@ -949,7 +946,7 @@ class TestStationary:
 
     def test_deterministic_across_cache_resets(self, params):
         first = stationary_pmf(params, 256, tol=1e-11)
-        _chain_cache.clear()
+        _chain_cache.cache_clear()
         second = stationary_pmf(params, 256, tol=1e-11)
         assert np.array_equal(first.mass, second.mass)
         assert first.overflow == second.overflow
@@ -1065,16 +1062,16 @@ class TestConcurrentStationary:
 
         monkeypatch.setattr(oracle, "generation_term", counted_term)
         # Converging on the last allowed iteration, then running out of them.
-        _chain_cache.pop((params, 320))
+        _chain_cache.cache_clear()
         stationary_pmf(params, 320, max_iter=depth)
         assert max(terms) == depth
-        assert len(_chain_cache[(params, 320)]) == depth
-        _chain_cache.pop((params, 320))
+        assert len(_chain_cache(params, 320)) == depth
+        _chain_cache.cache_clear()
         terms.clear()
         with pytest.raises(NotConverged):
             stationary_pmf(params, 320, max_iter=3)
         assert max(terms) == 3
-        assert len(_chain_cache[(params, 320)]) == 3
+        assert len(_chain_cache(params, 320)) == 3
 
     @pytest.mark.parametrize("cores", [1, 4])
     def test_one_term_past_the_stopping_depth(self, params, monkeypatch, cores):

@@ -155,7 +155,7 @@ def simulate_trees(params, n: int, count: int, stream, max_population=1 << 26):
 def conditional_dn_rejection(params, n: int, need: int, stream) -> np.ndarray:
     """Reference: ``need`` draws of ``(D_n | D_n > 0)`` by simulating whole
     trees and keeping those alive at generation ``n``."""
-    p_n = float(extinction_table(params, n).p[n])
+    p_n = float(extinction_table(params, n)[n])
     kept = []
     while sum(k.size for k in kept) < need:
         values = simulate_trees(params, n, int(1.2 * need / p_n) + 16, stream)
@@ -169,7 +169,7 @@ def spine_draws(params, n: int, count: int, stream, max_population=1 << 26):
         params,
         np.ones(count, dtype=np.int64),
         np.full(count, n),
-        extinction_table(params, n).p,
+        extinction_table(params, n),
         stream,
         max_population,
     )
@@ -416,7 +416,7 @@ class TestGenerationTrees:
         values = simulate_trees(params, 2, 200_000, RngStream(seed=8))
         hits = int((values == 0).sum())
         lo, hi = cp_interval(hits, values.size, confidence=0.99)
-        assert lo <= extinction_table(params, 2).q[2] <= hi
+        assert lo <= 1.0 - extinction_table(params, 2)[2] <= hi
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_spine_draws_match_oracle_by_chi_square(self, params, n):
@@ -483,7 +483,7 @@ class TestGenerationTrees:
         # proposal uniform 0.99 lands beyond the table, 0.9 proposes past
         # 2**62, and both acceptance uniforms 0 keep K at the cap, so the
         # brood J saturates there too and its right siblings go uncounted.
-        assert extinction_table(params, 60).p[59] * A_VALUE_CAP < 1
+        assert extinction_table(params, 60)[59] * A_VALUE_CAP < 1
         stub = _StubStream([0.99, 0.9, 0.0, 0.0])
         values = spine_draws(params, 60, 1, stub)
         assert int(values[0]) >= 1
