@@ -42,7 +42,7 @@ pytestmark = pytest.mark.acceptance
 
 @pytest.fixture(scope="module")
 def ctx():
-    """The verify context of the default config, seed pinned (not env)."""
+    """The verify context of the default config, seed `DEFAULT_SEED`."""
     return VerifyContext(RunConfig(simulate=SimulateConfig(seed=DEFAULT_SEED)))
 
 
@@ -159,14 +159,13 @@ def test_criterion_10_chain_matches_oracle(ctx, stationary16, chain_million):
 def test_criterion_11_reproducible_verify(tmp_path, src_env):
     """Running the full verification suite twice with the same seed yields
     byte-identical reports."""
-    env = {k: v for k, v in src_env.items() if k != "BIGJUMP_SEED"}
     reports = []
     codes = []
     for name in ("first", "second"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "bigjump.cli", "verify", "--out", str(out)],
-            env=env,
+            env=src_env,
             capture_output=True,
             text=True,
             timeout=1800,

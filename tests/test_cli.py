@@ -1,8 +1,9 @@
 """Command-line interface tests: config handling, artifact formats,
 determinism, seed precedence, and exit codes.
 
-Everything here drives ``bigjump.cli.main`` in-process (no subprocesses), so
-the suite stays fast and the exit codes are asserted directly.
+Everything here drives ``bigjump.cli.main`` in-process, so the suite stays
+fast and the exit codes are asserted directly; one test runs ``predict`` in
+a ``python -O`` subprocess, where no ``assert`` runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
+import tracemalloc
 import typing
 import warnings
 
@@ -978,6 +982,18 @@ class TestDeterminism:
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_predict_bytes_are_pinned_under_python_O(self, tmp_path, src_env):
+        argv, name, digest = _PINNED_ARTIFACTS["predict"]
+        subprocess.run(
+            [sys.executable, "-O", "-m", "bigjump.cli", *argv, "--out", str(tmp_path)],
+            env=src_env,
+            capture_output=True,
+            check=True,
+            timeout=120,
+        )
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_predict_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -1053,6 +1069,26 @@ class TestDeterminism:
             assert list(timings) == FAST_SUITE.split(",")
             assert all(seconds >= 0.0 for seconds in timings.values())
         assert reports[0] == reports[1]
+
+
+class TestMemory:
+    # A cold run peaks at 3.57 MiB under tracemalloc, set by calibration's
+    # partial sum.  Holding every harmonic term of the immigration mean in
+    # one array peaks at 10.84 (predict) and 15.69 MiB (verify); 6 MiB
+    # catches that and leaves 2.4 MiB of margin.
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict"], ["verify", "--suite", "a_tail,second_scale_decay"]],
+        ids=["predict", "verify"],
+    )
+    def test_peak_stays_below_6_mib(self, tmp_path, argv):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestVerifyReportShape:

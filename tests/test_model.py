@@ -141,6 +141,12 @@ class TestPhiPartialSum:
     def test_cutoffs_around_the_chunk(self, cutoff, epsilon):
         assert model._phi_partial_sum(cutoff, epsilon) == _fsum_of_phi(cutoff, epsilon)
 
+    def test_refuses_terms_that_are_not_normal(self, monkeypatch):
+        # A raise, not an assert: the guard holds under python -O too.
+        monkeypatch.setattr(model, "phi", lambda t, epsilon: np.zeros_like(t))
+        with pytest.raises(RuntimeError, match="positive and normal"):
+            model._phi_partial_sum(10, 1.0)
+
     @pytest.mark.parametrize(
         "build", [offspring_mean_bracket, lambda _: calibrate(0.5, 1.0)],
         ids=["offspring_mean_bracket", "calibrate"],
@@ -246,6 +252,11 @@ class TestLawA:
         assert LawA.pmf(4) == pmf_A(4)
 
 
+def _one_shot_harmonic(n: int) -> float:
+    """``H(n) - 1`` as one pairwise ``np.sum`` over an array of every term."""
+    return float(np.sum(1.0 / np.arange(2.0, n + 1.0)))
+
+
 class TestTruncatedMeanA:
     def test_exact_small_values(self):
         assert truncated_mean_A(0.5) == 0.0
@@ -279,6 +290,41 @@ class TestTruncatedMeanA:
         out = truncated_mean_A(2.0**300)
         expected = 300 * math.log(2.0) + np.euler_gamma - 1.0
         assert out == pytest.approx(expected, rel=1e-15)
+
+    # n = floor(t) + 1 sums n - 1 terms 1/2 .. 1/n.
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2,
+            3,
+            9,
+            129,
+            model._HARMONIC_LEAF - 1,
+            model._HARMONIC_LEAF,
+            model._HARMONIC_LEAF + 1,
+            model._HARMONIC_LEAF + 2,
+            2 * model._HARMONIC_LEAF + 2,
+            (1 << 16) + 7,
+            model._HARMONIC_SWITCH - 1,
+            model._HARMONIC_SWITCH,
+        ],
+    )
+    def test_direct_sum_has_the_one_shot_bits(self, n):
+        assert truncated_mean_A(n - 1.0) == _one_shot_harmonic(n)
+
+    @given(st.integers(min_value=2, max_value=model._HARMONIC_SWITCH))
+    @settings(max_examples=100, deadline=None)
+    def test_direct_sum_has_the_one_shot_bits_at_any_n(self, n):
+        assert truncated_mean_A(n - 0.5) == _one_shot_harmonic(n)
+
+    def test_memory_stays_below_1_mib(self):
+        tracemalloc.start()
+        try:
+            truncated_mean_A(model._HARMONIC_SWITCH - 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLawB:
