@@ -18,8 +18,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Iterable, Optional, get_type_hints
 
 import numpy as np
 import scipy
@@ -253,10 +254,13 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in order to a temp file beside ``path``,
+    then move it over ``path``, so no reader sees a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with tmp.open("w") as out:
+        out.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -267,6 +271,7 @@ def _csv_artifact(
 
     Each column is formatted once: a float column by ``repr`` (the shortest
     round-trip decimal), any other column (integers, labels) by ``str``.
+    The rows are streamed to the file, never joined into one string.
     """
     lines = [f"# config_hash={config.config_hash()} seed={config.simulate.seed}"]
     if comment:
@@ -275,14 +280,14 @@ def _csv_artifact(
     cells = []
     for column in map(np.asarray, columns.values()):
         cells.append(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    lines.extend(map(",".join, zip(*cells)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = map(",".join, zip(*cells))
+    _atomic_write(path, (line + "\n" for line in chain(lines, rows)))
 
 
 def _json_artifact(path: Path, payload: dict, config: RunConfig) -> None:
     payload = dict(payload)
     payload["provenance"] = _provenance(config)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def _provenance(config: RunConfig) -> dict:
@@ -888,7 +893,7 @@ def _cmd_verify(config: RunConfig, out_dir: Path) -> int:
     report = run_verify(config, seconds)
     path = out_dir / "verify_report.json"
     _json_artifact(path, report, config)
-    timings = json.dumps(seconds, indent=2) + "\n"
+    timings = [json.dumps(seconds, indent=2), "\n"]
     _atomic_write(out_dir / "verify_timings.json", timings)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"

@@ -524,7 +524,11 @@ def _survival_series_tail(
 
     slow = np.linspace(0.0, r1, math.ceil(r1 / 8.0) + 1)
     fast = np.log1p(_WEIGHT_FALLS / (lam * base))
-    integral, err = _quadrature(integrand, np.union1d(slow, fast))
+    # The sorted union of both edge sets, as np.union1d gives it; that call
+    # would import numpy.ma the first time it runs (numpy 2.4).
+    edges = np.sort(np.concatenate((slow, fast)))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    integral, err = _quadrature(integrand, edges)
     decay = math.exp(-lam * cutoff)
     g0 = phi(float(cutoff), epsilon) * decay
     g0_deriv = (

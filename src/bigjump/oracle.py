@@ -59,7 +59,7 @@ Design notes
   Galton-Watson processes; Athreya & Ney, *Branching Processes*, 1972,
   ch. I), computed for every p in blocks of counts, so no q^k need be a
   normal float.  That count has support near pN instead of N: D_2 at
-  N = 2^14 costs 160 FFT products where the full count would cost 255.
+  N = 2^14 costs 130 FFT products where the full count would cost 255.
   It ends where its tail drops below `_BINOMIAL_TAIL`, so each deep
   generation, where pN is far below 1, costs one to three.  The laws
   carry no FFT residue from a full-support count.  ``compound`` places
@@ -168,7 +168,8 @@ _FOLD_MARGIN = 4 * np.finfo(np.float64).eps
 # was checked on that kernel only; another CPU's dgemm may split rows at
 # other offsets, and the chunked collapse then differs from the one-shot
 # product in the last bits.  24 rows (3 MB at N = 2^14) keep the chunk small
-# next to the 128-row power table; 12 would repack that table twice as often.
+# next to the power table (62 rows for D_2 at N = 2^14, at most 256); 12
+# would repack that table twice as often.
 _COLLAPSE_CHUNK = 24
 
 
@@ -415,11 +416,32 @@ def _collapse_top_down(coeff: np.ndarray, powers: np.ndarray) -> Iterator:
 
 
 def _block_width(count_support: int) -> int:
-    """Baby-step width: power of two near sqrt(support), capped at 256."""
-    if count_support < 4:
-        return count_support + 1
-    root = math.isqrt(count_support)
-    return min(256, 1 << (root - 1).bit_length())
+    """Baby-step width of `compound`: the smallest width up to 256 that
+    minimises its product count.
+
+    For count support K, one block (width K + 1) takes K - 1 products; a
+    width 2 <= w <= K takes w - 2 baby powers, the giant power and K // w
+    Horner steps.  w + K // w <= c holds exactly when w * (c + 1 - w) > K,
+    so the widths within each level c form an interval: the least level is
+    isqrt(4K + 3), and a level's smallest width is the first integer past
+    the quadratic's lower root.  Below its optimal widths the count never
+    rises with w, so past the cap the best width is the smallest one at
+    width 256's level.
+    """
+    k = count_support
+
+    def smallest_width(level: int) -> int:
+        m = level + 1
+        width = (m - math.isqrt(m * m - 4 * k)) // 2
+        while width * (m - width) <= k:
+            width += 1
+        return width
+
+    level = math.isqrt(4 * k + 3)
+    if k < level:
+        return k + 1
+    width = smallest_width(level)
+    return width if width <= 256 else smallest_width(256 + k // 256)
 
 
 def compound(count: Pmf, summand: Pmf) -> Pmf:
@@ -429,10 +451,12 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     polynomial evaluation: powers 0..J-1 are built once (J - 2 products,
     since powers 0 and 1 are delta_0 and the summand), blocks of J
     coefficients collapse through one matrix product, and a Horner pass over
-    summand^{*J} stitches the blocks.  Each power's overflow collapses with
-    it; `_product` reads the placed totals from the masses.  Count overflow
-    (C beyond the grid) lands in the result's overflow.  Where the summand
-    places nothing at zero, the result's zero mass is count[0] exactly.
+    summand^{*J} stitches the blocks: J - 1 + K // J products for count
+    support K >= J, K - 1 in one block; `_block_width` picks J.  Each
+    power's overflow collapses with it; `_product` reads the placed totals
+    from the masses.  Count overflow (C beyond the grid) lands in the
+    result's overflow.  Where the summand places nothing at zero, the
+    result's zero mass is count[0] exactly.
     """
     if count.cutoff != summand.cutoff:
         raise ValueError(

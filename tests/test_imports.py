@@ -46,6 +46,36 @@ def test_clopper_pearson_leaves_scipy_stats_unloaded(src_env):
     assert _loaded_after(code, src_env) & set(HEAVY) == {"scipy.special"}
 
 
+def test_src_uses_no_numpy_routine_that_imports_numpy_ma():
+    """src calls no ``np.union1d`` or ``np.unique`` and reads no ``np.ma``:
+    on numpy 2.4 the set routines import numpy.ma the first time they run,
+    tens of milliseconds and about 0.6 MB in every process that reaches
+    them."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                numpy_attr = getattr(node.value, "id", None) in ("np", "numpy")
+                if numpy_attr and node.attr in ("union1d", "unique", "ma"):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if "numpy.ma" in names or (names[0] == "numpy" and "ma" in names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_oracle_command_leaves_numpy_ma_unloaded(src_env, tmp_path):
+    argv = ["oracle", "--cutoff", "256", "--out", str(tmp_path)]
+    code = (
+        "import contextlib, io\nfrom bigjump.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert "numpy.ma" not in _loaded_after(code, src_env)
+
+
 def _package_modules_after(code: str, env: dict) -> set:
     return {m for m in _loaded_after(code, env) if m.startswith("bigjump.")}
 

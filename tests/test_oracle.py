@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -444,6 +445,83 @@ class TestCompound:
     def test_cutoff_mismatch_rejected(self, pB512):
         with pytest.raises(ValueError, match="cutoff mismatch"):
             compound(pmf_of(LawA, 64), pB512)
+
+
+def _compound_products(support, width):
+    """Products `compound` takes at a baby-step width: the baby powers
+    past the summand itself, then the giant power and one Horner step per
+    block below the top one."""
+    rows = np.minimum(width, support + 1)
+    blocks = support // width
+    return np.maximum(rows - 2, 0) + blocks + (blocks > 0)
+
+
+class TestBlockWidth:
+    def test_width_is_the_smallest_product_minimiser(self):
+        supports = np.arange(300_001)
+        best = np.full(supports.size, np.iinfo(np.int64).max)
+        smallest = np.zeros(supports.size, dtype=np.int64)
+        for width in range(1, 257):
+            products = _compound_products(supports, width)
+            fewer = products < best
+            best[fewer], smallest[fewer] = products[fewer], width
+        widths = np.array([oracle._block_width(k) for k in range(supports.size)])
+        np.testing.assert_array_equal(widths, smallest)
+        # The rule it replaced: one block below 4, else the power of two at
+        # or above isqrt(K), capped at 256.
+        old = np.array(
+            [k + 1 if k < 4 else min(256, 1 << (math.isqrt(k) - 1).bit_length())
+             for k in range(supports.size)]
+        )
+        assert np.all(best <= _compound_products(supports, old))
+        rows, old_rows = np.minimum(widths, supports + 1), np.minimum(old, supports + 1)
+        wider = np.nonzero(rows > old_rows)[0]
+        assert wider.tolist() == [8, 24, 80, 288, 1088, 4224, 16640]
+        np.testing.assert_array_equal(rows[wider], old_rows[wider] + 1)
+
+    # 11, 12 and 13 = 3 * 4 - 1, + 0, + 1 take width 3: a full top block,
+    # then one count and two counts in it.  599 = 24 * 25 - 1 takes width
+    # 24 and 25 blocks, so the collapse's one-row top chunk joins the chunk
+    # below; 600 and 601 take width 21 and 29 blocks.
+    @pytest.mark.parametrize("support", [11, 12, 13, 599, 600, 601])
+    def test_fft_compound_matches_direct_power_sum(self, support, monkeypatch):
+        monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 0)
+        monkeypatch.setattr(oracle, "_DIRECT_FLOOR", 2)
+        n = support + 8
+        assert oracle._fft_length(n + 1, n + 1) > 0
+        calls = []
+        real_product = oracle._product
+
+        def product(*args):
+            calls.append(None)
+            return real_product(*args)
+
+        monkeypatch.setattr(oracle, "_product", product)
+        count_mass = np.zeros(n + 1)
+        count_mass[: support + 1] = 1.0 / (support + 1)
+        summand = pmf_of(GeometricLaw(0.4), n)
+        out = compound(Pmf(mass=count_mass, overflow=0.0), summand)
+        width = oracle._block_width(support)
+        assert len(calls) == _compound_products(support, width)
+
+        power = np.eye(1, n + 1)[0]
+        acc = count_mass[0] * power
+        pow_over, spill = 0.0, 0.0
+        for k in range(1, support + 1):
+            full = np.convolve(power, summand.mass)
+            pow_over = (
+                float(np.sum(full[n + 1 :]))
+                + pow_over * (summand.known_total + summand.overflow)
+                + summand.overflow * float(np.sum(power))
+            )
+            power = full[: n + 1]
+            acc += count_mass[k] * power
+            spill += count_mass[k] * pow_over
+        np.testing.assert_allclose(out.mass, acc, rtol=1e-10, atol=1e-16)
+        # The placed masses stay below the law's (to FFT residue).
+        assert np.all(out.mass <= acc + 1e-16)
+        assert out.overflow == pytest.approx(spill, rel=1e-10, abs=1e-15)
+        assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalAndThinnedCount:
@@ -890,6 +968,19 @@ class TestStationary:
         st_pmf = stationary_pmf(params, cutoff)
         deeper = _serial_fold(params, cutoff, _depth(st_pmf) + 5)
         assert st_pmf.mass[1] <= deeper.mass[1]
+
+    def test_cold_solve_at_2_14_stays_below_16_mib(self, params):
+        # D_2's power table sets the peak: 62 rows (8 MiB) at the width that
+        # minimises compound's products, 14.5 MiB in all; the power-of-two
+        # width held 128 rows (16 MiB), and the solve peaked at 22.7 MiB.
+        _chain_cache.cache_clear()
+        tracemalloc.start()
+        try:
+            stationary_pmf(params, 1 << 14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("cutoff", [4096, 1 << 14])
     def test_places_no_mass_at_zero(self, params, cutoff):
