@@ -80,15 +80,9 @@ _PARTIAL_SUM_CHUNK = 1 << 16
 # remainder is handled by an integral with endpoint corrections.
 _PGF_HEAD_TERMS = 1 << 14
 
-# Largest floor(t) + 1 for which the truncated mean of A is summed directly,
-# at most 2**20 - 1 terms; beyond it the asymptotic harmonic expansion takes
-# over.  The direct sum holds `_HARMONIC_LEAF` terms at a time, so its memory
-# does not grow with this switch; its time does: 2.3 ms at 2**20 terms on a
-# 2-vCPU x86 box, against 5.2 ms for one array of every term.
-_HARMONIC_SWITCH = 1 << 20
-
-# Most terms of 1/j that `_harmonic_sum` holds at once (256 KiB per array).
-_HARMONIC_LEAF = 1 << 15
+# Largest floor(t) + 1 for which the truncated mean of A is summed directly;
+# beyond it the asymptotic harmonic expansion takes over.
+_HARMONIC_SWITCH = 256
 
 # Gauss-Legendre nodes on [-1, 1] of `_quadrature`'s coarse rule (16 per
 # panel) and fine rule (32), side by side, and the weights of each.
@@ -344,37 +338,17 @@ def pmf_A(k):
     return float(out) if out.ndim == 0 else out
 
 
-def _harmonic_sum(lo: int, hi: int) -> float:
-    """``sum_{j=lo}^{hi-1} 1/j`` with the bits of ``np.sum(1.0 /
-    np.arange(lo, hi))``, holding at most `_HARMONIC_LEAF` terms at once.
-
-    numpy sums a contiguous float64 array pairwise: ``m`` terms split after
-    the first ``m//2 - (m//2) % 8``, and each part is summed alike.  This
-    splits the same way until a part has at most `_HARMONIC_LEAF` terms,
-    hands that part to ``np.sum``, and adds the parts in the same order:
-    the same rounding tree, so the same double.
-    """
-    m = hi - lo
-    if m <= _HARMONIC_LEAF:
-        return float(np.sum(1.0 / np.arange(float(lo), float(hi))))
-    half = m // 2 - (m // 2) % 8
-    return _harmonic_sum(lo, lo + half) + _harmonic_sum(lo + half, hi)
-
-
 def truncated_mean_A(t: float) -> float:
     """``E[A * 1{A <= t}] = H(floor(t)+1) - 1`` (harmonic number).
 
-    Direct summation while ``floor(t) + 1 <= 2**20``: ``sum_{j=2}^{n} 1/j``
-    with ``n = floor(t) + 1``, added in numpy's pairwise order, so the
-    value has the bits of one ``np.sum`` over all the terms, while
-    `_harmonic_sum` holds at most `_HARMONIC_LEAF` of them at a time
-    (0.5 MiB at ``n = 2**20``; an array of every term would take 16 MiB).
-    Beyond that the asymptotic expansion ``log n + gamma + 1/(2n) -
-    1/(12n^2) + 1/(120n^4)`` takes over.  The two branches agree to well
-    below 1e-12 at the switch point.  The quartic term is taken as
-    ``(1/n)**4``, which underflows to 0 for huge ``n`` (the immigration
-    scales of `asymptotics._immigration_split` reach ``exp(690)``), where
-    ``n**4`` would overflow.
+    With ``n = floor(t) + 1``: while ``n <= 256``, the direct sum
+    ``sum_{j=2}^{n} 1/j``, one ``np.sum`` over every term.  Beyond, the
+    expansion ``log n + gamma + 1/(2n) - 1/(12n^2) + 1/(120n^4)``, whose
+    remainder is below ``1/(252 n^6)`` (Knuth, TAOCP vol. 1, 1.2.7), about
+    1/60 ulp at ``n = 256``.  The quartic term is taken as ``(1/n)**4``,
+    which underflows to 0 for huge ``n`` (the immigration scales of
+    `asymptotics._immigration_split` reach ``exp(690)``), where ``n**4``
+    would overflow.
     """
     if t < 1.0:
         return 0.0
@@ -382,7 +356,7 @@ def truncated_mean_A(t: float) -> float:
         return math.inf
     n = math.floor(t) + 1.0
     if n <= _HARMONIC_SWITCH:
-        return _harmonic_sum(2, int(n) + 1)
+        return float(np.sum(1.0 / np.arange(2.0, n + 1.0)))
     return (
         math.log(n)
         + np.euler_gamma

@@ -4,11 +4,14 @@ Every distribution here is a vector of point masses on {0..N} plus a single
 scalar "overflow" bucket holding all probability the computation could not
 place on the grid.  The known vector is maintained pointwise *below* the true
 pmf at every step, the stationary law's included (mass is only ever dropped
-into overflow, never invented), which makes the survival bracket
+into overflow, never invented), up to the residue of the FFT products: those
+in ``compound`` place masses up to 6.1e-17 above the direct power sum
+(`TestBlockWidth::test_fft_compound_matches_direct_power_sum`).  Up to that
+residue, whose error bound is ROADMAP item 11, the survival bracket
 
     sum_{k > x} mass[k]  <=  P(> x)  <=  sum_{k > x} mass[k] + overflow
 
-sound by construction.  On top of that arithmetic the module builds the
+is sound by construction.  On top of that arithmetic the module builds the
 generation-aggregate laws, the stationary law of the branching fixed point,
 and a direct numerical check of the convolution-tail relation that drives
 the asymptotics.
@@ -83,8 +86,9 @@ Design notes
   makes desk-scale brackets at x ~ N/16 usable at all.  The reciprocal's
   series diverges for p >= 1/2, and there the term is ``compound`` over
   the counts up to N, whose overflow carries P(A > N) = 1/(N + 1).  The
-  generations past the stopping depth d are covered by R = `depth_remainder_bound`, at least the probability that any
-  of them contributes: they are independent of the fold and add zero with
+  generations past the stopping depth d are covered by R =
+  `depth_remainder_bound`, at least the probability that any of them
+  contributes: they are independent of the fold and add zero with
   probability at least 1 - R, so the fold's masses times (1 - R) stay below
   the stationary pmf and the removed share goes to the overflow.  R is
   pgf-exact over the model's one extinction table, which each generation's

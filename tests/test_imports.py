@@ -1,8 +1,8 @@
 """The package surface: importing the package loads no module of it, no
-scipy submodule loads until it is used, and no public name exists only for
-tests.  The oracle keeps one FFT convolution kernel, one overflow rule that
-every product of laws passes through, and one home for the law of A copies
-of a law."""
+scipy submodule loads until it is used, and no public name or parameter
+default exists only for tests.  The oracle keeps one FFT convolution
+kernel, one overflow rule that every product of laws passes through, and
+one home for the law of A copies of a law."""
 
 from __future__ import annotations
 
@@ -90,18 +90,24 @@ def test_package_import_loads_only_what_is_asked_for(src_env):
     }
 
 
-def _used_names(folders=("src", "scripts", "bench")) -> set:
-    """Every name that the ``folders`` (by default src/, scripts/ and
-    bench/) read as a variable or an attribute.  Definitions, assignment
-    targets, imports, ``__all__`` strings and docstrings are not reads."""
-    used = set()
+def _walk(folders=("src", "scripts", "bench")):
+    """Every AST node of every Python file under the ``folders`` (by default
+    src/, scripts/ and bench/)."""
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    used.add(node.attr)
+            yield from ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+def _used_names(folders=("src", "scripts", "bench")) -> set:
+    """Every name that the ``folders`` read as a variable or an attribute.
+    Definitions, assignment targets, imports, ``__all__`` strings and
+    docstrings are not reads."""
+    used = set()
+    for node in _walk(folders):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
     return used
 
 
@@ -222,3 +228,68 @@ def test_truncated_mean_of_a_has_one_reader():
     per-generation predictor: every check that sets a term beside its
     first-order prediction goes through `per_generation_pred`."""
     assert _callers("truncated_mean_A") == {"asymptotics._immigration_split"}
+
+
+def _defaulted_parameters() -> dict:
+    """Each src function or method with a defaulted parameter, by name, as
+    ``{name: [(position or None, parameter), ...]}``.  Position counts the
+    arguments a call passes, so a method's ``self`` and ``cls`` are not
+    counted; keyword-only parameters have none.  A class's ``__init__`` is
+    listed under the class name, which is what its callers call."""
+    found = {}
+    for path in sorted((ROOT / "src" / "bigjump").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owners = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            decorators = {getattr(d, "id", None) for d in node.decorator_list}
+            skip = int(id(node) in owners and "staticmethod" not in decorators)
+            first = len(positional) - len(args.defaults)
+            params = [
+                (i - skip, positional[i].arg) for i in range(first, len(positional))
+            ]
+            params += [
+                (None, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            if params:
+                name = owners[id(node)] if node.name == "__init__" else node.name
+                found.setdefault(name, []).extend(params)
+    return found
+
+
+def test_every_default_is_overridden_outside_tests():
+    """Every defaulted parameter of a src function is passed, by keyword or
+    by position, by some call in src/, scripts/ or bench/.  A default that
+    no such call overrides is one value in use: a constant, not a
+    parameter, as `test_every_public_name_has_a_caller_outside_tests` holds
+    for names."""
+    defaulted = _defaulted_parameters()
+    overridden = set()
+    for node in _walk():
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {keyword.arg for keyword in node.keywords}
+        for position, param in defaulted.get(name, ()):
+            by_position = position is not None and (
+                position < len(node.args) or starred
+            )
+            if by_position or param in keywords or None in keywords:
+                overridden.add((name, param))
+    assert sorted(
+        f"{name}({param}=)"
+        for name, params in defaulted.items()
+        for _, param in params
+        if (name, param) not in overridden
+    ) == []

@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +258,15 @@ def _one_shot_harmonic(n: int) -> float:
     return float(np.sum(1.0 / np.arange(2.0, n + 1.0)))
 
 
+def _assert_within_4_ulps(n: int) -> None:
+    """``truncated_mean_A(n - 1)`` is within 4 ulps of ``H(n) - 1``, taken
+    exactly from 140-bit integer parts (their floors lose under n 2^-140)."""
+    scaled = sum((1 << 140) // j for j in range(2, n + 1))
+    exact = Fraction(scaled, 1 << 140)
+    got = truncated_mean_A(n - 1.0)
+    assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+
 class TestTruncatedMeanA:
     def test_exact_small_values(self):
         assert truncated_mean_A(0.5) == 0.0
@@ -270,12 +280,12 @@ class TestTruncatedMeanA:
         assert truncated_mean_A(1e7 + 3) == pytest.approx(GOLDEN_TM_A_1E7, abs=5e-14)
 
     def test_branch_seam_agreement(self):
-        # Direct summation just below the switch, asymptotic just above:
-        # the increment between consecutive integers must match 1/(n+1).
-        t = float(1 << 20)
+        # Direct summation at the switch, asymptotic one past it: the
+        # increment between consecutive integers must match 1/(n+1).
+        t = float(model._HARMONIC_SWITCH)
         below = truncated_mean_A(t - 1.0)
         above = truncated_mean_A(t)
-        assert above - below == pytest.approx(1.0 / (t + 1.0), abs=1e-12)
+        assert above - below == pytest.approx(1.0 / (t + 1.0), abs=1e-14)
 
     def test_log_growth(self):
         t = 1e6
@@ -293,21 +303,7 @@ class TestTruncatedMeanA:
 
     # n = floor(t) + 1 sums n - 1 terms 1/2 .. 1/n.
     @pytest.mark.parametrize(
-        "n",
-        [
-            2,
-            3,
-            9,
-            129,
-            model._HARMONIC_LEAF - 1,
-            model._HARMONIC_LEAF,
-            model._HARMONIC_LEAF + 1,
-            model._HARMONIC_LEAF + 2,
-            2 * model._HARMONIC_LEAF + 2,
-            (1 << 16) + 7,
-            model._HARMONIC_SWITCH - 1,
-            model._HARMONIC_SWITCH,
-        ],
+        "n", [2, 3, 9, 129, model._HARMONIC_SWITCH - 1, model._HARMONIC_SWITCH]
     )
     def test_direct_sum_has_the_one_shot_bits(self, n):
         assert truncated_mean_A(n - 1.0) == _one_shot_harmonic(n)
@@ -317,10 +313,22 @@ class TestTruncatedMeanA:
     def test_direct_sum_has_the_one_shot_bits_at_any_n(self, n):
         assert truncated_mean_A(n - 0.5) == _one_shot_harmonic(n)
 
+    # Either side of the switch, 3473 (the expansion's worst n up to 2**20)
+    # and 2**20.
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 258, 3473, 1 << 20])
+    def test_within_4_ulps_of_exact(self, n):
+        _assert_within_4_ulps(n)
+
+    @given(st.integers(min_value=2, max_value=1 << 16))
+    @settings(max_examples=50, deadline=None)
+    def test_within_4_ulps_of_exact_at_any_n(self, n):
+        _assert_within_4_ulps(n)
+
     def test_memory_stays_below_1_mib(self):
         tracemalloc.start()
         try:
             truncated_mean_A(model._HARMONIC_SWITCH - 1.0)
+            truncated_mean_A((1 << 20) - 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
