@@ -43,7 +43,6 @@ __all__ = [
     "survival_A",
     "pmf_A",
     "truncated_mean_A",
-    "pgf_B",
     "law_B",
     "extinction_table",
     "phi",
@@ -514,8 +513,8 @@ def _survival_series_tail(
 def _offspring_survival_series(params: ModelParams, p: float) -> float:
     """Evaluate ``sum_k phi(k) * (1-p)**k`` for ``p in [0, 1]``.
 
-    This is the survival-weighted series behind the pgf: taking ``z = 1-p``,
-    ``pgf_B(z) = 1 - p * theta * (this sum)``.  Exact head over
+    This is the survival-weighted series behind the offspring pgf: taking
+    ``z = 1-p``, ``g_B(z) = 1 - p * theta * (this sum)``.  Exact head over
     ``k < 2**14`` plus the integral tail; absolute accuracy ~1e-13 down to
     ``p ~ 1e-25``.  Taking ``p`` (not ``z``) as the argument keeps the
     extinction recursion free of cancellation near ``z = 1``.
@@ -534,21 +533,6 @@ def _offspring_survival_series(params: ModelParams, p: float) -> float:
     lam = math.inf if p == 1.0 else -math.log1p(-p)
     tail, _ = _survival_series_tail(params.epsilon, _PGF_HEAD_TERMS, lam)
     return head + tail
-
-
-def pgf_B(params: ModelParams, z: float) -> float:
-    """Offspring pgf ``g(z) = 1 - (1-z) * theta * sum_k phi(k) * z**k``.
-
-    Monotone increasing and convex on [0, 1], with ``g(0) = 1 - theta`` and
-    ``g(1) = 1``.
-    """
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"z out of range: {z!r} (need 0 <= z <= 1)")
-    if z == 1.0:
-        return 1.0
-    p = 1.0 - z
-    series = min(_offspring_survival_series(params, p), params.series_const)
-    return 1.0 - p * params.theta * series
 
 
 # Guards the growth of the extinction tables: any thread may ask for one.
@@ -578,8 +562,8 @@ def extinction_table(params: ModelParams, n_max: int) -> np.ndarray:
     Each model (the 8 most recently used) has one table, grown under a lock
     when a caller asks past its last generation; the recursion is
     deterministic, so every reader on any thread sees the bits of a table
-    built at once.  The oracle's generation check, the cluster sampler and
-    `depth_remainder_bound` all read it.
+    built at once.  The oracle's generation chain, the cluster sampler
+    and `depth_remainder_bound` all read it.
 
     Raises:
         RuntimeError: if the mean bound fails (a pgf evaluation bug).

