@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Optional, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import asymptotics, oracle, sampler, stats
 from .model import (
@@ -291,6 +290,9 @@ def _json_artifact(path: Path, payload: dict, config: RunConfig) -> None:
 
 
 def _provenance(config: RunConfig) -> dict:
+    # Imported here: only the commands that write JSON provenance need scipy.
+    import scipy
+
     from . import __version__
 
     return {

@@ -40,10 +40,20 @@ def test_import_loads_no_heavy_scipy_submodule(src_env):
     assert _loaded_after("import bigjump, bigjump.cli", src_env) & set(HEAVY) == set()
 
 
-def test_clopper_pearson_leaves_scipy_stats_unloaded(src_env):
-    # The interval needs only scipy.special's beta quantile.
-    code = "from bigjump.stats import clopper_pearson\nclopper_pearson(3, 10, 0.95)"
-    assert _loaded_after(code, src_env) & set(HEAVY) == {"scipy.special"}
+def _scipy_modules(modules: set) -> set:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_clopper_pearson_leaves_scipy_unloaded(src_env):
+    # The intervals' beta quantiles are solved in bigjump.stats itself.
+    code = (
+        "import numpy as np\n"
+        "from bigjump.stats import clopper_pearson, empirical_survival\n"
+        "clopper_pearson(3, 10, 0.95)\n"
+        "chain = np.random.default_rng(1).integers(0, 10, size=2000)\n"
+        "empirical_survival(chain, [2.0, 8.0], level=0.99, chain=True)"
+    )
+    assert _scipy_modules(_loaded_after(code, src_env)) == set()
 
 
 def test_src_uses_no_numpy_routine_that_imports_numpy_ma():
@@ -66,14 +76,18 @@ def test_src_uses_no_numpy_routine_that_imports_numpy_ma():
     assert found == []
 
 
-def test_oracle_command_leaves_numpy_ma_unloaded(src_env, tmp_path):
+def test_oracle_command_leaves_numpy_ma_and_scipy_unloaded(src_env, tmp_path):
+    # Only the commands that write JSON provenance import scipy, for its
+    # version string.
     argv = ["oracle", "--cutoff", "256", "--out", str(tmp_path)]
     code = (
         "import contextlib, io\nfrom bigjump.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0"
     )
-    assert "numpy.ma" not in _loaded_after(code, src_env)
+    loaded = _loaded_after(code, src_env)
+    assert "numpy.ma" not in loaded
+    assert _scipy_modules(loaded) == set()
 
 
 def _package_modules_after(code: str, env: dict) -> set:

@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 from scipy.stats import beta, ks_2samp
+
+from bigjump import stats
 
 from bigjump.cli import _KS_THIN
 from bigjump.model import survival_A
@@ -22,6 +27,67 @@ from bigjump.stats import (
     empirical_survival,
     ks_two_sample,
 )
+
+# clopper_pearson's grid: every n at every level, and the benchmark's shape
+# (1,000 samples at level 1 - 1e-9); each at the counts of `_cp_counts`, as
+# integers and as effective counts over tau = 1.7 and 3.1.
+_CP_GRID = [
+    (n, level)
+    for n in (1, 2, 3, 10, 100, 10_000, 1_000_000)
+    for level in (0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6)
+] + [(1000, 1 - 1e-9)]
+_CP_TAUS = (1.0, 1.7, 3.1)
+
+
+def _cp_counts(n: int, tau: float) -> list:
+    """(k / tau, n / tau) for k in {0, 1, 2, n // 3, n // 2, n - 1, n}; none
+    when n / tau < 1, which clopper_pearson refuses."""
+    if n / tau < 1:
+        return []
+    return [(k / tau, n / tau) for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1)))]
+
+
+def _cp_quantiles() -> list:
+    """(a, b, p) of every beta quantile that clopper_pearson solves over the grid."""
+    quantiles = []
+    for n, level in _CP_GRID:
+        alpha = 1.0 - level
+        for tau in _CP_TAUS:
+            for k, m in _cp_counts(n, tau):
+                if k > 0:
+                    quantiles.append((k, m - k + 1.0, alpha / 2.0))
+                if k < m:
+                    quantiles.append((k + 1.0, m - k, 1.0 - alpha / 2.0))
+    return quantiles
+
+
+def _refined_beta_ppf(a: float, b: float, p: float) -> float:
+    """scipy's ``beta.ppf`` after one Newton step on scipy's incomplete beta
+    of the tail that p names (the upper one above 1/2).  ``beta.ppf`` alone is
+    off by up to 1e-11 at n = 10^6 and a = 2, 3 (against 45-digit
+    arithmetic); the step takes it to the precision of the tail function."""
+    x = float(beta.ppf(p, a, b))
+    if not 0.0 < x < 1.0:
+        return x
+    density = float(beta.pdf(x, a, b))
+    if p > 0.5:
+        return x + (float(betaincc(a, b, x)) - (1.0 - p)) / density
+    return x + (p - float(betainc(a, b, x))) / density
+
+
+def _tail(a: float, b: float, x: float, upper: bool) -> float:
+    """1 - I_x(a, b) when ``upper``, else I_x(a, b), at 0 < x <= 1."""
+    if x == 1.0:
+        return 0.0 if upper else 1.0
+    lower, upper_tail, _ = stats._incomplete_beta(a, b, x)
+    return upper_tail if upper else lower
+
+
+# A probability in either tail, log-uniform in the tail's mass on [1e-12, 1/2].
+_TAIL_P = st.tuples(st.floats(math.log(1e-12), math.log(0.5)), st.booleans()).map(
+    lambda draw: 1.0 - math.exp(draw[0]) if draw[1] else math.exp(draw[0])
+)
+_SHAPE = st.floats(math.log(0.05), math.log(1e6)).map(math.exp)
 
 
 class TestClopperPearson:
@@ -52,16 +118,80 @@ class TestClopperPearson:
         covered = sum(interval[k][0] <= 0.3 <= interval[k][1] for k in ks)
         assert covered / 1000 >= 0.95
 
-    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6])
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 10_000, 1_000_000])
-    def test_matches_beta_ppf_bit_for_bit(self, n, level):
+    @pytest.mark.parametrize("tau", _CP_TAUS)
+    @pytest.mark.parametrize("n, level", _CP_GRID)
+    def test_matches_beta_ppf(self, n, level, tau):
+        # Within 1e-12 relative; over this grid the largest gap is 1e-14.
         alpha = 1.0 - level
-        for k in {k for k in (0, 1, 2, n // 3, n // 2, n - 1, n) if k <= n}:
-            lo, hi = clopper_pearson(k, n, level)
+        for k, m in _cp_counts(n, tau):
+            lo, hi = clopper_pearson(k, m, level)
             if k > 0:
-                assert lo == float(beta.ppf(alpha / 2, k, n - k + 1))
-            if k < n:
-                assert hi == float(beta.ppf(1 - alpha / 2, k + 1, n - k))
+                assert lo == pytest.approx(_refined_beta_ppf(k, m - k + 1.0, alpha / 2), rel=1e-12)
+            if k < m:
+                assert hi == pytest.approx(_refined_beta_ppf(k + 1.0, m - k, 1 - alpha / 2), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (0.05, 0.05, 0.3),
+            (0.05, 1e6, 1e-100),
+            (0.3, 5.0, 0.01),
+            (9.0, 2.0, 0.75),
+            (23.0, 978.0, 0.005),
+            (30.0, 1000.0, 0.01),
+            (2.0, 999999.0, 2.69e-6),
+            # Past the mean near 1, where x - mean must come from 1 - x.
+            (3e5, 0.7, 1 - 1e-6),
+            (1e6, 2.0, 1 - 3e-6),
+        ],
+    )
+    def test_incomplete_beta_matches_scipy(self, a, b, x):
+        # The smaller tail, from betainc or betaincc; both scipy values are
+        # within 2e-14 of 45-digit arithmetic at these points.
+        lower, upper, density = stats._incomplete_beta(a, b, x)
+        if lower <= upper:
+            assert lower == pytest.approx(float(betainc(a, b, x)), rel=1e-13)
+        else:
+            assert upper == pytest.approx(float(betaincc(a, b, x)), rel=1e-13)
+        assert density == pytest.approx(float(beta.pdf(x, a, b)), rel=1e-12)
+
+    def test_each_quantile_costs_at_most_8_incomplete_betas(self, monkeypatch):
+        # Stands in for a time budget, which Tier-1 cannot time reliably: one
+        # evaluation of I_x costs 3-10 us at the benchmark's counts.
+        evaluate = stats._incomplete_beta
+        calls = []
+
+        def counted(a, b, x):
+            calls.append(x)
+            return evaluate(a, b, x)
+
+        monkeypatch.setattr(stats, "_incomplete_beta", counted)
+        costs = {}
+        for a, b, p in _cp_quantiles():
+            calls.clear()
+            stats._beta_quantile(a, b, p)
+            costs[a, b, p] = len(calls)
+        assert {q: cost for q, cost in costs.items() if cost > 8} == {}
+
+    @given(_SHAPE, _SHAPE, _TAIL_P, _TAIL_P)
+    @settings(max_examples=300, deadline=None)
+    def test_beta_quantile_inverts_the_incomplete_beta(self, a, b, p, q):
+        p, q = sorted((p, q))
+        x = stats._beta_quantile(a, b, p)
+        # Monotone in p, wherever the two tails differ beyond rounding.
+        if q - p > 1e-9 * min(p, 1.0 - q):
+            assert x <= stats._beta_quantile(a, b, q)
+        # In (0, 1], and at 1 only when the root lies past the last float below 1.
+        upper = p > 0.5
+        t = 1.0 - p if upper else p
+        below = math.nextafter(x, 0.0)
+        assert 0.0 < below < x <= 1.0
+        assert x < 1.0 or _tail(a, b, below, upper) >= t
+        # Maps back to its smaller tail within 1e-12 relative, or as close as
+        # a step of one ulp in x can resolve.
+        at_x = _tail(a, b, x, upper)
+        ulp_step = max(abs(_tail(a, b, z, upper) - at_x) for z in (below, math.nextafter(x, 1.0)))
+        assert abs(at_x - t) <= 1e-12 * t + ulp_step
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
