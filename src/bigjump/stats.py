@@ -45,18 +45,12 @@ _FRACTION_TERMS = 100_000
 
 def _stirling_error(n: float) -> float:
     """log Γ(n + 1) − log(√(2πn) (n/e)^n) for real n > 0: from ``lgamma`` up
-    to 15, and above it from the Stirling series cut where its first omitted
-    term is below 3e-16 (C. Loader, "Fast and accurate computation of
-    binomial probabilities", 2000)."""
+    to 15, and above it from five terms of the Stirling series, whose first
+    omitted term is below 3e-16 there (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000)."""
     if n <= 15.0:
         return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
     nn = n * n
-    if n > 500.0:
-        return (1 / 12 - 1 / 360 / nn) / n
-    if n > 80.0:
-        return (1 / 12 - (1 / 360 - 1 / 1260 / nn) / nn) / n
-    if n > 35.0:
-        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / nn) / nn) / nn) / n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
