@@ -34,10 +34,13 @@ __all__ = [
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# The quantile stops once a Halley step, or the bracket, is below this share
-# of the smaller of x and 1 - x (or two ulps of x).  One more step from there
-# would be below rounding, and for a, b >= 0.05 the rounding of I_x moves the
-# root by less than this, so no step chases it.
+# The quantile returns the Halley step taken where the tail is within
+# _QUANTILE_CLOSE of t, relative: the step leaves an error of the order of
+# that gap cubed, below rounding.  It also stops once a Halley step, or the
+# bracket, is below _QUANTILE_RTOL of the smaller of x and 1 - x (or two ulps
+# of x); for a, b >= 0.05 the rounding of I_x moves the root by less than
+# that, so no step chases it.
+_QUANTILE_CLOSE = 2.0**-20
 _QUANTILE_RTOL = 1e-13
 _QUANTILE_STEPS = 100
 _FRACTION_TERMS = 100_000
@@ -184,10 +187,8 @@ def _beta_quantile(a: float, b: float, p: float) -> float:
         return -math.expm1((math.log(t) if upper else math.log1p(-t)) / b)
     if b == 1.0:
         return math.exp((math.log1p(-t) if upper else math.log(t)) / a)
-    if upper:
-        y, x = _beta_start(b, a, t)
-    else:
-        x, y = _beta_start(a, b, t)
+    # An upper quantile is the complement of Beta(b, a)'s lower one.
+    x = _beta_start(b, a, t)[1] if upper else _beta_start(a, b, t)[0]
     if x < sys.float_info.min:
         # Below the normal floats only the power law near 0 lands, and it is
         # exact to O(x) there.
@@ -214,7 +215,7 @@ def _beta_quantile(a: float, b: float, p: float) -> float:
         else:
             u = (tail - t) / slope
             step = -u / (1.0 - 0.5 * u * ((a - 1.0) / x - (b - 1.0) / (1.0 - x)))
-            if abs(step) <= tol:
+            if abs(step) <= tol or abs(tail - t) <= _QUANTILE_CLOSE * t:
                 return min(max(x + step, lo), hi)
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     raise ArithmeticError(f"beta quantile did not converge: a={a}, b={b}, p={p}")
