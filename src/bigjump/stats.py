@@ -242,7 +242,8 @@ def clopper_pearson(k: float, n: float, level: float) -> tuple[float, float]:
     # tests/test_stats.py's grid of counts, real counts and levels they lie
     # within 1e-14 of scipy's beta.ppf after one Newton step on scipy's own
     # incomplete beta (beta.ppf alone is off by up to 1e-11 at n = 10^6),
-    # and none takes more than 8 evaluations of I_x.
+    # and none takes more than 8 evaluations of I_x.  Python floats, since
+    # numpy scalars would slow every step of the solve.
     k, n = float(k), float(n)
     alpha = 1.0 - level
     lo = 0.0 if k == 0 else _beta_quantile(k, n - k + 1.0, alpha / 2.0)

@@ -10,7 +10,6 @@ from scipy.special import betainc, betaincc
 from scipy.stats import beta, ks_2samp
 
 from bigjump import stats
-
 from bigjump.cli import _KS_THIN
 from bigjump.model import survival_A
 from bigjump.oracle import stationary_pmf
@@ -44,7 +43,8 @@ def _cp_counts(n: int, tau: float) -> list:
     when n / tau < 1, which clopper_pearson refuses."""
     if n / tau < 1:
         return []
-    return [(k / tau, n / tau) for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1)))]
+    counts = sorted(k for k in {0, 1, 2, n // 3, n // 2, n - 1, n} if k <= n)
+    return [(k / tau, n / tau) for k in counts]
 
 
 def _cp_quantiles() -> list:
@@ -126,9 +126,11 @@ class TestClopperPearson:
         for k, m in _cp_counts(n, tau):
             lo, hi = clopper_pearson(k, m, level)
             if k > 0:
-                assert lo == pytest.approx(_refined_beta_ppf(k, m - k + 1.0, alpha / 2), rel=1e-12)
+                ref = _refined_beta_ppf(k, m - k + 1.0, alpha / 2)
+                assert lo == pytest.approx(ref, rel=1e-12)
             if k < m:
-                assert hi == pytest.approx(_refined_beta_ppf(k + 1.0, m - k, 1 - alpha / 2), rel=1e-12)
+                ref = _refined_beta_ppf(k + 1.0, m - k, 1 - alpha / 2)
+                assert hi == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
         "a, b, x",
@@ -157,7 +159,7 @@ class TestClopperPearson:
 
     def test_each_quantile_costs_at_most_8_incomplete_betas(self, monkeypatch):
         # Stands in for a time budget, which Tier-1 cannot time reliably: one
-        # evaluation of I_x costs 3-10 us at the benchmark's counts.
+        # evaluation of I_x costs about 5 us at the benchmark's counts.
         evaluate = stats._incomplete_beta
         calls = []
 
