@@ -27,7 +27,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -90,6 +90,9 @@ _GAUSS_NODES = np.concatenate((_GAUSS_COARSE[0], _GAUSS_FINE[0]))
 # Where `_survival_series_tail` puts panel edges in the weight's exponent
 # lam*t: every 4 while the weight is above exp(-40), then one panel to 800.
 _WEIGHT_FALLS = np.arange(4.0, 44.0, 4.0)
+# Smallest lam = -log1p(-p) at which `_survival_series_tail` integrates:
+# its nodes run to t = 800/lam, which must stay a finite float.
+_LAMBDA_FLOOR = 1e-305
 # Relative rounding floor of every quadrature error estimate.  Each
 # integrand value and the panel sum round, so no integral is known closer
 # than a few ulps of its size, however well the two rules agree.
@@ -108,12 +111,29 @@ def phi(t, epsilon):
     log-convex).  Accepts scalars or arrays.  Where the denominator
     overflows (t past about 1e303 at epsilon = 1; only there does 1/x read
     0), phi is 1/(1+t) divided by the log power instead.
+
+    An array is computed in one buffer by in-place ufuncs (1 + t is the
+    only other temporary), with the bits of the plain expression: an
+    array's ``** 2.0`` is numpy's ``square``, any other power its ``power``
+    ufunc.  A scalar keeps the plain expression, whose ``**`` calls C
+    ``pow``, a last bit away from the ufunc at some points.
     """
     t_arr = np.asarray(t, dtype=np.float64)
+    power = 1.0 + epsilon
     with np.errstate(over="ignore"):
-        out = 1.0 / ((1.0 + t_arr) * np.log(_E + t_arr) ** (1.0 + epsilon))
+        if t_arr.ndim == 0:
+            out = 1.0 / ((1.0 + t_arr) * np.log(_E + t_arr) ** power)
+        else:
+            out = np.add(t_arr, _E)
+            np.log(out, out=out)
+            if power == 2.0:
+                np.square(out, out=out)
+            else:
+                np.power(out, power, out=out)
+            out *= 1.0 + t_arr
+            np.reciprocal(out, out=out)
         if np.any(out == 0.0):
-            split = (1.0 / (1.0 + t_arr)) / np.log(_E + t_arr) ** (1.0 + epsilon)
+            split = (1.0 / (1.0 + t_arr)) / np.log(_E + t_arr) ** power
             out = np.where(out == 0.0, split, out)
     return float(out) if out.ndim == 0 else out
 
@@ -391,9 +411,15 @@ class LawB:
         ks = np.arange(params.tail_table_cutoff + 1, dtype=np.float64)
         self.survival_table = params.theta * phi(ks, params.epsilon)
         self.survival_table.setflags(write=False)
-        # Ascending keys for the samplers' `np.searchsorted`, negated once.
-        self.search_key = -self.survival_table
-        self.search_key.setflags(write=False)
+
+    @cached_property
+    def search_key(self) -> np.ndarray:
+        """Ascending keys for the samplers' `np.searchsorted`: the survival
+        table negated once, on the first draw, so a process that never
+        samples never holds them."""
+        key = -self.survival_table
+        key.setflags(write=False)
+        return key
 
     def survival(self, k):
         """``P(B > k) = theta * phi(floor(k))``; table lookup where possible."""
@@ -480,20 +506,30 @@ def _survival_series_tail(
     """
     if lam * cutoff > 745.0:
         return 0.0, 0.0  # every term underflows
-    # Flooring lam only perturbs weights at k beyond ~1e30, and all callers
-    # multiply the result by (1-z) <= lam, keeping that error below 1e-16.
-    lam = max(lam, 1e-30)
+    # The last node lies near t = 800/lam, which overflows below lam =
+    # 4.5e-306.  Below the floor the sum reads low: at p = 5e-324 by 8.1e-5
+    # at epsilon = 1 and 2.2e-3 at epsilon = 0.5.
+    lam = max(lam, _LAMBDA_FLOOR)
     base = _E + cutoff
     u0 = math.log(base)
     r1 = math.log1p(800.0 / (lam * base))
 
     def integrand(r: np.ndarray) -> np.ndarray:
         t = cutoff + base * np.expm1(r)
-        # The denominator overflows once (1+eps) ln(u) nears 709 (epsilon
-        # near EPSILON_MAX); such a node reads 0, its correctly rounded value.
+        # The denominator overflows where t nears DBL_MAX / u**(1+eps):
+        # at t near 1e302 for epsilon = 1, where the weight is near 1 once
+        # lam is below about 1e-301, or at epsilon near EPSILON_MAX.  Such a
+        # node divides by the log power alone; it reads 0 only where that
+        # power overflows too, its correctly rounded value.
         with np.errstate(over="ignore"):
             denominator = (1.0 + t) * (u0 + r) ** (1.0 + epsilon)
-            return (t + _E) / denominator * np.exp(-lam * t)
+            value = (t + _E) / denominator
+            huge = np.isinf(denominator)
+            if np.any(huge):
+                value[huge] = (
+                    (t[huge] + _E) / (1.0 + t[huge]) / (u0 + r[huge]) ** (1.0 + epsilon)
+                )
+            return value * np.exp(-lam * t)
 
     slow = np.linspace(0.0, r1, math.ceil(r1 / 8.0) + 1)
     fast = np.log1p(_WEIGHT_FALLS / (lam * base))
@@ -516,7 +552,8 @@ def _offspring_survival_series(params: ModelParams, p: float) -> float:
     This is the survival-weighted series behind the offspring pgf: taking
     ``z = 1-p``, ``g_B(z) = 1 - p * theta * (this sum)``.  Exact head over
     ``k < 2**14`` plus the integral tail; absolute accuracy ~1e-13 down to
-    ``p ~ 1e-25``.  Taking ``p`` (not ``z``) as the argument keeps the
+    ``p = 1e-305`` (`_LAMBDA_FLOOR`), checked against a 40-digit reference
+    in the tests.  Taking ``p`` (not ``z``) as the argument keeps the
     extinction recursion free of cancellation near ``z = 1``.
     """
     if not 0.0 <= p <= 1.0:

@@ -44,11 +44,18 @@ Design notes
   ~2*sqrt(K) convolutions plus a matrix product that collapses the count
   coefficients instead of K convolutions, each FFT product reusing the
   fixed operand's spectrum (two transforms per product, not three).  The
-  first power is the summand itself, not a product.  The
-  collapse runs in chunks of rows, top block first, as the Horner pass
-  consumes them, so no blocks x (N+1) table exists; chunks start at
-  multiples of `_COLLAPSE_CHUNK` rows, which keeps every row's bits those
-  of the one-shot product on an AVX-512 OpenBLAS (the only one checked).
+  first power is the summand itself, not a product.  One table of max(w,
+  K // w + 1) rows holds the w baby-step powers and then the K // w + 1
+  blocks: column k of the blocks reads only column k of the powers, so
+  the collapse runs slab of columns by slab of columns and writes each
+  slab's blocks over the powers it has read.  Each slab spans whole
+  multiples of `_SLAB_COLUMNS`, at least `_SLAB_WORK` multiply-adds and
+  `_SLAB_ROWS` rows of entries, and a shorter tail joins the slab before
+  it, which keeps every column's
+  bits those of the one-shot product on an AVX-512 OpenBLAS (the only one
+  checked): that library runs a product of at most 10^6 multiply-adds in
+  a small-matrix kernel, and numpy a one-column product as a
+  matrix-vector product, each with other rounding.
 * Every BLAS call here and in the offspring pgf (the collapse and the dot
   products) runs on one BLAS thread (`_native.one_blas_thread`).  A
   threaded product or dot splits its sums by the core count, so the bits
@@ -171,16 +178,22 @@ _BINOMIAL_TAIL = 3e-26
 # at 2^16), and an upper bracket must not read below a survival that is
 # exactly 1.
 _FOLD_MARGIN = 4 * np.finfo(np.float64).eps
-# Block rows per collapse product in `compound`.  A row's bits depend on
-# which dgemm micro-kernel takes it, which follows the row's offset in the
-# product: on an AVX-512 OpenBLAS, chunks starting at multiples of 12 rows
-# reproduce the whole product and multiples of 16 or 32 do not.  That match
-# was checked on that kernel only; another CPU's dgemm may split rows at
-# other offsets, and the chunked collapse then differs from the one-shot
-# product in the last bits.  24 rows (3 MB at N = 2^14) keep the chunk small
-# next to the power table (62 rows for D_2 at N = 2^14, at most 256); 12
-# would repack that table twice as often.
-_COLLAPSE_CHUNK = 24
+# Column slabs of the collapse in `compound`.  A column's bits depend on
+# which dgemm path and micro-kernel take it: on an AVX-512 OpenBLAS, slabs
+# starting at multiples of 256 columns and holding at least 2^20
+# multiply-adds reproduce the one-shot product at every shape checked,
+# while slabs at multiples of 128 columns, or of at most 10^6 multiply-adds
+# (the small-matrix kernel), do not.  That match was checked on that
+# kernel only; another CPU's dgemm may split columns at other offsets.
+_SLAB_COLUMNS = 256
+_SLAB_WORK = 1 << 20
+# ... and each slab's product holds at least this many table rows of
+# entries.  Freed before the Horner pass, it lifts glibc's dynamic mmap
+# threshold past the FFT products' 2N + 1 entries, which then reuse heap
+# pages instead of faulting in fresh ones: D_2 at N = 2^16 took 292,000
+# minor faults per compound with 256-column slabs, 2,000 with these (2
+# rows' worth left 190,000).
+_SLAB_ROWS = 4
 
 
 class NotConverged(RuntimeError):
@@ -405,24 +418,26 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
     )
 
 
-def _collapse_top_down(coeff: np.ndarray, powers: np.ndarray) -> Iterator:
-    """Rows of ``coeff @ powers``, last row first, one chunk at a time.
+def _collapse_in_place(coeff: np.ndarray, table: np.ndarray) -> None:
+    """Write ``coeff @ table[:rows]`` over ``table[:n_blocks]`` for a
+    ``(n_blocks, rows)`` ``coeff``, one slab of columns at a time.
 
-    Chunks start at multiples of `_COLLAPSE_CHUNK`; a one-row top chunk
-    joins the chunk below, since numpy runs a one-row product as a
-    matrix-vector product with different rounding.
+    Column k of the product reads only column k of the table, so each slab
+    is read before it is written.  Slabs start at multiples of
+    `_SLAB_COLUMNS` and hold at least `_SLAB_WORK` multiply-adds and
+    `_SLAB_ROWS` table rows of entries; the last one also takes the columns
+    short of a whole slab, so none is narrower than the others and none has
+    a single column.
     """
-    n_blocks = coeff.shape[0]
-    starts = list(range(0, n_blocks, _COLLAPSE_CHUNK))
-    if len(starts) > 1 and n_blocks - starts[-1] == 1:
-        starts.pop()
-    end = n_blocks
-    for start in reversed(starts):
-        with one_blas_thread():
-            chunk = coeff[start:end] @ powers
-        yield from chunk[::-1]
-        del chunk  # before the next product, so one chunk is alive at a time
-        end = start
+    n_blocks, rows = coeff.shape
+    size = table.shape[1]
+    least = max(-(-_SLAB_WORK // (n_blocks * rows)), -(-_SLAB_ROWS * size // n_blocks))
+    width = _SLAB_COLUMNS * -(-least // _SLAB_COLUMNS)
+    count = max(size // width, 1)
+    with one_blas_thread():
+        for s in range(count):
+            cols = slice(s * width, size if s == count - 1 else (s + 1) * width)
+            table[:n_blocks, cols] = coeff @ table[:rows, cols]
 
 
 def _block_width(count_support: int) -> int:
@@ -460,13 +475,14 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     Evaluates sum_k count[k] * summand^{*k} with baby-step/giant-step
     polynomial evaluation: powers 0..J-1 are built once (J - 2 products,
     since powers 0 and 1 are delta_0 and the summand), blocks of J
-    coefficients collapse through one matrix product, and a Horner pass over
-    summand^{*J} stitches the blocks: J - 1 + K // J products for count
-    support K >= J, K - 1 in one block; `_block_width` picks J.  Each
-    power's overflow collapses with it; `_product` reads the placed totals
-    from the masses.  Count overflow (C beyond the grid) lands in the
-    result's overflow.  Where the summand places nothing at zero, the
-    result's zero mass is count[0] exactly.
+    coefficients collapse through a matrix product written over the powers,
+    one slab of columns at a time, and a Horner pass over summand^{*J},
+    formed before the collapse, stitches the blocks: J - 1 + K // J
+    products for count support K >= J, K - 1 in one block; `_block_width`
+    picks J.  Each power's overflow collapses with it; `_product` reads the
+    placed totals from the masses.  Count overflow (C beyond the grid)
+    lands in the result's overflow.  Where the summand places nothing at
+    zero, the result's zero mass is count[0] exactly.
     """
     if count.cutoff != summand.cutoff:
         raise ValueError(
@@ -485,40 +501,42 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
     width = _block_width(support)
     n_blocks = support // width + 1
 
-    # Baby steps: summand powers 0..width-1 and their overflows.
+    # Baby steps: summand powers 0..width-1 and their overflows, in the
+    # table's first rows; the collapse writes the blocks over them.
     rows = min(width, support + 1)
-    powers = np.zeros((rows, n + 1))
-    powers[0, 0] = 1.0
+    table = np.zeros((max(rows, n_blocks), n + 1))
+    table[0, 0] = 1.0
     pow_overflow = np.zeros(rows)
     s_spectrum = _spectrum(summand.mass, n + 1)
 
     def next_power(j: int) -> tuple:  # summand^{*j} from summand^{*(j-1)}
-        previous = (powers[j - 1], pow_overflow[j - 1])
+        previous = (table[j - 1], pow_overflow[j - 1])
         return _product(previous, (summand.mass, summand.overflow), n, s_spectrum)
 
     if rows > 1:  # summand^{*1} is the summand: no product
-        powers[1], pow_overflow[1] = summand.mass, summand.overflow
+        table[1], pow_overflow[1] = summand.mass, summand.overflow
     for j in range(2, rows):
-        powers[j], pow_overflow[j] = next_power(j)
+        table[j], pow_overflow[j] = next_power(j)
+    if n_blocks > 1:  # giant step: summand^{*width}, before the collapse
+        giant = next_power(rows)
+        g_spectrum = _spectrum(giant[0], n + 1)
 
-    # Collapse count coefficients through the power table, block by block.
+    # Collapse count coefficients through the powers, in place.
     padded = np.zeros(n_blocks * width)
     padded[: support + 1] = count.mass[: support + 1]
     # coeff[g, j] = count[g*width + j]
     coeff = padded.reshape(n_blocks, width)[:, :rows]
     with one_blas_thread():
         block_overflow = coeff @ pow_overflow
-    block_mass = _collapse_top_down(coeff, powers)
+    _collapse_in_place(coeff, table)
 
-    acc, acc_over = next(block_mass), float(block_overflow[n_blocks - 1])
-    if n_blocks > 1:
-        # Giant step: summand^{*width}, then Horner from the top block down.
-        giant = next_power(rows)
-        g_spectrum = _spectrum(giant[0], n + 1)
-        for g in range(n_blocks - 2, -1, -1):
-            known, acc_over = _product((acc, acc_over), giant, n, g_spectrum)
-            acc = known + next(block_mass)
-            acc_over += float(block_overflow[g])
+    # Horner from the top block down; one block is copied out, so the
+    # result does not keep the table alive.
+    acc, acc_over = table[n_blocks - 1].copy(), float(block_overflow[n_blocks - 1])
+    for g in range(n_blocks - 2, -1, -1):
+        known, acc_over = _product((acc, acc_over), giant, n, g_spectrum)
+        acc = known + table[g]
+        acc_over += float(block_overflow[g])
 
     return Pmf(
         mass=acc,

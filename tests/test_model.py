@@ -12,7 +12,9 @@ import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bigjump import model
+from bigjump.sampler import ChainConfig, RngStream, run_chain
 from bigjump.model import (
     _PGF_HEAD_TERMS,
     LawA,
@@ -357,6 +360,17 @@ class TestLawB:
     def test_pmf_at_zero(self, params):
         assert law_B(params).pmf(0) == pytest.approx(1.0 - params.theta, rel=1e-15)
 
+    def test_search_key_is_built_on_the_first_draw(self, params):
+        # Only the samplers read the key: a process that never draws an
+        # offspring count never holds its 2^16 + 1 doubles.
+        law_B.cache_clear()
+        law = law_B(params)
+        assert "search_key" not in vars(law)
+        run_chain(params, ChainConfig(n_samples=200, burn_in=0), RngStream(seed=5))
+        key = vars(law)["search_key"]
+        assert not key.flags.writeable
+        np.testing.assert_array_equal(key, -law.survival_table)
+
     def test_pmf_matches_survival_differences(self, params):
         k = np.arange(1, 5000)
         diff = law_B(params).survival(k - 1) - law_B(params).survival(k)
@@ -380,6 +394,45 @@ class TestLawB:
         decay = slowly_varying_part(params, xs) * np.log(xs)
         assert np.all(np.diff(decay) < 0)
         assert decay[-1] < 0.01
+
+
+@lru_cache(maxsize=2)
+def _phi_head_40_digits(epsilon: float) -> tuple:
+    power = 1 + mpmath.mpf(epsilon)
+    return tuple(
+        1 / ((1 + k) * mpmath.log(mpmath.e + k) ** power) for k in range(_PGF_HEAD_TERMS)
+    )
+
+
+def _survival_series_40_digits(epsilon: float, p: float):
+    """sum_k phi(k) (1-p)^k at 40 digits, as `_offspring_survival_series`
+    splits it: the head k < 2^14 summed term by term, the tail as the
+    integral from 2^14 by `mpmath.quad` in u = log(e+t), plus the same
+    Euler-Maclaurin end terms g(c)/2 - g'(c)/12."""
+    with mpmath.workdps(40):
+        e, power, p = mpmath.e, 1 + mpmath.mpf(epsilon), mpmath.mpf(p)
+        head, weight = mpmath.mpf(0), mpmath.mpf(1)
+        for value in _phi_head_40_digits(epsilon):
+            head += value * weight
+            weight *= 1 - p
+        lam, c = -mpmath.log1p(-p), mpmath.mpf(_PGF_HEAD_TERMS)
+
+        def integrand(u):
+            t = mpmath.exp(u) - e
+            return mpmath.exp(u) / ((1 + t) * u**power) * mpmath.exp(-lam * t)
+
+        # Panels doubling from log(e+c) up to where lam t = e^-4, then 2
+        # wide across the weight's fall at lam t = 1.
+        u0, fall = mpmath.log(e + c), -mpmath.log(lam)
+        edges = [u0]
+        while edges[-1] < fall - 4:
+            edges.append(min(2 * edges[-1] - u0 + 1, fall - 4))
+        edges += [fall - 2, fall, fall + 2, fall + 4, fall + 8]
+        tail = mpmath.quad(integrand, edges)
+        phi_c = 1 / ((1 + c) * mpmath.log(e + c) ** power)
+        phi_c_deriv = -phi_c * (1 / (1 + c) + power / ((e + c) * mpmath.log(e + c)))
+        decay = mpmath.exp(-lam * c)
+        return head + tail + phi_c * decay / 2 - (phi_c_deriv - lam * phi_c) * decay / 12
 
 
 def pgf_B(params, z):
@@ -420,6 +473,20 @@ class TestPgfB:
         assert _offspring_survival_series(params, 1e-9) == pytest.approx(
             GOLDEN_PHI_SERIES_P1E9, abs=5e-14
         )
+
+    @pytest.mark.parametrize("epsilon", [0.5, 1.0])
+    @pytest.mark.parametrize("p", [1e-16, 1e-30, 1e-100, 1e-300, 1e-304])
+    def test_survival_series_matches_a_40_digit_reference(self, epsilon, p):
+        # Within the stated 1e-13; 7.1e-15 at most here.  The weight's fall
+        # sat at lam = 1e-30 for every smaller p, which read 0.0103 low at
+        # (1e-100, 1) and 0.166 at (1e-300, 0.5).  At p = 1e-304 the
+        # integrand's nodes with weight near 1 reach t past 1e303, where
+        # (1+t) log(e+t)**(1+eps) overflows.
+        params = calibrate(0.5, epsilon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = _offspring_survival_series(params, p)
+        assert value == pytest.approx(float(_survival_series_40_digits(epsilon, p)), abs=1e-13)
 
     def test_rejects_out_of_range(self, params):
         with pytest.raises(ValueError):
@@ -474,7 +541,7 @@ class TestExtinctionTable:
     @pytest.mark.parametrize(
         "b, epsilon, n_max, digest",
         [
-            (0.5, 1.0, 300, "ccd70d6f27fd1e9c6384825ce4153ddf"),
+            (0.5, 1.0, 300, "c301a1dfb288362b581326600d4f2b4e"),
             (0.5, 176.0, 400, "7700b022efbce75b717e2c024feb5a60"),
             (0.01, 176.0, 400, "5ff50b1e428f17a6e61a919caa4a8429"),
         ],
@@ -484,12 +551,25 @@ class TestExtinctionTable:
         # and before the pgf tail's overflowing nodes were silenced: at
         # epsilon = 176 the integrand's denominator overflowed with 677 (b =
         # 0.5) and 305 (b = 0.01) RuntimeWarnings, at nodes that read 0
-        # either way.
+        # either way.  The 300-row digest moved (from ccd70d6f...) when the
+        # pgf tail stopped flooring lam at 1e-30: p_300 read 3.065e-93, and
+        # reads 5.910e-93.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = extinction_table(calibrate(b, epsilon), n_max)
         q = 1.0 - table
         assert hashlib.md5(table.tobytes() + q.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_steps_below_1e_30_match_a_40_digit_series(self, params, n):
+        # p_100 = 2.0e-32 and p_200 = 9.8e-63: each step p_{n+1} = p_n theta
+        # Phi(p_n) to 1e-13 (6.7e-16 here).  With lam floored at 1e-30 the
+        # steps read 3.8e-4 and 3.6e-3 low, and R(200) read 1.12e-60 where
+        # it reads 1.42e-60.
+        table = extinction_table(params, n + 1)
+        series = float(_survival_series_40_digits(params.epsilon, float(table[n])))
+        step = table[n + 1] / (table[n] * params.theta * series)
+        assert step == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_threads_growing_a_fresh_table_match_the_serial_one(self, params):
         # Four threads on a 2-core box, switching every microsecond: a row
@@ -602,6 +682,24 @@ class TestPhiProperties:
             value = phi(1e306, 1.0)
         assert 0.0 < value < math.inf
         assert value == pytest.approx(1e-306 / math.log(1e306) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 7.25, 176.0])
+    def test_bits_are_those_of_the_plain_expression(self, epsilon):
+        def plain(t):
+            with np.errstate(over="ignore"):
+                out = 1.0 / ((1.0 + t) * np.log(math.e + t) ** (1.0 + epsilon))
+                split = (1.0 / (1.0 + t)) / np.log(math.e + t) ** (1.0 + epsilon)
+            return np.where(out == 0.0, split, out)
+
+        rng = np.random.default_rng(31)
+        special = np.array([0.0, 1e300, 1.7e308, 2.0**62])
+        for ts in (np.arange(1 << 16, dtype=np.float64), np.exp(700.0 * rng.random(4096)), special):
+            np.testing.assert_array_equal(phi(ts, epsilon).view(np.uint64), plain(ts).view(np.uint64))
+        # A scalar's log and power come from libm, an array's from numpy's
+        # own loops: between t = 0 and 2047 they part in the last bit 1 to
+        # 104 times per epsilon here.
+        for t in np.concatenate((np.arange(2048.0), special)):
+            assert phi(float(t), epsilon) == float(plain(np.asarray(t)))
 
     def test_bits_kept_where_the_denominator_is_finite(self):
         ts = np.array([0.0, 1.0, 7.5, 1e6, 1e300])

@@ -25,6 +25,7 @@ from scipy.signal import fftconvolve, lfilter
 from scipy.stats import binom
 
 from bigjump import model, oracle
+from bigjump._native import one_blas_thread
 from bigjump.model import (
     LawA,
     calibrate,
@@ -479,8 +480,8 @@ class TestBlockWidth:
 
     # 11, 12 and 13 = 3 * 4 - 1, + 0, + 1 take width 3: a full top block,
     # then one count and two counts in it.  599 = 24 * 25 - 1 takes width
-    # 24 and 25 blocks, so the collapse's one-row top chunk joins the chunk
-    # below; 600 and 601 take width 21 and 29 blocks.
+    # 24 and 25 blocks, so the collapse writes one block row past the 24
+    # powers; 600 and 601 take width 21 and 29 blocks.
     @pytest.mark.parametrize("support", [11, 12, 13, 599, 600, 601])
     def test_fft_compound_matches_direct_power_sum(self, support, monkeypatch):
         monkeypatch.setattr(oracle, "_DIRECT_CONV_LIMIT", 0)
@@ -520,6 +521,84 @@ class TestBlockWidth:
         assert np.all(out.mass <= acc + 1e-16)
         assert out.overflow == pytest.approx(spill, rel=1e-10, abs=1e-15)
         assert out.known_total + out.overflow == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestInPlaceCollapse:
+    @pytest.mark.parametrize("cutoff", [256, 4096, 1 << 14])
+    def test_chain_collapses_keep_the_one_shot_bits(self, params, cutoff, monkeypatch):
+        # Every collapse of a cold solve, the generation terms' included,
+        # against coeff @ powers in one product.  At 2^14 the shapes
+        # (n_blocks, rows, columns) run from (1, 3, 16385) to D_2's
+        # (70, 62, 16385); slabs of 256 or 512 columns, whatever their
+        # work, missed the one-shot bits at (45, 35, 16385) and (26, 26,
+        # 16385), in OpenBLAS's small-matrix kernel.
+        real = oracle._collapse_in_place
+        shapes, missed = [], []
+
+        def collapse(coeff, table):
+            n_blocks, rows = coeff.shape
+            with one_blas_thread():
+                expected = coeff @ table[:rows]
+            real(coeff, table)
+            shapes.append((n_blocks, rows, table.shape[1]))
+            if not np.array_equal(_bits(table[:n_blocks]), _bits(expected)):
+                missed.append(shapes[-1])
+
+        monkeypatch.setattr(oracle, "_collapse_in_place", collapse)
+        _chain_cache.cache_clear()
+        stationary_pmf(params, cutoff)
+        assert len(shapes) > 30
+        assert missed == []
+        if cutoff == 1 << 14:
+            assert (70, 62, cutoff + 1) in shapes
+
+    @pytest.mark.parametrize(
+        "n_blocks, rows, columns",
+        [(70, 62, 3 * 256 + 1), (45, 35, 2 * 768 + 1), (20, 10, 2 * 5376 + 1),
+         (139, 118, 16 * 256 + 1)],
+    )
+    def test_slabs_keep_the_one_shot_bits(self, n_blocks, rows, columns):
+        # Each table is one column past whole slabs (256, 768, 5376 and 256
+        # columns wide here): numpy would take a one-column slab as a
+        # matrix-vector product, with other rounding.  D_2's shape at 2^16,
+        # (139, 118), needs only 64 columns for 2^20 multiply-adds and 118
+        # for 4 rows; slabs of 128 columns missed the one-shot bits there.
+        rng = np.random.default_rng(31)
+        table = np.zeros((max(n_blocks, rows), columns))
+        table[:rows] = rng.random((rows, columns)) * np.exp(-40.0 * rng.random((rows, columns)))
+        coeff = rng.random((n_blocks, rows)) * np.exp(-20.0 * rng.random((n_blocks, rows)))
+        with one_blas_thread():
+            expected = coeff @ table[:rows]
+        oracle._collapse_in_place(coeff, table)
+        np.testing.assert_array_equal(_bits(table[:n_blocks]), _bits(expected))
+
+    @pytest.mark.parametrize("support", [0, 1, 2, 13])
+    def test_mass_owns_its_memory(self, support):
+        # Supports 0..2 take one block: a view of the table would keep all
+        # of it alive in the chain cache.
+        n = 64
+        count_mass = np.zeros(n + 1)
+        count_mass[: support + 1] = 1.0 / (support + 1)
+        out = compound(Pmf(mass=count_mass, overflow=0.0), pmf_of(GeometricLaw(0.4), n))
+        assert out.mass.base is None
+
+    def test_cold_second_generation_at_2_14_stays_below_96_rows(self, params):
+        # compound's one table for D_2 holds max(62 powers, 70 blocks) = 70
+        # rows of 2^14 + 1 doubles, and the rest of the step about 19 more:
+        # the traced peak reads 88.7 rows.  The 62 powers beside a 24-row
+        # block chunk, collapsed into fresh memory, read 104.7.
+        _chain_cache.cache_clear()
+        tracemalloc.start()
+        try:
+            dn_pmf(params, 2, 1 << 14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * ((1 << 14) + 1) * 8
 
 
 class TestConditionalAndThinnedCount:
