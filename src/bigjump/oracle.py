@@ -530,8 +530,8 @@ def compound(count: Pmf, summand: Pmf) -> Pmf:
         block_overflow = coeff @ pow_overflow
     _collapse_in_place(coeff, table)
 
-    # Horner from the top block down; one block is copied out, so the
-    # result does not keep the table alive.
+    # Horner from the top block down.  The top block is copied out, so a
+    # one-block result does not keep the table alive.
     acc, acc_over = table[n_blocks - 1].copy(), float(block_overflow[n_blocks - 1])
     for g in range(n_blocks - 2, -1, -1):
         known, acc_over = _product((acc, acc_over), giant, n, g_spectrum)

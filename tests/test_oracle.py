@@ -1048,9 +1048,10 @@ class TestStationary:
         assert st_pmf.mass[1] <= deeper.mass[1]
 
     def test_cold_solve_at_2_14_stays_below_16_mib(self, params):
-        # D_2's power table sets the peak: 62 rows (8 MiB) at the width that
-        # minimises compound's products, 14.5 MiB in all; the power-of-two
-        # width held 128 rows (16 MiB), and the solve peaked at 22.7 MiB.
+        # D_2's table sets the peak: 70 rows (9 MiB) at the width that
+        # minimises compound's products, 11.2 MiB in all (13.2 with a 24-row
+        # block chunk beside 62 power rows); the power-of-two width held 128
+        # rows (16 MiB), and the solve peaked at 22.7 MiB.
         _chain_cache.cache_clear()
         tracemalloc.start()
         try:
