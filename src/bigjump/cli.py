@@ -211,7 +211,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         return RunConfig()
     try:
         raw = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -256,11 +256,14 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` in order to a temp file beside ``path``,
     then move it over ``path``, so no reader sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as out:
-        out.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("w") as out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_artifact(
@@ -456,11 +459,11 @@ def _saturation_exit(events) -> int:
 
 
 def _read_cluster_csv(path: Path) -> sampler.ClusterBatch:
-    lines = [
-        line
-        for line in path.read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read cluster file {path}: {exc}") from exc
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     if len(lines) < 2:
         raise ConfigError(f"no rows in {path}")
     header = lines[0].split(",")
@@ -621,18 +624,28 @@ _ORACLE_XS = {
 }
 
 
+def _pair_tail_ratio(law: oracle.Pmf, x: float) -> float:
+    """P(X_1 + X_2 > x) / P(X > x) for two independent draws of ``law``, each
+    tail read at the upper end of its bracket.  A subexponential tail puts
+    it near 2; a light tail far above."""
+    pair = oracle.convolve(law, law)
+    return pair.survival_bracket(x)[1] / law.survival_bracket(x)[1]
+
+
 def _check_conv_tail(ctx: VerifyContext) -> dict:
     cutoff = ctx.config.oracle.cutoff
     heavy = oracle.dn_pmf(ctx.params, 1, cutoff)
     (x,) = _ORACLE_XS["conv_tail"]
-    ratio = oracle.conv_tail_ratio(heavy, float(x))
-    light = oracle.pmf_of(oracle.GeometricLaw(0.5), 256)
-    control = oracle.conv_tail_ratio(light, 60.0)
-    passed = 1.8 <= ratio.point <= 2.2 and control.point > 2.5
+    ratio = _pair_tail_ratio(heavy, float(x))
+    # The control, Geometric(1/2) on {0..256}: masses 2^-(k+1) and overflow
+    # 2^-257, each exact, so its ratio at x is exactly (x + 3) / 2.
+    light = oracle.Pmf(mass=np.ldexp(1.0, -np.arange(1, 258)), overflow=2.0**-257)
+    control = _pair_tail_ratio(light, 60.0)
+    passed = 1.8 <= ratio <= 2.2 and control > 2.5
     return _record(
         "offspring-law convolution tail doubles the single tail at x=2^14 "
         "(point estimate in [1.8, 2.2]); geometric control exceeds 2.5 at x=60",
-        {"heavy_point": ratio.point, "light_point": control.point},
+        {"heavy_point": ratio, "light_point": control},
         "heavy in [1.8, 2.2]; light > 2.5",
         None,
         passed,

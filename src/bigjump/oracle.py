@@ -12,9 +12,8 @@ residue, whose error bound is ROADMAP item 11, the survival bracket
     sum_{k > x} mass[k]  <=  P(> x)  <=  sum_{k > x} mass[k] + overflow
 
 is sound by construction.  On top of that arithmetic the module builds the
-generation-aggregate laws, the stationary law of the branching fixed point,
-and a direct numerical check of the convolution-tail relation that drives
-the asymptotics.
+generation-aggregate laws and the stationary law of the branching fixed
+point.
 
 Design notes
 ------------
@@ -59,9 +58,9 @@ Design notes
 * Every BLAS call here and in the offspring pgf (the collapse and the dot
   products) runs on one BLAS thread (`_native.one_blas_thread`).  A
   threaded product or dot splits its sums by the core count, so the bits
-  would depend on the machine and on ``OPENBLAS_NUM_THREADS``, and the idle
-  BLAS threads spin after each call, taking a core from the generation
-  terms.
+  would depend on the machine and on ``OPENBLAS_NUM_THREADS`` (the tests
+  check both in subprocesses), and the idle BLAS threads spin after each
+  call, taking a core from the generation terms.
 * The generation chain D_n = sum_{k=1}^{B} D_{n-1}^{(k)} never compounds
   the full offspring count.  Writing D_{n-1} = q delta_0 + p C (C the
   conditional nonzero law), the sum over the in-grid counts is sum_m
@@ -69,10 +68,11 @@ Design notes
   Galton-Watson processes; Athreya & Ney, *Branching Processes*, 1972,
   ch. I), computed for every p in blocks of counts, so no q^k need be a
   normal float.  That count has support near pN instead of N: D_2 at
-  N = 2^14 costs 130 FFT products where the full count would cost 255.
-  It ends where its tail drops below `_BINOMIAL_TAIL`, so each deep
-  generation, where pN is far below 1, costs one to three.  The laws
-  carry no FFT residue from a full-support count.
+  N = 2^14 costs 130 FFT products on a table of 70 rows, where the full
+  count would cost 255.  It ends where its tail drops below
+  `_BINOMIAL_TAIL`, so each deep generation, where pN is far below 1,
+  costs one to three.  The laws carry no FFT residue from a full-support
+  count.
 * The zero-mass rule.  P(D_n > 0) has one source, the model's extinction
   table p_n, which keeps the orbit q_n = g_B(q_{n-1}) in survival form.
   D_n's zero mass is 1 - p_n rounded down, so that 1 - zero >= p_n, and
@@ -93,20 +93,22 @@ Design notes
   logarithm and a reciprocal, both by Newton iterations of a few FFT
   products each (Brent & Kung, "Fast algorithms for manipulating formal
   power series", J. ACM 25, 1978); each Newton step takes its error term
-  as a middle product, on transforms of the step's own length.
-  Coefficients 0..N depend only on the aggregate's coefficients 0..N, so
-  every immigration count is included and the term's overflow is exactly
-  its mass above N rather than the whole immigration tail, which is what
-  makes desk-scale brackets at x ~ N/16 usable at all.  The reciprocal's
-  series diverges for p >= 1/2, and there the term is ``compound`` over
-  the counts up to N, whose overflow carries P(A > N) = 1/(N + 1).  The
-  generations past the stopping depth d are covered by R =
-  `depth_remainder_bound`, at least the probability that any of them
-  contributes: they are independent of the fold and add zero with
-  probability at least 1 - R, so the fold's masses times (1 - R) stay below
-  the stationary pmf and the removed share goes to the overflow.  R is
+  as a middle product, on transforms of the step's own length: 31 FFT
+  products per term at N = 2^14, at every depth.  Coefficients 0..N depend
+  only on the aggregate's coefficients 0..N, so every immigration count is
+  included and the term's overflow is exactly its mass above N rather than
+  the whole immigration tail, which is what makes desk-scale brackets at
+  x ~ N/16 usable at all.  The reciprocal's series diverges for p >= 1/2
+  (generation 1 when theta = P(B >= 1) >= 1/2), and there the term is
+  ``compound`` over the counts up to N, whose overflow carries
+  P(A > N) = 1/(N + 1).  The generations past the stopping depth d are
+  covered by R = `depth_remainder_bound`, at least the probability that
+  any of them contributes: they are independent of the fold and add zero
+  with probability at least 1 - R, so the fold's masses times (1 - R) stay
+  below the stationary pmf and the removed share goes to the overflow.  R is
   pgf-exact over the same extinction table: 2.1e-11 at the default depth
-  36.
+  36.  The overflow also carries `_FOLD_MARGIN`, 4 ulps per folded term,
+  so an upper end never reads below a survival that is exactly 1.
 * The generation terms are independent, so ``stationary_pmf`` runs term n
   on one worker thread (numpy's FFTs release the GIL) while the calling
   thread builds D_{n+1}, the larger share of the work, and folds finished
@@ -136,8 +138,6 @@ from .model import (
 
 __all__ = [
     "Pmf",
-    "GeometricLaw",
-    "TailRatioBracket",
     "NotConverged",
     "pmf_of",
     "convolve",
@@ -146,7 +146,6 @@ __all__ = [
     "dn_pmf",
     "generation_term",
     "stationary_pmf",
-    "conv_tail_ratio",
 ]
 
 # Masses are probabilities; anything this far below zero is a real bug, not
@@ -266,25 +265,6 @@ class Pmf:
         """Upper survival P(> j) for j = 0..N: placed suffix sums + overflow."""
         suffix = np.concatenate([np.cumsum(self.mass[::-1])[::-1], [0.0]])
         return suffix[1:] + self.overflow
-
-
-class GeometricLaw:
-    """Geometric law on {0, 1, ...}: light-tailed control for tail tests."""
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p out of range (0, 1): {p}")
-        self.p = p
-
-    def survival(self, k):
-        k_arr = np.floor(np.asarray(k, dtype=np.float64))
-        out = (1.0 - self.p) ** (k_arr + 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def pmf(self, k):
-        k_arr = np.asarray(k, dtype=np.float64)
-        out = self.p * (1.0 - self.p) ** k_arr
-        return float(out) if out.ndim == 0 else out
 
 
 def pmf_of(law, cutoff: int, meta: str = "") -> Pmf:
@@ -891,33 +871,3 @@ def stationary_pmf(
         + depth * _FOLD_MARGIN,
         meta=f"stationary@{cutoff}(depth={depth}, gap={gap:.2e})",
     )
-
-
-@dataclass(frozen=True)
-class TailRatioBracket:
-    """Bracketed ratio of a convolution tail to the single tail."""
-
-    lo: float
-    hi: float
-    point: float
-
-
-def conv_tail_ratio(p: Pmf, x: float) -> TailRatioBracket:
-    """Bracket of P(sum of two independent draws > x) / P(one draw > x).
-
-    The point estimate is the ratio of the two upper endpoints.  A heavy
-    (subexponential) tail puts this near 2; light tails push it far above.
-    """
-    single_lo, single_hi = p.survival_bracket(x)
-    if single_lo <= 0.0:
-        raise ValueError(
-            f"tail below truncation resolution at x={x}: "
-            "no placed mass above the threshold"
-        )
-    pair_lo, pair_hi = convolve(p, p).survival_bracket(x)
-    return TailRatioBracket(
-        lo=pair_lo / single_hi,
-        hi=pair_hi / single_lo,
-        point=pair_hi / single_hi,
-    )
-

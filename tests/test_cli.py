@@ -241,6 +241,28 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "model.b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("missing", "--in"),
+            ("directory", "--in"),
+            ("undecodable", "--in"),
+            ("undecodable", "--config"),
+            ("regular file", "--out"),
+        ],
+    )
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, kind, flag):
+        # Each used to leave main as an OSError or a UnicodeDecodeError:
+        # a traceback and exit 1, the code of a failed verify check.
+        path = tmp_path if kind == "directory" else tmp_path / "named"
+        if kind in ("undecodable", "regular file"):
+            path.write_bytes(b"\xff\xfe\x00")
+        argv = ["attribute", "--x", "5"] if flag == "--in" else ["model"]
+        if flag != "--out":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main([*argv, flag, str(path)]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
     def test_verify_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         # Force a failing check by stubbing one entry of the registry.
         def always_fail(ctx):
@@ -589,6 +611,8 @@ class TestExitCodes:
         assert main(["verify", "--suite", "series", *args]) == EXIT_OK
         args[1] = "16385"
         assert main(["verify", "--suite", "conv_tail", *args]) == EXIT_OK
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["checks"][0]["measured"]["light_point"] == 31.5
 
     @pytest.mark.parametrize(
         "check, x",

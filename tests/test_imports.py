@@ -104,20 +104,29 @@ def test_package_import_loads_only_what_is_asked_for(src_env):
     }
 
 
-def _walk(folders=("src", "scripts", "bench")):
+def _walk(folders=("src", "scripts", "bench"), skip=lambda path, node: False):
     """Every AST node of every Python file under the ``folders`` (by default
-    src/, scripts/ and bench/)."""
+    src/, scripts/ and bench/), less each node, and the nodes inside it, for
+    which ``skip(path, node)`` holds."""
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            yield from ast.walk(ast.parse(path.read_text(), str(path)))
+            todo = [ast.parse(path.read_text(), str(path))]
+            while todo:
+                node = todo.pop()
+                if not skip(path, node):
+                    yield node
+                    todo.extend(ast.iter_child_nodes(node))
 
 
-def _used_names(folders=("src", "scripts", "bench")) -> set:
-    """Every name that the ``folders`` read as a variable or an attribute.
-    Definitions, assignment targets, imports, ``__all__`` strings and
-    docstrings are not reads."""
+def _used_names(
+    folders=("src", "scripts", "bench"), skip=lambda path, node: False
+) -> set:
+    """Every name that the ``folders`` read as a variable or an attribute,
+    outside the nodes that ``skip`` leaves out (see `_walk`).  Definitions,
+    assignment targets, imports, ``__all__`` strings and docstrings are not
+    reads."""
     used = set()
-    for node in _walk(folders):
+    for node in _walk(folders, skip):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -140,6 +149,25 @@ def test_every_public_name_has_a_caller_outside_tests():
     }
     used = _used_names()
     assert sorted(f"{m}.{name}" for m, name in exported if name not in used) == []
+
+
+def _is_verify_check(path: Path, node: ast.AST) -> bool:
+    return (
+        path == ROOT / "src" / "bigjump" / "cli.py"
+        and isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_check_")
+    )
+
+
+def test_oracle_exports_only_what_code_outside_the_checks_reads():
+    """Every name in ``bigjump.oracle.__all__`` is read in src/, scripts/ or
+    bench/ outside the verify checks (the ``cli._check_*`` functions); the
+    oracle's own functions count.  A law or a result type that only a check
+    reads is that check's arithmetic, and lives beside it, not in the law
+    module."""
+    from bigjump import oracle
+
+    assert sorted(set(oracle.__all__) - _used_names(skip=_is_verify_check)) == []
 
 
 def test_src_reads_no_environment_variable():

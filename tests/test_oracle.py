@@ -1,8 +1,8 @@
 """Tests for the truncated-pmf arithmetic and its sound survival brackets.
 
-`DiracLaw`, `tail_additivity_check` and the reference generation term
-(`thinned_immigrant_count` compounded by `reference_term`) live here, not in
-the package: only these tests use them.
+`DiracLaw`, `GeometricLaw`, `tail_additivity_check` and the reference
+generation term (`thinned_immigrant_count` compounded by `reference_term`)
+live here, not in the package: only these tests use them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve, lfilter
 from scipy.stats import binom
 
-from bigjump import model, oracle
+from bigjump import cli, model, oracle
 from bigjump._native import one_blas_thread
 from bigjump.model import (
     LawA,
@@ -36,7 +36,6 @@ from bigjump.model import (
     survival_A,
 )
 from bigjump.oracle import (
-    GeometricLaw,
     NotConverged,
     Pmf,
     _chain_cache,
@@ -46,7 +45,6 @@ from bigjump.oracle import (
     _thinned_offspring_count,
     compound,
     conditional_nonzero,
-    conv_tail_ratio,
     convolve,
     dn_pmf,
     generation_term,
@@ -72,6 +70,25 @@ class DiracLaw:
     def pmf(self, k):
         k_arr = np.asarray(k, dtype=np.float64)
         out = np.where(k_arr == self.value, 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+
+class GeometricLaw:
+    """Geometric law on {0, 1, ...}: light-tailed control for tail tests."""
+
+    def __init__(self, p: float) -> None:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p out of range (0, 1): {p}")
+        self.p = p
+
+    def survival(self, k):
+        k_arr = np.floor(np.asarray(k, dtype=np.float64))
+        out = (1.0 - self.p) ** (k_arr + 1.0)
+        return float(out) if out.ndim == 0 else out
+
+    def pmf(self, k):
+        k_arr = np.asarray(k, dtype=np.float64)
+        out = self.p * (1.0 - self.p) ** k_arr
         return float(out) if out.ndim == 0 else out
 
 
@@ -1293,22 +1310,13 @@ def test_bytes_do_not_depend_on_blas_threads(src_env):
 
 class TestTailDiagnostics:
     def test_conv_tail_ratio_geometric_closed_form(self):
-        g = pmf_of(GeometricLaw(0.5), 1024)
-        out = conv_tail_ratio(g, 60)
-        # Exact ratio for the geometric pair: (x + 3) / 2.
-        assert out.point == pytest.approx(31.5, rel=1e-9)
-        assert out.lo == pytest.approx(31.5, rel=1e-9)
-        assert out.hi == pytest.approx(31.5, rel=1e-9)
+        # The conv_tail check's control: every mass, the overflow and the
+        # exact ratio for the geometric pair, (x + 3) / 2, are binary.
+        g = pmf_of(GeometricLaw(0.5), 256)
+        assert cli._pair_tail_ratio(g, 60.0) == 31.5
 
     def test_conv_tail_ratio_heavy_tail_near_two(self, pB4096):
-        out = conv_tail_ratio(pB4096, 256)
-        assert 1.5 < out.lo <= out.point <= out.hi < 2.5
-
-    def test_conv_tail_ratio_below_resolution(self):
-        with pytest.raises(ValueError, match="below truncation resolution"):
-            conv_tail_ratio(pmf_of(DiracLaw(0), 16), 5)
-        with pytest.raises(ValueError, match="below truncation resolution"):
-            conv_tail_ratio(pmf_of(GeometricLaw(0.5), 16), 16)
+        assert 1.5 < cli._pair_tail_ratio(pB4096, 256.0) < 2.5
 
     def test_tail_additivity_single_term(self, pB512):
         out = tail_additivity_check([pB512], 100)
