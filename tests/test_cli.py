@@ -22,6 +22,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigjump import cli, sampler
 from bigjump.cli import (
@@ -190,6 +192,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             with_value(outside).validate()
 
+    def test_cutoff_above_2_18_is_refused_before_any_solve(self):
+        # 2**18 is the largest cutoff measured to finish; above it one power
+        # table of D_2 alone needs 2 GB or more.
+        RunConfig(oracle=cli.OracleConfig(cutoff=1 << 18)).validate()
+        too_large = RunConfig(oracle=cli.OracleConfig(cutoff=(1 << 18) + 1))
+        with pytest.raises(ConfigError, match=r"oracle\.cutoff .* <= 262144, got"):
+            too_large.validate()
+
     def test_config_hash_changes_with_values(self):
         base = RunConfig()
         other = load_config(None)
@@ -198,6 +208,54 @@ class TestConfigLoading:
 
         changed = RunConfig(model=replace(base.model, b=0.4))
         assert changed.config_hash() != base.config_hash()
+
+
+def _every_field_changed() -> RunConfig:
+    """A valid config in which every field differs from its default."""
+    config = RunConfig(
+        model=cli.ModelConfig(b=0.3, epsilon=2.0, tolerance=1e-9),
+        simulate=cli.SimulateConfig(
+            method="cluster", samples=5, burn_in=3, depth=7, seed=11, streams=2,
+            max_population=1 << 21,
+        ),
+        oracle=cli.OracleConfig(cutoff=4096, tol=1e-10, max_iter=30),
+        predict=cli.PredictConfig(x_grid=(10.0, 20.0), n_max=3),
+        verify=cli.VerifyConfig(suite="series", confidence=0.99),
+    )
+    config.validate()
+    for name, f, _ in cli._declared_fields():
+        assert getattr(getattr(config, name), f.name) != f.default, f.name
+    return config
+
+
+class TestConfigHash:
+    """``config_hash`` is SHA-256, computed by ``cli._sha256_hex`` so that
+    no command imports hashlib (and OpenSSL) for it: every digest must be
+    hashlib's."""
+
+    def test_every_length_across_the_padding_edges(self):
+        # Lengths 55/56, 63/64 and 119/120 move the padding into one more
+        # block; 130 bytes take three.
+        for n in range(131):
+            data = bytes((31 * i + n) % 256 for i in range(n))
+            assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+
+    @given(st.binary(max_size=600))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_bytes(self, data):
+        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("make", [RunConfig, _every_field_changed])
+    def test_config_hash_is_the_sha256_of_the_canonical_json(self, make):
+        config = make()
+        canonical = config.canonical_dict()
+        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        assert config.config_hash() == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_default_config_hash_is_pinned(self):
+        assert RunConfig().config_hash() == (
+            "2267b900d6fbe474b5e765b1d53f3ffa112fee7244afdd660214af81df538754"
+        )
 
 
 class TestSeedPrecedence:
@@ -262,6 +320,25 @@ class TestExitCodes:
             argv += ["--out", str(tmp_path / "out")]
         assert main([*argv, flag, str(path)]) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--suite", "series"], ["oracle", "--cutoff", "256"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_unusable_out_is_refused_before_the_work(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # The refusal used to come when the artifact was written, after the
+        # suite or the solve had run.
+        def never(*args):
+            raise AssertionError("the command's work ran")
+
+        monkeypatch.setitem(cli.CHECKS, "series", never)
+        monkeypatch.setattr(cli, "_stationary_pmf", never)
+        out = tmp_path / "named"
+        out.write_bytes(b"")
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
 
     def test_verify_failure_exits_1(self, tmp_path, monkeypatch, capsys):
         # Force a failing check by stubbing one entry of the registry.

@@ -14,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bigjump
+from bigjump.cli import main
 
 ROOT = Path(bigjump.__file__).resolve().parents[2]
 
@@ -76,18 +79,51 @@ def test_src_uses_no_numpy_routine_that_imports_numpy_ma():
     assert found == []
 
 
-def test_oracle_command_leaves_numpy_ma_and_scipy_unloaded(src_env, tmp_path):
-    # Only the commands that write JSON provenance import scipy, for its
-    # version string.
-    argv = ["oracle", "--cutoff", "256", "--out", str(tmp_path)]
+def _loaded_after_main(argv: list, env: dict) -> set:
+    """Every module loaded once a fresh interpreter has run
+    ``bigjump.cli.main(argv)``, which must exit 0; its stdout is dropped."""
     code = (
         "import contextlib, io\nfrom bigjump.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0"
     )
-    loaded = _loaded_after(code, src_env)
+    return _loaded_after(code, env)
+
+
+def test_oracle_command_leaves_numpy_ma_and_scipy_unloaded(src_env, tmp_path):
+    # Only the commands that write JSON provenance import scipy, for its
+    # version string.
+    argv = ["oracle", "--cutoff", "256", "--out", str(tmp_path)]
+    loaded = _loaded_after_main(argv, src_env)
     assert "numpy.ma" not in loaded
     assert _scipy_modules(loaded) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model"],
+        ["oracle", "--cutoff", "256"],
+        ["predict"],
+        ["attribute", "--x", "5", "--in", "simulate.csv"],
+        ["verify", "--suite", "series,calibration,a_tail,second_scale_decay,"
+         "repro_probe"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_that_draw_no_samples_leave_openssl_unloaded(
+    src_env, tmp_path, argv
+):
+    """``_hashlib``, OpenSSL's libcrypto, about 3.6 MB resident, stays out
+    of every command that draws no samples: ``config_hash`` is computed in
+    ``cli`` itself.  numpy.random's seeding still loads it, through
+    ``secrets``, in the commands that draw."""
+    if argv[0] == "attribute":
+        draw = ["simulate", "--method", "cluster", "--samples", "200", "--depth", "5"]
+        assert main([*draw, "--out", str(tmp_path)]) == 0
+        argv = [*argv[:-1], str(tmp_path / argv[-1])]
+    loaded = _loaded_after_main([*argv, "--out", str(tmp_path)], src_env)
+    assert "_hashlib" not in loaded
 
 
 def _package_modules_after(code: str, env: dict) -> set:
